@@ -20,7 +20,12 @@ from collections.abc import Mapping
 from pathlib import Path
 
 from .distribution import DetectorServer, run_stream
-from .distribution.sim import SimScenario, simulate_scaling, write_sim_csv
+from .distribution.sim import (
+    SimScenario,
+    mean_latency_ms,
+    simulate_scaling,
+    write_sim_csv,
+)
 from .frameio import (
     FrameSource,
     RunConfig,
@@ -322,14 +327,9 @@ def cmd_simulate(args) -> int:
         write_sim_csv(rows, args.out)
         combos = sorted({(r["attention_workers"], r["final_workers"]) for r in rows})
         for n_a, n_f in combos:
-            picked = [
-                r["latency_ms"]
-                for r in rows
-                if (r["attention_workers"], r["final_workers"]) == (n_a, n_f)
-            ]
             print(
                 f"attention_workers={n_a} final_workers={n_f} "
-                f"mean_latency_ms={statistics.fmean(picked):.3f}"
+                f"mean_latency_ms={mean_latency_ms(rows, n_a, n_f):.3f}"
             )
         print(f"wrote {len(rows)} rows to {args.out}")
     return 0

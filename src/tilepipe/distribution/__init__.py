@@ -1,6 +1,7 @@
 """Client-server crop evaluation: framed TCP wire protocol, worker servers,
-a dispatching client with pipelined attention precompute, and a scaling
-simulator for planning worker counts.
+a dispatching client whose one stream loop (run_stream) evaluates frames
+with the next frame's attention precomputed, and a scaling simulator for
+planning worker counts.
 """
 
 from .client import (
@@ -13,7 +14,6 @@ from .client import (
     check_health,
     dispatch,
     evaluate_remote,
-    run_remote_frame,
     run_stream,
 )
 from .sim import SimScenario, simulate_scaling, stage_latency_ms, write_sim_csv
@@ -24,17 +24,16 @@ __all__ = [
     "ClusterConfig",
     "DetectorServer",
     "ProtocolError",
-    "check_health",
     "RemoteFault",
     "SimScenario",
     "StreamAborted",
     "WorkerError",
     "WorkerTimeout",
     "WorkerUnavailable",
+    "check_health",
     "dispatch",
     "evaluate_remote",
     "recv_message",
-    "run_remote_frame",
     "run_stream",
     "send_message",
     "serve",

@@ -1,28 +1,31 @@
-"""Client side: crop dispatch, remote stage evaluation, and streaming with
-the next frame's attention precomputed while the current frame finishes.
+"""Client side: crop dispatch, remote evaluation of one stage's crops, and
+run_stream, the one loop that runs both stages of every frame on workers
+with the next frame's attention precomputed. Every step between the
+network calls is a helper shared with the in-process pipeline.
 """
 
 from __future__ import annotations
 
 import socket
 import time
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from ..detector import Detection, cut_tile
-from ..geometry import CropSpec, Rect, to_global
+from ..geometry import CropSpec, Rect
 from ..pipeline import (
     AttentionModel,
     Frame,
     FrameResult,
     GridPlan,
     PipelineSettings,
-    StageFailure,
     TimingProfile,
+    attention_model,
     finish_detections,
     merge_temporal,
     select_active,
+    tag_global,
 )
 from ..postprocess import MergePolicy
 from . import wire
@@ -128,6 +131,28 @@ def _parse_detections(rows: list[dict]) -> list[Detection]:
     ]
 
 
+def _exchange(
+    endpoint: str, timeout_s: float, header: dict, payload: bytes = b""
+) -> dict:
+    """Send one message on a fresh connection and return the reply header;
+    every failure, an ERROR reply included, raises a WorkerError."""
+    host, _, port = endpoint.rpartition(":")
+    try:
+        with socket.create_connection((host, int(port)), timeout=timeout_s) as sock:
+            sock.settimeout(timeout_s)
+            wire.send_message(sock, header, payload)
+            reply, _ = wire.recv_message(sock)
+    except TimeoutError as exc:
+        raise WorkerTimeout(endpoint, f"no reply within {timeout_s}s") from exc
+    except wire.ProtocolError as exc:
+        raise RemoteFault(endpoint, str(exc)) from exc
+    except OSError as exc:
+        raise WorkerUnavailable(endpoint, str(exc)) from exc
+    if reply.get("type") == "ERROR":
+        raise RemoteFault(endpoint, f"{reply.get('code')}: {reply.get('message')}")
+    return reply
+
+
 def _request_worker(
     endpoint: str,
     frame: Frame,
@@ -135,29 +160,12 @@ def _request_worker(
     timeout_s: float,
 ) -> tuple[dict[int, list[Detection]], float]:
     """One EVAL_REQUEST round trip; returns detections by crop id + busy ms."""
-    host, _, port = endpoint.rpartition(":")
     entries, payload = _crop_entries(frame, crops)
     header = {"type": "EVAL_REQUEST", "frame_id": frame.frame_id, "crops": entries}
     started = time.perf_counter()
-    try:
-        with socket.create_connection((host, int(port)), timeout=timeout_s) as sock:
-            sock.settimeout(timeout_s)
-            wire.send_message(sock, header, payload)
-            reply, _ = wire.recv_message(sock)
-    except TimeoutError as exc:
-        raise WorkerTimeout(
-            endpoint, f"no reply within {timeout_s}s"
-        ) from exc
-    except wire.ProtocolError as exc:
-        raise RemoteFault(endpoint, str(exc)) from exc
-    except OSError as exc:
-        raise WorkerUnavailable(endpoint, str(exc)) from exc
+    reply = _exchange(endpoint, timeout_s, header, payload)
     busy_ms = (time.perf_counter() - started) * 1000
 
-    if reply.get("type") == "ERROR":
-        raise RemoteFault(
-            endpoint, f"{reply.get('code')}: {reply.get('message')}"
-        )
     if reply.get("type") != "EVAL_RESPONSE" or reply.get("frame_id") != frame.frame_id:
         raise RemoteFault(endpoint, f"unexpected reply {reply.get('type')!r}")
     try:
@@ -209,86 +217,29 @@ def _attention_remote(
     settings: PipelineSettings,
     cluster: ClusterConfig,
 ) -> tuple[AttentionModel, float]:
+    crops = plan.attention_grid.crops
     workers = cluster.attention_workers or cluster.final_workers
     by_crop, stage_ms, _ = evaluate_remote(
-        frame, plan.attention_grid.crops, workers, cluster.request_timeout_s
+        frame, crops, workers, cluster.request_timeout_s
     )
-    boxes = []
-    for crop in plan.attention_grid.crops:
-        for d in by_crop.get(crop.crop_id, ()):
-            if d.confidence >= settings.min_confidence:
-                boxes.append(to_global(d.rect, crop, frame.width, frame.height))
-    return AttentionModel(frame.frame_id, tuple(boxes), (frame.frame_id,)), stage_ms
+    return attention_model(frame, crops, by_crop, settings.min_confidence), stage_ms
 
 
-def _final_remote(
-    frame: Frame,
-    plan: GridPlan,
-    active_ids: Iterable[int],
-    cluster: ClusterConfig,
-) -> tuple[list[tuple[int, Detection]], float, tuple[tuple[str, float], ...]]:
-    crops = [plan.final_grid.crop_by_id(i) for i in sorted(active_ids)]
-    by_crop, stage_ms, per_worker = evaluate_remote(
-        frame, crops, cluster.final_workers, cluster.request_timeout_s
-    )
-    tagged = []
-    for crop in crops:
-        for d in by_crop.get(crop.crop_id, ()):
-            rect = to_global(d.rect, crop, frame.width, frame.height)
-            tagged.append((crop.crop_id, Detection(rect, d.class_label, d.confidence)))
-    return tagged, stage_ms, per_worker
+def _pull(
+    frames: Iterator[Frame], plan: GridPlan | None
+) -> tuple[Frame | None, Exception | None]:
+    """Pull the next frame and check it against the plan, if there is one.
 
-
-def run_remote_frame(
-    frame: Frame,
-    settings: PipelineSettings,
-    cluster: ClusterConfig,
-    history: Sequence[AttentionModel] = (),
-    policy: MergePolicy | None = None,
-    *,
-    plan: GridPlan | None = None,
-) -> tuple[FrameResult, AttentionModel]:
-    """Staged evaluation with both stages on remote workers.
-
-    Produces the same detections as the local pipeline for the same
-    detector; only the timing differs.
+    Returns (frame, None), (None, None) at the end of the stream, or
+    (None, error) when pulling or checking raised.
     """
-    if plan is None:
-        plan = GridPlan.build(frame.width, frame.height, settings)
-    policy = policy or MergePolicy()
-
-    att, att_ms = _attention_remote(frame, plan, settings, cluster)
-    t0 = time.perf_counter()
-    merged = merge_temporal([*history, att], settings.temporal_window)
-    active = select_active(plan.final_grid, merged, settings.attention_margin_px)
-    t1 = time.perf_counter()
-    tagged, final_ms, per_worker = _final_remote(
-        frame, plan, active.active_ids, cluster
-    )
-    t2 = time.perf_counter()
     try:
-        dets = finish_detections(
-            tagged, plan.final_grid, policy, settings.min_confidence
-        )
+        frame = next(frames, None)
+        if frame is not None and plan is not None:
+            plan.check_frame(frame)
     except Exception as exc:
-        raise StageFailure("postprocess", frame.frame_id) from exc
-    t3 = time.perf_counter()
-
-    timing = TimingProfile(
-        attention_wait_ms=att_ms,
-        client_processing_ms=(t1 - t0) * 1000,
-        final_eval_ms=final_ms,
-        postprocess_ms=(t3 - t2) * 1000,
-        per_worker=per_worker,
-    )
-    result = FrameResult(
-        frame.frame_id,
-        dets,
-        len(active.active_ids),
-        len(plan.final_grid.crops),
-        timing,
-    )
-    return result, att
+        return None, exc
+    return frame, None
 
 
 def run_stream(
@@ -299,31 +250,36 @@ def run_stream(
 ) -> list[FrameResult]:
     """Evaluate a frame stream against a cluster, in input order.
 
-    With attention workers configured, frame t+1's attention pass runs on
-    them while frame t's final pass runs on the final workers, and
-    attention_wait_ms records only the part that was not hidden. Without
-    attention workers every frame runs both stages sequentially.
+    Frames are pulled one ahead: frame t+1 is taken once frame t's attention
+    is in, so at most two decoded frames are held at once. With attention
+    workers, frame t+1's attention then runs on them while frame t's final
+    pass runs, and attention_wait_ms records only the part not hidden.
+    Without them every frame runs both stages sequentially.
+
+    The first frame's size fixes the grid. On any failure, StreamAborted
+    carries as cursor the index of the first frame without a result, and
+    the results before it. A bad pull (the iterator raised, or the frame
+    has another size) aborts at that frame's index once frame t is done.
     """
-    frames = list(frames)
-    if not frames:
-        return []
-    plan = GridPlan.build(frames[0].width, frames[0].height, settings)
     policy = policy or MergePolicy()
     pipelined = len(cluster.attention_workers) >= 1
     keep = settings.temporal_window - 1
+    frames = iter(frames)
 
     results: list[FrameResult] = []
     history: list[AttentionModel] = []
+    frame, error = _pull(frames, None)
+    plan = None if frame is None else GridPlan.build(frame.width, frame.height, settings)
     pool = ThreadPoolExecutor(max_workers=1)
     pending = None
+    t = 0
     try:
-        for t, frame in enumerate(frames):
+        while True:
+            if error is not None:
+                raise StreamAborted(t, results, str(error)) from error
+            if frame is None:
+                return results
             try:
-                if frame.width != plan.frame_w or frame.height != plan.frame_h:
-                    raise ValueError(
-                        f"frame {frame.frame_id} is {frame.width}x{frame.height}, "
-                        f"stream is {plan.frame_w}x{plan.frame_h}"
-                    )
                 waited = time.perf_counter()
                 if pending is not None:
                     att, _ = pending.result()
@@ -332,9 +288,10 @@ def run_stream(
                 wait_ms = (time.perf_counter() - waited) * 1000
 
                 pending = None
-                if pipelined and t + 1 < len(frames):
+                upcoming, error = _pull(frames, plan)
+                if pipelined and upcoming is not None:
                     pending = pool.submit(
-                        _attention_remote, frames[t + 1], plan, settings, cluster
+                        _attention_remote, upcoming, plan, settings, cluster
                     )
 
                 c0 = time.perf_counter()
@@ -343,9 +300,11 @@ def run_stream(
                     plan.final_grid, merged, settings.attention_margin_px
                 )
                 c1 = time.perf_counter()
-                tagged, final_ms, per_worker = _final_remote(
-                    frame, plan, active.active_ids, cluster
+                crops = active.crops
+                by_crop, final_ms, per_worker = evaluate_remote(
+                    frame, crops, cluster.final_workers, cluster.request_timeout_s
                 )
+                tagged = tag_global(frame, crops, by_crop)
                 p0 = time.perf_counter()
                 dets = finish_detections(
                     tagged, plan.final_grid, policy, settings.min_confidence
@@ -372,25 +331,15 @@ def run_stream(
             )
             history.append(att)
             del history[: max(0, len(history) - keep)]
-        return results
+            frame = upcoming
+            t += 1
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
 
 
 def check_health(endpoint: str, timeout_s: float = 30.0) -> dict:
     """HEALTH round trip; returns the worker's detector profile fields."""
-    host, _, port = endpoint.rpartition(":")
-    try:
-        with socket.create_connection((host, int(port)), timeout=timeout_s) as sock:
-            sock.settimeout(timeout_s)
-            wire.send_message(sock, {"type": "HEALTH"})
-            reply, _ = wire.recv_message(sock)
-    except TimeoutError as exc:
-        raise WorkerTimeout(endpoint, f"no reply within {timeout_s}s") from exc
-    except wire.ProtocolError as exc:
-        raise RemoteFault(endpoint, str(exc)) from exc
-    except OSError as exc:
-        raise WorkerUnavailable(endpoint, str(exc)) from exc
+    reply = _exchange(endpoint, timeout_s, {"type": "HEALTH"})
     if reply.get("type") != "HEALTH_OK":
         raise RemoteFault(endpoint, f"unexpected reply {reply.get('type')!r}")
     return reply

@@ -131,22 +131,26 @@ def simulate_scaling(scenario: SimScenario) -> list[dict]:
     return rows
 
 
-def write_sim_csv(rows: Iterable[dict], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SIM_CSV_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row["attention_workers"],
-                    row["final_workers"],
-                    row["frame_id"],
-                    f"{row['attention_ms']:.3f}",
-                    f"{row['attention_wait_ms']:.3f}",
-                    f"{row['final_ms']:.3f}",
-                    f"{row['latency_ms']:.3f}",
-                ]
-            )
+def write_sim_csv(rows: Iterable[dict], out) -> None:
+    """Write rows under the SIM_CSV_COLUMNS header to a path or a text stream."""
+    if not hasattr(out, "write"):
+        with open(out, "w", newline="") as fh:
+            write_sim_csv(rows, fh)
+        return
+    writer = csv.writer(out)
+    writer.writerow(SIM_CSV_COLUMNS)
+    for row in rows:
+        writer.writerow(
+            [
+                row["attention_workers"],
+                row["final_workers"],
+                row["frame_id"],
+                f"{row['attention_ms']:.3f}",
+                f"{row['attention_wait_ms']:.3f}",
+                f"{row['final_ms']:.3f}",
+                f"{row['latency_ms']:.3f}",
+            ]
+        )
 
 
 def mean_latency_ms(rows: Sequence[dict], n_a: int, n_f: int) -> float:

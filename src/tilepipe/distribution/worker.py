@@ -19,6 +19,9 @@ from . import wire
 
 log = logging.getLogger(__name__)
 
+# How often serve_forever checks for shutdown; shutdown() waits up to this long.
+POLL_INTERVAL_S = 0.05
+
 
 def _detection_row(det) -> dict:
     return {
@@ -127,13 +130,15 @@ class DetectorServer:
 
     def start(self) -> "DetectorServer":
         self._thread = threading.Thread(
-            target=self._server.serve_forever, daemon=True
+            target=self._server.serve_forever,
+            kwargs={"poll_interval": POLL_INTERVAL_S},
+            daemon=True,
         )
         self._thread.start()
         return self
 
     def serve_forever(self) -> None:
-        self._server.serve_forever()
+        self._server.serve_forever(poll_interval=POLL_INTERVAL_S)
 
     def shutdown(self) -> None:
         self._server.shutdown()

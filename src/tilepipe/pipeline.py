@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 import time
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .detector import Detection, Detector, GroundTruthObject, SceneOracle, cut_tile
 from .geometry import (
@@ -136,6 +136,11 @@ class ActiveSet:
         if unknown:
             raise ValueError(f"active ids not in grid: {sorted(unknown)}")
 
+    @property
+    def crops(self) -> list[CropSpec]:
+        """The active crops in crop id order, the order the final pass uses."""
+        return [self.grid.crop_by_id(i) for i in sorted(self.active_ids)]
+
 
 @dataclass(frozen=True)
 class TimingProfile:
@@ -237,6 +242,14 @@ class GridPlan:
         )
         return cls(frame_w, frame_h, settings, attention_grid, final_grid, downscale_crop)
 
+    def check_frame(self, frame: Frame) -> None:
+        """Raise ValueError unless the frame has the size this plan was built for."""
+        if (frame.width, frame.height) != (self.frame_w, self.frame_h):
+            raise ValueError(
+                f"frame {frame.frame_id} is {frame.width}x{frame.height}, "
+                f"plan is {self.frame_w}x{self.frame_h}"
+            )
+
     @property
     def downscale_id(self) -> int:
         return self.downscale_crop.crop_id
@@ -294,6 +307,52 @@ def _tile_for(frame: Frame, crop: CropSpec) -> np.ndarray | None:
     return cut_tile(frame.pixels, crop)
 
 
+def detect_crops(
+    frame: Frame, crops: Sequence[CropSpec], det: Detector, stage: str
+) -> dict[int, list[Detection]]:
+    """Crop-local detections by crop id, the shape evaluate_remote returns.
+    A detector failure raises StageFailure for ``stage``."""
+    found = {}
+    for crop in crops:
+        try:
+            found[crop.crop_id] = det.detect(
+                frame.frame_id, crop.crop_id, _tile_for(frame, crop)
+            )
+        except Exception as exc:
+            raise StageFailure(stage, frame.frame_id) from exc
+    return found
+
+
+def attention_model(
+    frame: Frame,
+    crops: Sequence[CropSpec],
+    found: Mapping[int, Sequence[Detection]],
+    min_confidence: float,
+) -> AttentionModel:
+    """The confident boxes of an attention stage, in global pixels."""
+    boxes = tuple(
+        to_global(d.rect, crop, frame.width, frame.height)
+        for crop in crops
+        for d in found[crop.crop_id]
+        if d.confidence >= min_confidence
+    )
+    return AttentionModel(frame.frame_id, boxes, (frame.frame_id,))
+
+
+def tag_global(
+    frame: Frame,
+    crops: Sequence[CropSpec],
+    found: Mapping[int, Sequence[Detection]],
+) -> list[tuple[int, Detection]]:
+    """Crop-local detections projected to global pixels, tagged by crop id."""
+    w, h = frame.width, frame.height
+    return [
+        (crop.crop_id, replace(d, rect=to_global(d.rect, crop, w, h)))
+        for crop in crops
+        for d in found[crop.crop_id]
+    ]
+
+
 def attention_pass(
     frame: Frame,
     settings: PipelineSettings,
@@ -304,16 +363,9 @@ def attention_pass(
     """Evaluate every coarse crop and collect confident boxes globally."""
     if plan is None:
         plan = GridPlan.build(frame.width, frame.height, settings)
-    boxes = []
-    for crop in plan.attention_grid.crops:
-        try:
-            found = det.detect(frame.frame_id, crop.crop_id, _tile_for(frame, crop))
-        except Exception as exc:
-            raise StageFailure("attention", frame.frame_id) from exc
-        for d in found:
-            if d.confidence >= settings.min_confidence:
-                boxes.append(to_global(d.rect, crop, frame.width, frame.height))
-    return AttentionModel(frame.frame_id, tuple(boxes), (frame.frame_id,))
+    crops = plan.attention_grid.crops
+    found = detect_crops(frame, crops, det, "attention")
+    return attention_model(frame, crops, found, settings.min_confidence)
 
 
 def merge_temporal(history: Sequence[AttentionModel], window: int) -> AttentionModel:
@@ -362,17 +414,8 @@ def final_pass(
     Returns (crop_id, detection) pairs so postprocessing can reason about
     crop borders. Duplicates across overlapping crops are preserved.
     """
-    out = []
-    for crop_id in sorted(active.active_ids):
-        crop = active.grid.crop_by_id(crop_id)
-        try:
-            found = det.detect(frame.frame_id, crop_id, _tile_for(frame, crop))
-        except Exception as exc:
-            raise StageFailure("final", frame.frame_id) from exc
-        for d in found:
-            rect = to_global(d.rect, crop, frame.width, frame.height)
-            out.append((crop_id, Detection(rect, d.class_label, d.confidence)))
-    return out
+    crops = active.crops
+    return tag_global(frame, crops, detect_crops(frame, crops, det, "final"))
 
 
 def finish_detections(
@@ -398,6 +441,7 @@ def evaluate_frame(
     caller looping over frames can carry it into the next frame's window."""
     if plan is None:
         plan = GridPlan.build(frame.width, frame.height, settings)
+    plan.check_frame(frame)
     policy = policy or MergePolicy()
 
     t0 = time.perf_counter()
@@ -447,10 +491,16 @@ def run_sequence(
     *,
     plan: GridPlan | None = None,
 ) -> Iterator[FrameResult]:
-    """Evaluate frames in order, carrying attention across the window."""
+    """Evaluate frames in order, carrying attention across the window.
+
+    Without a plan, the first frame's size fixes the grid for the whole
+    sequence; a frame of another size raises ValueError.
+    """
     keep = settings.temporal_window - 1
     history: list[AttentionModel] = []
     for frame in frames:
+        if plan is None:
+            plan = GridPlan.build(frame.width, frame.height, settings)
         result, att = evaluate_frame(frame, settings, det, history, policy, plan=plan)
         history.append(att)
         del history[: max(0, len(history) - keep)]
@@ -475,24 +525,10 @@ def run_downscale_baseline(
     if plan is None:
         plan = GridPlan.build(frame.width, frame.height, settings)
     policy = policy or MergePolicy()
-    crop = plan.downscale_crop
+    crops = (plan.downscale_crop,)
 
     t0 = time.perf_counter()
-    try:
-        found = det.detect(frame.frame_id, crop.crop_id, _tile_for(frame, crop))
-    except Exception as exc:
-        raise StageFailure("downscale", frame.frame_id) from exc
-    tagged = [
-        (
-            crop.crop_id,
-            Detection(
-                to_global(d.rect, crop, frame.width, frame.height),
-                d.class_label,
-                d.confidence,
-            ),
-        )
-        for d in found
-    ]
+    tagged = tag_global(frame, crops, detect_crops(frame, crops, det, "downscale"))
     t1 = time.perf_counter()
     dets = finish_detections(tagged, plan.downscale_grid, policy, settings.min_confidence)
     t2 = time.perf_counter()

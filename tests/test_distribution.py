@@ -5,6 +5,7 @@ import socket
 import struct
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from tilepipe.distribution import (
     check_health,
     dispatch,
     evaluate_remote,
-    run_remote_frame,
     run_stream,
 )
 from tilepipe.distribution import wire
@@ -228,7 +228,7 @@ class TestEvaluateRemote:
         local = run_frame(frame, SETTINGS_720, make_oracle())
         with DetectorServer(make_oracle()) as server:
             cluster = ClusterConfig(final_workers=(server.endpoint,))
-            remote, _ = run_remote_frame(frame, SETTINGS_720, cluster)
+            remote = run_stream([frame], SETTINGS_720, cluster)[0]
         assert remote.detections == local.detections
         assert remote.active_count == local.active_count
         assert remote.total_count == local.total_count
@@ -238,14 +238,14 @@ class TestEvaluateRemote:
         local = run_frame(frame, SETTINGS_720, make_oracle())
         with DetectorServer(make_oracle()) as w1, DetectorServer(make_oracle()) as w2:
             cluster = ClusterConfig(final_workers=(w1.endpoint, w2.endpoint))
-            remote, _ = run_remote_frame(frame, SETTINGS_720, cluster)
+            remote = run_stream([frame], SETTINGS_720, cluster)[0]
         assert remote.detections == local.detections
 
     def test_slowest_worker_rule(self):
         frame = Frame(0, 1280, 720)
         with DetectorServer(make_oracle()) as w1, DetectorServer(make_oracle()) as w2:
             cluster = ClusterConfig(final_workers=(w1.endpoint, w2.endpoint))
-            remote, _ = run_remote_frame(frame, SETTINGS_720, cluster)
+            remote = run_stream([frame], SETTINGS_720, cluster)[0]
         timing = remote.timing
         assert len(timing.per_worker) == 2
         assert timing.final_eval_ms == max(busy for _, busy in timing.per_worker)
@@ -380,6 +380,42 @@ class TestRunStream:
                 run_stream(frames(4), SETTINGS_720, cluster)
         assert err.value.cursor == 2
         assert [r.frame_id for r in err.value.completed] == [0, 1]
+
+    def test_holds_at_most_two_frames(self):
+        refs = []
+        alive_at_pull = []
+
+        def pixel_frames():
+            for i in range(6):
+                pixels = np.zeros((720, 1280, 3), dtype=np.uint8)
+                frame = Frame(i, 1280, 720, pixels)
+                refs.append(weakref.ref(frame))
+                alive_at_pull.append(sum(ref() is not None for ref in refs))
+                yield frame
+
+        with DetectorServer(make_oracle()) as att, DetectorServer(make_oracle()) as fin:
+            cluster = ClusterConfig(
+                final_workers=(fin.endpoint,), attention_workers=(att.endpoint,)
+            )
+            remote = run_stream(pixel_frames(), SETTINGS_720, cluster)
+        assert [r.frame_id for r in remote] == list(range(6))
+        assert max(alive_at_pull) <= 2
+
+    @pytest.mark.parametrize("fail_at", [0, 2])
+    def test_iterator_error_aborts_at_the_missing_frame(self, fail_at):
+        def failing_frames():
+            yield from frames(fail_at)
+            raise OSError(f"frame {fail_at} unreadable")
+
+        with DetectorServer(make_oracle()) as att, DetectorServer(make_oracle()) as fin:
+            cluster = ClusterConfig(
+                final_workers=(fin.endpoint,), attention_workers=(att.endpoint,)
+            )
+            with pytest.raises(StreamAborted) as err:
+                run_stream(failing_frames(), SETTINGS_720, cluster)
+        assert err.value.cursor == fail_at
+        assert [r.frame_id for r in err.value.completed] == list(range(fail_at))
+        assert isinstance(err.value.__cause__, OSError)
 
     def test_mixed_frame_sizes_abort(self):
         mixed = [Frame(0, 1280, 720), Frame(1, 640, 480)]

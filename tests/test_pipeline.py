@@ -394,6 +394,22 @@ class TestRunFrame:
         with pytest.raises(ValueError):
             FrameResult(0, (), 5, 2, TimingProfile())
 
+    def test_plan_of_another_size_rejected(self):
+        frame, oracle = scene_720([gt(100, 100, 80, 80)])
+        plan = GridPlan.build(640, 480, SETTINGS_720)
+        with pytest.raises(ValueError, match="640x480"):
+            run_frame(frame, SETTINGS_720, oracle, plan=plan)
+
+
+class TestRunSequence:
+    def test_mixed_frame_sizes_rejected(self):
+        _, oracle = scene_720([gt(100, 100, 80, 80)])
+        mixed = [Frame(0, 1280, 720), Frame(1, 640, 480)]
+        results = run_sequence(mixed, SETTINGS_720, oracle)
+        assert next(results).frame_id == 0
+        with pytest.raises(ValueError, match="frame 1 is 640x480"):
+            next(results)
+
 
 class TestStraddleScenes:
     def test_one_box_per_object_after_postprocessing(self):
