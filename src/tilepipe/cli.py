@@ -10,13 +10,11 @@ Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
-import configparser
 import dataclasses
 import json
 import statistics
 import sys
 import time
-from collections.abc import Mapping
 from pathlib import Path
 
 from .distribution import DetectorServer, run_stream
@@ -38,7 +36,7 @@ from .frameio import (
     write_results,
     write_timing_csv,
 )
-from .metrics import average_precision, count_report
+from .metrics import ap_report, count_report
 from .pipeline import (
     Frame,
     GridPlan,
@@ -62,12 +60,6 @@ def _load_config(path: str) -> RunConfig:
         return read_run_config(path)
     except (OSError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
-
-
-def _config_extras(path: str, section: str) -> Mapping:
-    parser = configparser.ConfigParser()
-    parser.read(path)
-    return parser[section] if section in parser else {}
 
 
 def _load_json(path: str, what: str) -> dict:
@@ -163,10 +155,7 @@ def _print_run_summary(results, wall_s: float, mode: str) -> None:
 
 def cmd_run(args) -> int:
     config = _load_config(args.config)
-    extras = _config_extras(args.config, "run")
-    mode = args.mode or extras.get("mode", "pipeline")
-    if mode not in RUN_MODES:
-        raise UsageError(f"mode must be one of {RUN_MODES}, got {mode!r}")
+    mode = args.mode
     settings = _effective_settings(config, args)
     gt_by_frame, width, height, frames = _scene_inputs(config, settings, args)
 
@@ -206,14 +195,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    extras = _config_extras(args.config, "serve")
-    listen = args.listen or extras.get("listen")
+    listen = args.listen
     if not listen or ":" not in listen:
-        raise UsageError("need --listen host:port (or [serve] listen in the config)")
-    detector_spec = args.detector or extras.get("detector", "oracle")
-    kind, _, gt_override = detector_spec.partition(":")
+        raise UsageError("need --listen host:port")
+    kind, _, gt_override = args.detector.partition(":")
     if kind != "oracle":
-        raise UsageError(f"unknown detector {detector_spec!r}, expected oracle[:gt]")
+        raise UsageError(f"unknown detector {args.detector!r}, expected oracle[:gt]")
 
     config = _load_config(args.config)
     settings = _effective_settings(config, args)
@@ -274,19 +261,7 @@ def cmd_eval(args) -> int:
             f"ground truth has frames missing from results: {unevaluated}"
         )
 
-    classes = sorted(
-        {g.class_label for gts in gts_by_frame.values() for g in gts}
-    )
-    report: dict = {}
-    per_class: dict = {c: {} for c in classes}
-    for threshold in thresholds:
-        key = f"ap{round(threshold * 100)}"
-        report[key] = average_precision(dets_by_frame, gts_by_frame, threshold)
-        for c in classes:
-            per_class[c][key] = average_precision(
-                dets_by_frame, gts_by_frame, threshold, class_label=c
-            )
-    report["per_class"] = per_class
+    report = ap_report(dets_by_frame, gts_by_frame, thresholds)
     report["counts"] = [
         list(row) for row in count_report(dets_by_frame, gts_by_frame)
     ]
@@ -387,7 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="evaluate a frame sequence")
     run.add_argument("--config", required=True, help="run config file")
-    run.add_argument("--mode", choices=RUN_MODES, help="pipeline or a baseline")
+    run.add_argument(
+        "--mode", choices=RUN_MODES, default="pipeline", help="pipeline or a baseline"
+    )
     run.add_argument("--results", help="results JSON-lines output path")
     run.add_argument("--timing", help="timing CSV output path")
     _add_settings_flags(run)
@@ -398,7 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--config", required=True, help="run config file")
     serve.add_argument("--listen", help="host:port to bind")
     serve.add_argument(
-        "--detector", help="oracle (default) or oracle:<gt path override>"
+        "--detector",
+        default="oracle",
+        help="oracle (default) or oracle:<gt path override>",
     )
     _add_settings_flags(serve)
     _add_oracle_flags(serve)

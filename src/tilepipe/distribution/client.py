@@ -27,7 +27,6 @@ from ..pipeline import (
     select_active,
     tag_global,
 )
-from ..postprocess import MergePolicy
 from . import wire
 
 
@@ -246,7 +245,6 @@ def run_stream(
     frames: Iterable[Frame],
     settings: PipelineSettings,
     cluster: ClusterConfig,
-    policy: MergePolicy | None = None,
 ) -> list[FrameResult]:
     """Evaluate a frame stream against a cluster, in input order.
 
@@ -261,7 +259,6 @@ def run_stream(
     the results before it. A bad pull (the iterator raised, or the frame
     has another size) aborts at that frame's index once frame t is done.
     """
-    policy = policy or MergePolicy()
     pipelined = len(cluster.attention_workers) >= 1
     keep = settings.temporal_window - 1
     frames = iter(frames)
@@ -307,7 +304,7 @@ def run_stream(
                 tagged = tag_global(frame, crops, by_crop)
                 p0 = time.perf_counter()
                 dets = finish_detections(
-                    tagged, plan.final_grid, policy, settings.min_confidence
+                    tagged, plan.final_grid, settings.min_confidence
                 )
                 p1 = time.perf_counter()
             except Exception as exc:

@@ -65,8 +65,9 @@ def write_ppm(path, pixels: np.ndarray) -> None:
         fh.write(np.ascontiguousarray(pixels).tobytes())
 
 
-def _ppm_header(data: bytes, path) -> tuple[bytes, int, int, int, int]:
-    """Parse magic, width, height, maxval; returns them plus raster offset."""
+def _ppm_header(data: bytes, path) -> tuple[int, int, int] | None:
+    """Checked width, height and raster offset of a binary 8-bit PPM, or
+    None when ``data`` ends before the header does."""
     tokens = []
     pos = 0
     while len(tokens) < 4:
@@ -75,34 +76,53 @@ def _ppm_header(data: bytes, path) -> tuple[bytes, int, int, int, int]:
         if pos < len(data) and data[pos : pos + 1] == b"#":
             newline = data.find(b"\n", pos)
             if newline == -1:
-                raise FrameDecodeError(f"{path}: unterminated comment in header")
+                return None
             pos = newline + 1
             continue
         start = pos
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
-        if start == pos:
-            raise FrameDecodeError(f"{path}: truncated header")
+        # a token is complete only once the whitespace byte after it is in
+        if pos == len(data):
+            return None
         tokens.append(data[start:pos])
+    magic = tokens[0]
+    if magic != b"P6":
+        raise FrameDecodeError(f"{path}: not a binary PPM (magic {magic!r})")
+    try:
+        width, height, maxval = (int(t) for t in tokens[1:])
+    except ValueError as exc:
+        raise FrameDecodeError(f"{path}: non-numeric header field") from exc
+    if width < 1 or height < 1:
+        raise FrameDecodeError(f"{path}: bad dimensions {width}x{height}")
+    if maxval != 255:
+        raise FrameDecodeError(f"{path}: only maxval 255 supported, got {maxval}")
     # exactly one whitespace byte separates the header from the raster
-    return tokens[0], int(tokens[1]), int(tokens[2]), int(tokens[3]), pos + 1
+    return width, height, pos + 1
+
+
+def _ppm_size(path) -> tuple[int, int]:
+    """Width and height from a PPM's header, without reading the raster.
+
+    Reads 4 KiB, doubling what it holds until the header is complete.
+    """
+    data = b""
+    with open(path, "rb") as fh:
+        while (header := _ppm_header(data, path)) is None:
+            more = fh.read(len(data) or 4096)
+            if not more:
+                raise FrameDecodeError(f"{path}: truncated header")
+            data += more
+    return header[0], header[1]
 
 
 def read_ppm(path) -> np.ndarray:
     """Read a binary PPM into an HxWx3 uint8 array."""
     data = Path(path).read_bytes()
-    try:
-        magic, width, height, maxval, offset = _ppm_header(data, path)
-    except ValueError as exc:
-        if isinstance(exc, FrameDecodeError):
-            raise
-        raise FrameDecodeError(f"{path}: non-numeric header field") from exc
-    if magic != b"P6":
-        raise FrameDecodeError(f"{path}: not a binary PPM (magic {magic!r})")
-    if width < 1 or height < 1:
-        raise FrameDecodeError(f"{path}: bad dimensions {width}x{height}")
-    if maxval != 255:
-        raise FrameDecodeError(f"{path}: only maxval 255 supported, got {maxval}")
+    header = _ppm_header(data, path)
+    if header is None:
+        raise FrameDecodeError(f"{path}: truncated header")
+    width, height, offset = header
     expected = width * height * 3
     raster = data[offset : offset + expected]
     if len(raster) < expected:
@@ -116,8 +136,8 @@ def read_ppm(path) -> np.ndarray:
 class FrameSource:
     """A directory of frame_%06d.ppm files, ordered by numeric index.
 
-    Dimensions are taken from the first frame; every loaded frame is
-    checked against them.
+    Dimensions are taken from the first frame's header; every loaded frame
+    is checked against them.
     """
 
     directory: Path
@@ -137,8 +157,7 @@ class FrameSource:
         )
         if not ids:
             raise FileNotFoundError(f"no {FRAME_NAME_FORMAT} files in {directory}")
-        first = read_ppm(directory / frame_file_name(ids[0]))
-        height, width = first.shape[:2]
+        width, height = _ppm_size(directory / frame_file_name(ids[0]))
         return cls(directory, tuple(ids), width, height)
 
     def __len__(self) -> int:
@@ -365,6 +384,9 @@ def _load_settings(parser: configparser.ConfigParser) -> PipelineSettings:
         kwargs["min_confidence"] = section.getfloat("min_confidence")
     if "preset" in section:
         return PipelineSettings.from_preset(section["preset"], **kwargs)
+    for key in ("attention_rows", "final_rows"):
+        if key not in section:
+            raise ValueError(f"[pipeline] needs preset or {key}")
     overlap = section.getint("overlap_px", 20)
     attention = CropSettings(
         section.getint("attention_rows"),

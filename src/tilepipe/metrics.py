@@ -3,8 +3,9 @@
 Matching is the standard VOC greedy protocol: detections in descending
 confidence order each claim the unmatched same-class ground-truth box with
 the highest IoU, provided that IoU meets the threshold. AP integrates the
-monotone precision envelope over recall (the continuous method); 11-point
-interpolation is available behind a flag.
+monotone precision envelope over recall (the continuous method);
+average_precision also offers 11-point interpolation. ap_report is the one
+AP report: overall and per-class AP at each requested IoU threshold.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from dataclasses import dataclass
 
 from .detector import Detection, GroundTruthObject
 from .geometry import iou
-
-AP_THRESHOLDS = {"ap25": 0.25, "ap50": 0.5, "ap75": 0.75}
 
 
 class EmptyGroundTruthError(ValueError):
@@ -30,24 +29,6 @@ class MatchResult:
     false_positives: int
     false_negatives: int
     assignment: tuple[tuple[Detection, GroundTruthObject, float], ...]
-
-
-@dataclass(frozen=True)
-class APReport:
-    """AP at the three reported thresholds, overall and per class."""
-
-    ap25: float
-    ap50: float
-    ap75: float
-    per_class: Mapping[str, Mapping[str, float]]
-
-    def as_dict(self) -> dict:
-        return {
-            "ap25": self.ap25,
-            "ap50": self.ap50,
-            "ap75": self.ap75,
-            "per_class": {k: dict(v) for k, v in sorted(self.per_class.items())},
-        }
 
 
 def _check_threshold(iou_threshold: float) -> None:
@@ -186,28 +167,27 @@ def average_precision(
 def ap_report(
     dets_by_frame: Mapping[int, Sequence[Detection]],
     gts_by_frame: Mapping[int, Sequence[GroundTruthObject]],
-    *,
-    eleven_point: bool = False,
-) -> APReport:
-    """AP at 0.25 / 0.5 / 0.75 overall and per ground-truth class."""
+    thresholds: Sequence[float] = (0.25, 0.5, 0.75),
+) -> dict:
+    """AP at each IoU threshold, overall and per ground-truth class.
+
+    Each threshold t is keyed ``f"ap{t * 100:g}"`` (0.5 -> "ap50", 0.251 ->
+    "ap25.1"); "per_class" maps each class label to the same keys.
+    """
     classes = sorted(
         {g.class_label for gts in gts_by_frame.values() for g in gts}
     )
-    overall = {}
+    report: dict = {}
     per_class: dict[str, dict[str, float]] = {label: {} for label in classes}
-    for name, threshold in AP_THRESHOLDS.items():
-        overall[name] = average_precision(
-            dets_by_frame, gts_by_frame, threshold, eleven_point=eleven_point
-        )
+    for threshold in thresholds:
+        key = f"ap{threshold * 100:g}"
+        report[key] = average_precision(dets_by_frame, gts_by_frame, threshold)
         for label in classes:
-            per_class[label][name] = average_precision(
-                dets_by_frame,
-                gts_by_frame,
-                threshold,
-                eleven_point=eleven_point,
-                class_label=label,
+            per_class[label][key] = average_precision(
+                dets_by_frame, gts_by_frame, threshold, class_label=label
             )
-    return APReport(overall["ap25"], overall["ap50"], overall["ap75"], per_class)
+    report["per_class"] = per_class
+    return report
 
 
 def count_report(

@@ -419,12 +419,10 @@ def final_pass(
 
 
 def finish_detections(
-    tagged: Sequence[tuple[int, Detection]],
-    grid: GridSpec,
-    policy: MergePolicy,
-    min_confidence: float,
+    tagged: Sequence[tuple[int, Detection]], grid: GridSpec, min_confidence: float
 ) -> tuple[Detection, ...]:
-    dets = postprocess(tagged, grid, policy)
+    """Postprocess a frame's tagged detections and drop the unconfident ones."""
+    dets = postprocess(tagged, grid, MergePolicy())
     return tuple(d for d in dets if d.confidence >= min_confidence)
 
 
@@ -433,7 +431,6 @@ def evaluate_frame(
     settings: PipelineSettings,
     det: Detector,
     history: Sequence[AttentionModel] = (),
-    policy: MergePolicy | None = None,
     *,
     plan: GridPlan | None = None,
 ) -> tuple[FrameResult, AttentionModel]:
@@ -442,7 +439,6 @@ def evaluate_frame(
     if plan is None:
         plan = GridPlan.build(frame.width, frame.height, settings)
     plan.check_frame(frame)
-    policy = policy or MergePolicy()
 
     t0 = time.perf_counter()
     att = attention_pass(frame, settings, det, plan=plan)
@@ -453,7 +449,7 @@ def evaluate_frame(
     tagged = final_pass(frame, active, det)
     t3 = time.perf_counter()
     try:
-        dets = finish_detections(tagged, plan.final_grid, policy, settings.min_confidence)
+        dets = finish_detections(tagged, plan.final_grid, settings.min_confidence)
     except Exception as exc:
         raise StageFailure("postprocess", frame.frame_id) from exc
     t4 = time.perf_counter()
@@ -475,19 +471,17 @@ def run_frame(
     settings: PipelineSettings,
     det: Detector,
     history: Sequence[AttentionModel] = (),
-    policy: MergePolicy | None = None,
     *,
     plan: GridPlan | None = None,
 ) -> FrameResult:
     """Staged evaluation of a single frame."""
-    return evaluate_frame(frame, settings, det, history, policy, plan=plan)[0]
+    return evaluate_frame(frame, settings, det, history, plan=plan)[0]
 
 
 def run_sequence(
     frames: Iterable[Frame],
     settings: PipelineSettings,
     det: Detector,
-    policy: MergePolicy | None = None,
     *,
     plan: GridPlan | None = None,
 ) -> Iterator[FrameResult]:
@@ -501,7 +495,7 @@ def run_sequence(
     for frame in frames:
         if plan is None:
             plan = GridPlan.build(frame.width, frame.height, settings)
-        result, att = evaluate_frame(frame, settings, det, history, policy, plan=plan)
+        result, att = evaluate_frame(frame, settings, det, history, plan=plan)
         history.append(att)
         del history[: max(0, len(history) - keep)]
         yield result
@@ -510,8 +504,7 @@ def run_sequence(
 def run_downscale_baseline(
     frame: Frame,
     det: Detector,
-    settings: PipelineSettings | None = None,
-    policy: MergePolicy | None = None,
+    settings: PipelineSettings,
     *,
     plan: GridPlan | None = None,
 ) -> FrameResult:
@@ -520,17 +513,14 @@ def run_downscale_baseline(
     The frame sits top-left in a square of side max(width, height), so the
     aspect ratio is preserved and the rest of the tile is blank.
     """
-    if settings is None:
-        settings = PipelineSettings(CropSettings(1), CropSettings(1))
     if plan is None:
         plan = GridPlan.build(frame.width, frame.height, settings)
-    policy = policy or MergePolicy()
     crops = (plan.downscale_crop,)
 
     t0 = time.perf_counter()
     tagged = tag_global(frame, crops, detect_crops(frame, crops, det, "downscale"))
     t1 = time.perf_counter()
-    dets = finish_detections(tagged, plan.downscale_grid, policy, settings.min_confidence)
+    dets = finish_detections(tagged, plan.downscale_grid, settings.min_confidence)
     t2 = time.perf_counter()
 
     timing = TimingProfile(
@@ -543,21 +533,19 @@ def run_allcrops_baseline(
     frame: Frame,
     settings: PipelineSettings,
     det: Detector,
-    policy: MergePolicy | None = None,
     *,
     plan: GridPlan | None = None,
 ) -> FrameResult:
     """Evaluate every final-grid crop; the exhaustive reference."""
     if plan is None:
         plan = GridPlan.build(frame.width, frame.height, settings)
-    policy = policy or MergePolicy()
     all_ids = frozenset(c.crop_id for c in plan.final_grid.crops)
     active = ActiveSet(plan.final_grid, all_ids)
 
     t0 = time.perf_counter()
     tagged = final_pass(frame, active, det)
     t1 = time.perf_counter()
-    dets = finish_detections(tagged, plan.final_grid, policy, settings.min_confidence)
+    dets = finish_detections(tagged, plan.final_grid, settings.min_confidence)
     t2 = time.perf_counter()
 
     timing = TimingProfile(

@@ -2,9 +2,10 @@
 
 Overlapping crops see the same object more than once (near-identical boxes,
 removed by NMS) and objects lying on a border get cut into fragments that
-barely overlap (NMS keeps both, the border merge joins them). Merging is
-per-class and axis-restricted: a person split by a horizontal border merges
-vertically, while side-by-side people never merge.
+barely overlap (NMS keeps both, the border merge joins them). The chain is
+fixed: global NMS first, then the border merge. Merging is per-class and
+axis-restricted: a person split by a horizontal border merges vertically,
+while side-by-side people never merge.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ class MergePolicy:
     ``vertical_gap_px`` bounds the separation between fragments along the
     merge axis and ``horizontal_alignment_tolerance_px`` bounds how far the
     fragments' cross-axis edges may disagree; both values apply to either
-    axis. ``nms_per_crop`` runs NMS inside each crop instead of globally;
-    ``merge_before_nms`` swaps the default NMS-then-merge order.
+    axis.
     """
 
     nms_iou: float = 0.45
@@ -37,8 +37,6 @@ class MergePolicy:
     mergeable_classes: Mapping[str, str] = field(
         default_factory=lambda: {"person": "vertical"}
     )
-    merge_before_nms: bool = False
-    nms_per_crop: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.nms_iou < 1.0:
@@ -71,11 +69,6 @@ def nms_keep_indices(dets: Sequence[Detection], iou_threshold: float) -> list[in
         ):
             kept.append(i)
     return kept
-
-
-def nms(dets: Sequence[Detection], iou_threshold: float) -> list[Detection]:
-    """Greedy per-class non-maximum suppression; see nms_keep_indices."""
-    return [dets[i] for i in nms_keep_indices(dets, iou_threshold)]
 
 
 def _gap(lo1: float, hi1: float, lo2: float, hi2: float) -> float:
@@ -166,22 +159,6 @@ def merge_split(
 def postprocess(
     tagged: Sequence[tuple[int, Detection]], grid: GridSpec, policy: MergePolicy
 ) -> list[Detection]:
-    """Run the configured suppression-and-merge chain on raw detections.
-
-    Default order is global NMS then border merge. With ``nms_per_crop`` the
-    suppression runs inside each crop and replaces the global pass; with
-    ``merge_before_nms`` the merge happens first and NMS runs on the result.
-    """
-    if policy.nms_per_crop:
-        grouped: dict[int, list[int]] = {}
-        for idx, (crop_id, _) in enumerate(tagged):
-            grouped.setdefault(crop_id, []).append(idx)
-        kept: list[tuple[int, Detection]] = []
-        for crop_id, idxs in grouped.items():
-            dets = [tagged[i][1] for i in idxs]
-            kept.extend((crop_id, dets[k]) for k in nms_keep_indices(dets, policy.nms_iou))
-        return merge_split(kept, grid, policy)
-    if policy.merge_before_nms:
-        return nms(merge_split(tagged, grid, policy), policy.nms_iou)
+    """Global NMS over all crops, then the border merge of the survivors."""
     keep = nms_keep_indices([d for _, d in tagged], policy.nms_iou)
     return merge_split([tagged[i] for i in keep], grid, policy)

@@ -14,7 +14,8 @@ from tilepipe.distribution.sim import (
     simulate_scaling,
     write_sim_csv,
 )
-from tilepipe.frameio import FrameSource, read_ground_truth, result_line
+from tilepipe.frameio import FrameSource, read_ground_truth, read_results, result_line
+from tilepipe.metrics import ap_report, count_report
 from tilepipe.pipeline import PipelineSettings, oracle_for_scene, run_sequence
 
 PRESET = "1 att, 3 fin, 50 over"
@@ -61,6 +62,36 @@ def test_gen_synthetic_then_run_matches_run_sequence(scene_dir, tmp_path):
     written = (tmp_path / "local.jsonl").read_bytes()
     assert written.count(b"\n") == 3
     assert written == reference_bytes(scene_dir)
+
+
+@pytest.fixture(scope="module")
+def results_path(scene_dir, tmp_path_factory):
+    config = write_config(tmp_path_factory.mktemp("run") / "eval.ini", scene_dir)
+    assert main(["run", "--config", str(config)]) == 0
+    return config.with_suffix(".jsonl")
+
+
+def test_eval_prints_ap_report_and_counts(scene_dir, results_path, capsys):
+    gt_path = scene_dir / "gt.jsonl"
+    argv = ["eval", "--detections", str(results_path), "--gt", str(gt_path)]
+    assert main(argv) == 0
+    printed = json.loads(capsys.readouterr().out)
+    dets = {r.frame_id: list(r.detections) for r in read_results(results_path)}
+    gts = read_ground_truth(gt_path)
+    expected = ap_report(dets, gts)
+    expected["counts"] = [list(row) for row in count_report(dets, gts)]
+    assert printed == expected
+    assert set(printed) == {"ap25", "ap50", "ap75", "per_class", "counts"}
+
+
+def test_eval_keys_close_thresholds_apart(scene_dir, results_path, capsys):
+    argv = ["eval", "--detections", str(results_path), "--gt",
+            str(scene_dir / "gt.jsonl"), "--thresholds", "0.25,0.251,0.005"]
+    assert main(argv) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert set(printed) == {"ap0.5", "ap25", "ap25.1", "per_class", "counts"}
+    for per_class in printed["per_class"].values():
+        assert set(per_class) == {"ap0.5", "ap25", "ap25.1"}
 
 
 def test_remote_run_matches_local_bytes(scene_dir, tmp_path):
@@ -124,3 +155,11 @@ def test_bad_preset_exits_2(scene_dir, tmp_path, capsys):
     config = write_config(tmp_path / "local.ini", scene_dir)
     assert main(["run", "--config", str(config), "--preset", "three rows"]) == 2
     assert "bad preset" in capsys.readouterr().err
+
+
+def test_grid_without_preset_or_rows_exits_2(scene_dir, tmp_path, capsys):
+    config = write_config(tmp_path / "local.ini", scene_dir)
+    text = config.read_text().replace(f"preset = {PRESET}", "final_rows = 2")
+    config.write_text(text)
+    assert main(["run", "--config", str(config)]) == 2
+    assert "attention_rows" in capsys.readouterr().err

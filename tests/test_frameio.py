@@ -159,6 +159,29 @@ class TestFrameSource:
         with pytest.raises(FileNotFoundError):
             FrameSource.open(tmp_path / "nope")
 
+    def test_open_reads_only_the_header(self, tmp_path):
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        # the comment pushes the size fields past the first read block
+        header = b"P6\n#" + b"x" * 10000 + b"\n16 8\n255\n"
+        (frames / frame_file_name(0)).write_bytes(header + bytes(10))
+        source = FrameSource.open(frames)
+        assert (source.width, source.height) == (16, 8)
+        with pytest.raises(FrameDecodeError):
+            load_frame(source, 0)  # the truncated raster shows on load
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"P5\n16 8\n255\n" + bytes(384), b"P6\n16 8\n65535\n" + bytes(768), b"P6\n16"],
+        ids=["magic", "maxval", "truncated"],
+    )
+    def test_open_rejects_bad_first_header(self, tmp_path, data):
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        (frames / frame_file_name(0)).write_bytes(data)
+        with pytest.raises(FrameDecodeError):
+            FrameSource.open(frames)
+
     def test_loading_never_mutates(self, tmp_path):
         write_sequence(tmp_path / "frames", [0])
         path = tmp_path / "frames" / frame_file_name(0)

@@ -276,19 +276,18 @@ class TestApReport:
         gts = [gt(0, 0, 50, 50, "a", "g1"), gt(200, 0, 50, 50, "b", "g2")]
         dets = [det(0, 0, 50, 50, 0.9, "a"), det(600, 600, 50, 50, 0.8, "b")]
         report = ap_report(*one_frame(dets, gts))
-        assert report.per_class["a"]["ap50"] == 1.0
-        assert report.per_class["b"]["ap50"] == 0.0
-        assert report.ap50 == 0.5
-        data = report.as_dict()
-        assert set(data) == {"ap25", "ap50", "ap75", "per_class"}
-        assert list(data["per_class"]) == ["a", "b"]
+        assert report["per_class"]["a"]["ap50"] == 1.0
+        assert report["per_class"]["b"]["ap50"] == 0.0
+        assert report["ap50"] == 0.5
+        assert set(report) == {"ap25", "ap50", "ap75", "per_class"}
+        assert list(report["per_class"]) == ["a", "b"]
 
     def test_values_within_unit_interval(self):
         rng = random.Random(61)
         for _ in range(20):
             dets_by_frame, gts_by_frame = TestAveragePrecision()._random_instance(rng)
             report = ap_report(dets_by_frame, gts_by_frame)
-            for value in (report.ap25, report.ap50, report.ap75):
+            for value in (report["ap25"], report["ap50"], report["ap75"]):
                 assert 0.0 <= value <= 1.0
 
 

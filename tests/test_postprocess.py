@@ -6,7 +6,11 @@ import pytest
 
 from tilepipe.detector import Detection
 from tilepipe.geometry import CropSettings, Rect, build_grid
-from tilepipe.postprocess import MergePolicy, merge_split, nms, postprocess
+from tilepipe.postprocess import MergePolicy, merge_split, nms_keep_indices, postprocess
+
+
+def nms(dets, threshold):
+    return [dets[i] for i in nms_keep_indices(dets, threshold)]
 
 
 def plain_iou(a, b):
@@ -211,24 +215,13 @@ class TestPostprocess:
         out = postprocess(frags + [dup], GRID, MergePolicy())
         assert out == [det(50, 120, 60, 200, 0.67)]
 
-    def test_per_crop_nms_keeps_cross_crop_duplicates(self):
-        tagged = [
-            (0, det(200, 50, 60, 60, 0.9, "car")),
-            (1, det(205, 50, 60, 60, 0.8, "car")),
-        ]
-        assert len(postprocess(tagged, GRID, MergePolicy())) == 1
-        policy = MergePolicy(nms_per_crop=True)
-        assert len(postprocess(tagged, GRID, policy)) == 2
-
-    def test_merge_before_nms_changes_result(self):
+    def test_nms_runs_before_merge(self):
+        # merging first would join these into one 160 px tall box
         tagged = [
             (0, det(50, 100, 60, 150, 0.7)),
             (GRID.cols, det(50, 140, 60, 120, 0.6)),
         ]
-        default = postprocess(tagged, GRID, MergePolicy())
-        merged_first = postprocess(tagged, GRID, MergePolicy(merge_before_nms=True))
-        assert default == [det(50, 100, 60, 150, 0.7)]
-        assert merged_first == [det(50, 100, 60, 160, 0.7)]
+        assert postprocess(tagged, GRID, MergePolicy()) == [det(50, 100, 60, 150, 0.7)]
 
     def test_empty_input(self):
         assert postprocess([], GRID, MergePolicy()) == []
