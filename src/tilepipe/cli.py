@@ -1,8 +1,10 @@
 """Command line interface.
 
-Subcommands: run (pipeline or a baseline over a frame source), serve (a
-worker process), eval (AP metrics for a results file), simulate (worker
-scaling sweeps), gen-synthetic (test scenes with ground truth).
+Subcommands: run (the pipeline, or with --mode one of its two baselines,
+over a frame source; in process through pipeline.run_sequence, or on
+workers through run_stream), serve (a worker process), eval (AP metrics
+for a results file), simulate (worker scaling sweeps), gen-synthetic (test
+scenes with ground truth).
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 """
@@ -17,7 +19,7 @@ import sys
 import time
 from pathlib import Path
 
-from .distribution import DetectorServer, run_stream
+from .distribution import DetectorServer, parse_endpoint, run_stream
 from .distribution.sim import (
     SimScenario,
     mean_latency_ms,
@@ -36,19 +38,16 @@ from .frameio import (
     write_results,
     write_timing_csv,
 )
-from .metrics import ap_report, count_report
+from .metrics import ap_key, ap_report, count_report
 from .pipeline import (
+    RUN_MODES,
     Frame,
     GridPlan,
     PipelineSettings,
     oracle_for_scene,
-    run_allcrops_baseline,
-    run_downscale_baseline,
     run_sequence,
 )
 from .synthetic import SceneSpec, generate_scene, render_frame, scene_from_objects
-
-RUN_MODES = ("pipeline", "downscale", "allcrops")
 
 
 class UsageError(Exception):
@@ -175,16 +174,7 @@ def cmd_run(args) -> int:
     else:
         oracle = _oracle(config, settings, gt_by_frame, width, height, args)
         plan = GridPlan.build(width, height, settings)
-        if mode == "pipeline":
-            results = list(run_sequence(frames, settings, oracle, plan=plan))
-        elif mode == "downscale":
-            results = [
-                run_downscale_baseline(f, oracle, settings, plan=plan) for f in frames
-            ]
-        else:
-            results = [
-                run_allcrops_baseline(f, settings, oracle, plan=plan) for f in frames
-            ]
+        results = list(run_sequence(frames, settings, oracle, plan=plan, mode=mode))
     wall_s = time.perf_counter() - started
 
     write_results(results, results_path)
@@ -195,9 +185,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    listen = args.listen
-    if not listen or ":" not in listen:
+    if not args.listen:
         raise UsageError("need --listen host:port")
+    try:
+        host, port = parse_endpoint(args.listen)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     kind, _, gt_override = args.detector.partition(":")
     if kind != "oracle":
         raise UsageError(f"unknown detector {args.detector!r}, expected oracle[:gt]")
@@ -216,8 +209,7 @@ def cmd_serve(args) -> int:
         width, height = config.frame_width, config.frame_height
     oracle = _oracle(config, settings, gt_by_frame, width, height, args)
 
-    host, _, port = listen.rpartition(":")
-    server = DetectorServer(oracle, host or "127.0.0.1", int(port))
+    server = DetectorServer(oracle, host, port)
     print(f"listening on {server.endpoint}", flush=True)
     try:
         server.serve_forever()
@@ -235,6 +227,9 @@ def _parse_thresholds(raw: str) -> list[float]:
         raise UsageError(f"bad thresholds {raw!r}") from exc
     if not thresholds or any(not 0.0 < t < 1.0 for t in thresholds):
         raise UsageError("thresholds must be in (0, 1)")
+    keys = [ap_key(t) for t in thresholds]
+    if len(set(keys)) < len(keys):
+        raise UsageError(f"thresholds {raw!r} share an ap_report key: {keys}")
     return thresholds
 
 

@@ -62,16 +62,11 @@ class DetectorProfile:
     """
 
     input_side: int = MODEL_SIDE
-    min_confidence: float = 0.0
     supported_classes: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self):
         if self.input_side < 1:
             raise ValueError(f"input_side must be >= 1, got {self.input_side}")
-        if not 0.0 <= self.min_confidence <= 1.0:
-            raise ValueError(
-                f"min_confidence must be in [0, 1], got {self.min_confidence}"
-            )
 
 
 class Detector(ABC):
@@ -185,9 +180,6 @@ class SceneOracle(Detector):
         dets = mock_detect(
             crop, gt, self._visibility_threshold, min_tile_px=self._min_tile_px
         )
-        floor = self.profile.min_confidence
-        if floor > 0.0:
-            dets = [d for d in dets if d.confidence >= floor]
         if self.profile.supported_classes:
             dets = [d for d in dets if d.class_label in self.profile.supported_classes]
         return dets

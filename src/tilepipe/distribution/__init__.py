@@ -14,11 +14,12 @@ from .client import (
     check_health,
     dispatch,
     evaluate_remote,
+    parse_endpoint,
     run_stream,
 )
 from .sim import SimScenario, simulate_scaling, stage_latency_ms, write_sim_csv
 from .wire import ProtocolError, recv_message, send_message
-from .worker import DetectorServer, serve
+from .worker import DetectorServer
 
 __all__ = [
     "ClusterConfig",
@@ -33,10 +34,10 @@ __all__ = [
     "check_health",
     "dispatch",
     "evaluate_remote",
+    "parse_endpoint",
     "recv_message",
     "run_stream",
     "send_message",
-    "serve",
     "simulate_scaling",
     "stage_latency_ms",
     "write_sim_csv",

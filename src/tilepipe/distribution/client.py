@@ -30,6 +30,15 @@ from ..pipeline import (
 from . import wire
 
 
+def parse_endpoint(endpoint: str) -> tuple[str, int]:
+    """Split "host:port" into host and port; an empty host means 127.0.0.1.
+    Raise ValueError unless the port is a decimal integer in 0..65535."""
+    host, sep, port = endpoint.rpartition(":")
+    if not sep or not (port.isascii() and port.isdigit()) or int(port) > 65535:
+        raise ValueError(f"bad endpoint {endpoint!r}, expected host:port")
+    return host or "127.0.0.1", int(port)
+
+
 @dataclass(frozen=True)
 class ClusterConfig:
     """Which workers serve each stage, and how long to wait for them.
@@ -47,6 +56,8 @@ class ClusterConfig:
         object.__setattr__(self, "attention_workers", tuple(self.attention_workers))
         if not self.final_workers:
             raise ValueError("at least one final worker is required")
+        for endpoint in self.final_workers + self.attention_workers:
+            parse_endpoint(endpoint)
         if self.request_timeout_s <= 0:
             raise ValueError("request_timeout_s must be > 0")
 
@@ -135,9 +146,8 @@ def _exchange(
 ) -> dict:
     """Send one message on a fresh connection and return the reply header;
     every failure, an ERROR reply included, raises a WorkerError."""
-    host, _, port = endpoint.rpartition(":")
     try:
-        with socket.create_connection((host, int(port)), timeout=timeout_s) as sock:
+        with socket.create_connection(parse_endpoint(endpoint), timeout=timeout_s) as sock:
             sock.settimeout(timeout_s)
             wire.send_message(sock, header, payload)
             reply, _ = wire.recv_message(sock)

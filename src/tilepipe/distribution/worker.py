@@ -153,10 +153,3 @@ class DetectorServer:
     def __exit__(self, *exc) -> None:
         self.shutdown()
 
-
-def serve(endpoint: str, det: Detector) -> None:
-    """Run a worker at host:port until interrupted. Does not return."""
-    host, _, port = endpoint.rpartition(":")
-    server = DetectorServer(det, host or "127.0.0.1", int(port))
-    log.info("worker listening on %s", server.endpoint)
-    server.serve_forever()

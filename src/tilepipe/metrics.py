@@ -164,6 +164,11 @@ def average_precision(
     return ap
 
 
+def ap_key(threshold: float) -> str:
+    """The ap_report key of an IoU threshold: 0.5 -> "ap50", 0.251 -> "ap25.1"."""
+    return f"ap{threshold * 100:g}"
+
+
 def ap_report(
     dets_by_frame: Mapping[int, Sequence[Detection]],
     gts_by_frame: Mapping[int, Sequence[GroundTruthObject]],
@@ -171,8 +176,8 @@ def ap_report(
 ) -> dict:
     """AP at each IoU threshold, overall and per ground-truth class.
 
-    Each threshold t is keyed ``f"ap{t * 100:g}"`` (0.5 -> "ap50", 0.251 ->
-    "ap25.1"); "per_class" maps each class label to the same keys.
+    Each threshold is keyed by ap_key; "per_class" maps each class label
+    to the same keys.
     """
     classes = sorted(
         {g.class_label for gts in gts_by_frame.values() for g in gts}
@@ -180,7 +185,7 @@ def ap_report(
     report: dict = {}
     per_class: dict[str, dict[str, float]] = {label: {} for label in classes}
     for threshold in thresholds:
-        key = f"ap{threshold * 100:g}"
+        key = ap_key(threshold)
         report[key] = average_precision(dets_by_frame, gts_by_frame, threshold)
         for label in classes:
             per_class[label][key] = average_precision(

@@ -1,6 +1,8 @@
 """Two-stage evaluation: coarse attention pass, active-crop selection on a
-fine grid, final pass over active crops only, plus the two reference
-baselines (single downscaled look, exhaustive fine grid).
+fine grid, final pass over active crops only. run_sequence is the one
+in-process frame loop; it also runs the two reference baselines (single
+downscaled look, exhaustive fine grid), which differ from the pipeline
+only in the set of active crops.
 
 Crop ids are unified per run so a bare (frame_id, crop_id) pair resolves to
 one crop anywhere: attention grid ids first, then final grid ids, then one
@@ -426,56 +428,7 @@ def finish_detections(
     return tuple(d for d in dets if d.confidence >= min_confidence)
 
 
-def evaluate_frame(
-    frame: Frame,
-    settings: PipelineSettings,
-    det: Detector,
-    history: Sequence[AttentionModel] = (),
-    *,
-    plan: GridPlan | None = None,
-) -> tuple[FrameResult, AttentionModel]:
-    """Full staged evaluation; returns the current attention model too, so a
-    caller looping over frames can carry it into the next frame's window."""
-    if plan is None:
-        plan = GridPlan.build(frame.width, frame.height, settings)
-    plan.check_frame(frame)
-
-    t0 = time.perf_counter()
-    att = attention_pass(frame, settings, det, plan=plan)
-    t1 = time.perf_counter()
-    merged = merge_temporal([*history, att], settings.temporal_window)
-    active = select_active(plan.final_grid, merged, settings.attention_margin_px)
-    t2 = time.perf_counter()
-    tagged = final_pass(frame, active, det)
-    t3 = time.perf_counter()
-    try:
-        dets = finish_detections(tagged, plan.final_grid, settings.min_confidence)
-    except Exception as exc:
-        raise StageFailure("postprocess", frame.frame_id) from exc
-    t4 = time.perf_counter()
-
-    timing = TimingProfile(
-        attention_wait_ms=(t1 - t0) * 1000,
-        client_processing_ms=(t2 - t1) * 1000,
-        final_eval_ms=(t3 - t2) * 1000,
-        postprocess_ms=(t4 - t3) * 1000,
-    )
-    result = FrameResult(
-        frame.frame_id, dets, len(active.active_ids), len(plan.final_grid.crops), timing
-    )
-    return result, att
-
-
-def run_frame(
-    frame: Frame,
-    settings: PipelineSettings,
-    det: Detector,
-    history: Sequence[AttentionModel] = (),
-    *,
-    plan: GridPlan | None = None,
-) -> FrameResult:
-    """Staged evaluation of a single frame."""
-    return evaluate_frame(frame, settings, det, history, plan=plan)[0]
+RUN_MODES = ("pipeline", "downscale", "allcrops")
 
 
 def run_sequence(
@@ -484,71 +437,61 @@ def run_sequence(
     det: Detector,
     *,
     plan: GridPlan | None = None,
+    mode: str = "pipeline",
 ) -> Iterator[FrameResult]:
-    """Evaluate frames in order, carrying attention across the window.
+    """Evaluate frames in order; the one in-process frame loop.
+
+    ``mode`` picks each frame's active set. "pipeline" runs the attention
+    pass and activates the final-grid crops near what the last
+    ``temporal_window`` attention models saw. "downscale" activates the
+    single downscale pseudo-crop: the frame sits top-left in a square of
+    side max(width, height), squeezed into one model tile. "allcrops"
+    activates every final-grid crop, the exhaustive reference. All modes
+    then run the same final pass and postprocess.
 
     Without a plan, the first frame's size fixes the grid for the whole
     sequence; a frame of another size raises ValueError.
     """
+    if mode not in RUN_MODES:
+        raise ValueError(f"unknown mode {mode!r}, expected one of {RUN_MODES}")
     keep = settings.temporal_window - 1
     history: list[AttentionModel] = []
     for frame in frames:
         if plan is None:
             plan = GridPlan.build(frame.width, frame.height, settings)
-        result, att = evaluate_frame(frame, settings, det, history, plan=plan)
-        history.append(att)
-        del history[: max(0, len(history) - keep)]
-        yield result
+        plan.check_frame(frame)
 
+        t0 = time.perf_counter()
+        if mode == "pipeline":
+            att = attention_pass(frame, settings, det, plan=plan)
+            t1 = time.perf_counter()
+            merged = merge_temporal([*history, att], settings.temporal_window)
+            active = select_active(plan.final_grid, merged, settings.attention_margin_px)
+            history.append(att)
+            del history[: max(0, len(history) - keep)]
+        else:
+            t1 = t0
+            grid = plan.downscale_grid if mode == "downscale" else plan.final_grid
+            active = ActiveSet(grid, frozenset(c.crop_id for c in grid.crops))
+        t2 = time.perf_counter()
+        tagged = final_pass(frame, active, det)
+        t3 = time.perf_counter()
+        try:
+            dets = finish_detections(tagged, active.grid, settings.min_confidence)
+        except Exception as exc:
+            raise StageFailure("postprocess", frame.frame_id) from exc
+        t4 = time.perf_counter()
 
-def run_downscale_baseline(
-    frame: Frame,
-    det: Detector,
-    settings: PipelineSettings,
-    *,
-    plan: GridPlan | None = None,
-) -> FrameResult:
-    """Single evaluation of the whole frame squeezed into one model tile.
-
-    The frame sits top-left in a square of side max(width, height), so the
-    aspect ratio is preserved and the rest of the tile is blank.
-    """
-    if plan is None:
-        plan = GridPlan.build(frame.width, frame.height, settings)
-    crops = (plan.downscale_crop,)
-
-    t0 = time.perf_counter()
-    tagged = tag_global(frame, crops, detect_crops(frame, crops, det, "downscale"))
-    t1 = time.perf_counter()
-    dets = finish_detections(tagged, plan.downscale_grid, settings.min_confidence)
-    t2 = time.perf_counter()
-
-    timing = TimingProfile(
-        final_eval_ms=(t1 - t0) * 1000, postprocess_ms=(t2 - t1) * 1000
-    )
-    return FrameResult(frame.frame_id, dets, 1, 1, timing)
-
-
-def run_allcrops_baseline(
-    frame: Frame,
-    settings: PipelineSettings,
-    det: Detector,
-    *,
-    plan: GridPlan | None = None,
-) -> FrameResult:
-    """Evaluate every final-grid crop; the exhaustive reference."""
-    if plan is None:
-        plan = GridPlan.build(frame.width, frame.height, settings)
-    all_ids = frozenset(c.crop_id for c in plan.final_grid.crops)
-    active = ActiveSet(plan.final_grid, all_ids)
-
-    t0 = time.perf_counter()
-    tagged = final_pass(frame, active, det)
-    t1 = time.perf_counter()
-    dets = finish_detections(tagged, plan.final_grid, settings.min_confidence)
-    t2 = time.perf_counter()
-
-    timing = TimingProfile(
-        final_eval_ms=(t1 - t0) * 1000, postprocess_ms=(t2 - t1) * 1000
-    )
-    return FrameResult(frame.frame_id, dets, len(all_ids), len(all_ids), timing)
+        timing = TimingProfile(
+            attention_wait_ms=(t1 - t0) * 1000,
+            client_processing_ms=(t2 - t1) * 1000,
+            final_eval_ms=(t3 - t2) * 1000,
+            postprocess_ms=(t4 - t3) * 1000,
+        )
+        yield FrameResult(
+            frame.frame_id,
+            dets,
+            len(active.active_ids),
+            len(active.grid.crops),
+            timing,
+        )

@@ -16,7 +16,7 @@ from tilepipe.distribution.sim import (
 )
 from tilepipe.frameio import FrameSource, read_ground_truth, read_results, result_line
 from tilepipe.metrics import ap_report, count_report
-from tilepipe.pipeline import PipelineSettings, oracle_for_scene, run_sequence
+from tilepipe.pipeline import RUN_MODES, PipelineSettings, oracle_for_scene, run_sequence
 
 PRESET = "1 att, 3 fin, 50 over"
 SETTINGS = PipelineSettings.from_preset(PRESET)
@@ -48,20 +48,21 @@ def scene_dir(tmp_path_factory):
     return out
 
 
-def reference_bytes(scene_dir) -> bytes:
+def reference_bytes(scene_dir, mode="pipeline") -> bytes:
     source = FrameSource.open(scene_dir)
     gt = read_ground_truth(scene_dir / "gt.jsonl")
     oracle = oracle_for_scene(source.width, source.height, SETTINGS, gt)
-    lines = [result_line(r) for r in run_sequence(source.frames(), SETTINGS, oracle)]
-    return "".join(line + "\n" for line in lines).encode()
+    results = run_sequence(source.frames(), SETTINGS, oracle, mode=mode)
+    return "".join(result_line(r) + "\n" for r in results).encode()
 
 
-def test_gen_synthetic_then_run_matches_run_sequence(scene_dir, tmp_path):
+@pytest.mark.parametrize("mode", RUN_MODES)
+def test_gen_synthetic_then_run_matches_run_sequence(scene_dir, tmp_path, mode):
     config = write_config(tmp_path / "local.ini", scene_dir)
-    assert main(["run", "--config", str(config)]) == 0
+    assert main(["run", "--config", str(config), "--mode", mode]) == 0
     written = (tmp_path / "local.jsonl").read_bytes()
     assert written.count(b"\n") == 3
-    assert written == reference_bytes(scene_dir)
+    assert written == reference_bytes(scene_dir, mode)
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +93,33 @@ def test_eval_keys_close_thresholds_apart(scene_dir, results_path, capsys):
     assert set(printed) == {"ap0.5", "ap25", "ap25.1", "per_class", "counts"}
     for per_class in printed["per_class"].values():
         assert set(per_class) == {"ap0.5", "ap25", "ap25.1"}
+
+
+def test_eval_rejects_thresholds_sharing_a_key(scene_dir, results_path, capsys):
+    argv = ["eval", "--detections", str(results_path), "--gt",
+            str(scene_dir / "gt.jsonl"), "--thresholds", "0.25,0.2500001"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "share an ap_report key" in captured.err
+
+
+@pytest.mark.parametrize("listen", ["127.0.0.1:70000", "localhost:abc", "localhost"])
+def test_serve_bad_listen_exits_2(scene_dir, tmp_path, capsys, listen):
+    config = write_config(tmp_path / "serve.ini", scene_dir)
+    assert main(["serve", "--config", str(config), "--listen", listen]) == 2
+    assert "expected host:port" in capsys.readouterr().err
+
+
+def test_cluster_bad_endpoint_exits_2(scene_dir, tmp_path, capsys):
+    config = write_config(
+        tmp_path / "remote.ini",
+        scene_dir,
+        detector="remote",
+        cluster={"final_workers": "127.0.0.1:abc"},
+    )
+    assert main(["run", "--config", str(config)]) == 2
+    assert "'127.0.0.1:abc'" in capsys.readouterr().err
 
 
 def test_remote_run_matches_local_bytes(scene_dir, tmp_path):

@@ -56,8 +56,6 @@ class TestDetectionTypes:
     def test_profile_validation(self):
         with pytest.raises(ValueError):
             DetectorProfile(input_side=0)
-        with pytest.raises(ValueError):
-            DetectorProfile(min_confidence=1.5)
 
 
 class TestMockDetect:
@@ -212,13 +210,6 @@ class TestSceneOracle:
         oracle = simple_oracle()
         assert oracle.profile.supported_classes == {"person", "car"}
         assert oracle.profile.input_side == 608
-
-    def test_profile_confidence_floor(self):
-        # crop 0 sees the person fully and 60% of the car
-        oracle = simple_oracle(profile=DetectorProfile(min_confidence=0.5))
-        assert [d.class_label for d in oracle.detect(5, 0)] == ["person", "car"]
-        oracle = simple_oracle(profile=DetectorProfile(min_confidence=0.7))
-        assert [d.class_label for d in oracle.detect(5, 0)] == ["person"]
 
     def test_profile_class_filter(self):
         oracle = simple_oracle(

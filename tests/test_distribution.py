@@ -30,7 +30,6 @@ from tilepipe.pipeline import (
     GridPlan,
     PipelineSettings,
     oracle_for_scene,
-    run_frame,
     run_sequence,
 )
 
@@ -225,7 +224,7 @@ class TestWorker:
 class TestEvaluateRemote:
     def test_transparent_vs_local_single_worker(self):
         frame = Frame(0, 1280, 720)
-        local = run_frame(frame, SETTINGS_720, make_oracle())
+        local = next(run_sequence([frame], SETTINGS_720, make_oracle()))
         with DetectorServer(make_oracle()) as server:
             cluster = ClusterConfig(final_workers=(server.endpoint,))
             remote = run_stream([frame], SETTINGS_720, cluster)[0]
@@ -235,7 +234,7 @@ class TestEvaluateRemote:
 
     def test_transparent_vs_local_two_workers(self):
         frame = Frame(0, 1280, 720)
-        local = run_frame(frame, SETTINGS_720, make_oracle())
+        local = next(run_sequence([frame], SETTINGS_720, make_oracle()))
         with DetectorServer(make_oracle()) as w1, DetectorServer(make_oracle()) as w2:
             cluster = ClusterConfig(final_workers=(w1.endpoint, w2.endpoint))
             remote = run_stream([frame], SETTINGS_720, cluster)[0]

@@ -7,6 +7,7 @@ import pytest
 from tilepipe.detector import Detection, Detector, GroundTruthObject
 from tilepipe.geometry import CropSettings, Rect, intersects
 from tilepipe.pipeline import (
+    RUN_MODES,
     ActiveSet,
     AttentionModel,
     Frame,
@@ -19,9 +20,6 @@ from tilepipe.pipeline import (
     final_pass,
     merge_temporal,
     oracle_for_scene,
-    run_allcrops_baseline,
-    run_downscale_baseline,
-    run_frame,
     run_sequence,
     select_active,
 )
@@ -33,6 +31,10 @@ def gt(x, y, w, h, label="person", oid=None):
 
 
 SETTINGS_720 = PipelineSettings.from_preset("1 att, 3 fin, 50 over")
+
+
+def run_one(frame, settings, det, mode="pipeline", plan=None):
+    return next(run_sequence([frame], settings, det, plan=plan, mode=mode))
 
 
 def scene_720(objects, fid=0):
@@ -302,30 +304,30 @@ def dense_objects():
 class TestRunFrame:
     def test_empty_scene(self):
         frame, oracle = scene_720([])
-        result = run_frame(frame, SETTINGS_720, oracle)
+        result = run_one(frame, SETTINGS_720, oracle)
         assert result.detections == ()
         assert result.active_count == 0
         assert result.total_count == 18
 
     def test_dense_scene_degenerates_to_allcrops(self):
         frame, oracle = scene_720(dense_objects())
-        staged = run_frame(frame, SETTINGS_720, oracle)
-        exhaustive = run_allcrops_baseline(frame, SETTINGS_720, oracle)
+        staged = run_one(frame, SETTINGS_720, oracle)
+        exhaustive = run_one(frame, SETTINGS_720, oracle, mode="allcrops")
         assert staged.active_count == staged.total_count
         assert staged.detections == exhaustive.detections
 
     def test_sparse_scene_activates_few_crops(self):
         settings = PipelineSettings.from_preset("1 att, 4 fin, 20 over")
         oracle = oracle_for_scene(3840, 2160, settings, {0: [gt(1000, 1000, 100, 100)]})
-        result = run_frame(Frame(0, 3840, 2160), settings, oracle)
+        result = run_one(Frame(0, 3840, 2160), settings, oracle)
         assert result.total_count == 32
         assert 0 < result.active_count < 32
         assert len(result.detections) == 1
 
     def test_deterministic(self):
         frame, oracle = scene_720([gt(100, 100, 90, 90), gt(600, 200, 80, 120)])
-        a = run_frame(frame, SETTINGS_720, oracle)
-        b = run_frame(frame, SETTINGS_720, oracle)
+        a = run_one(frame, SETTINGS_720, oracle)
+        b = run_one(frame, SETTINGS_720, oracle)
         assert a.detections == b.detections
         assert (a.active_count, a.total_count) == (b.active_count, b.total_count)
 
@@ -333,11 +335,15 @@ class TestRunFrame:
         stateless = PipelineSettings(
             CropSettings(1, 50), CropSettings(3, 50), temporal_window=1
         )
-        frame, oracle = scene_720([gt(400, 300, 90, 90)])
-        stale = model(-1, Rect(0, 0, 1280, 720))
-        with_history = run_frame(frame, stateless, oracle, history=[stale])
-        without = run_frame(frame, stateless, oracle)
-        assert with_history.active_count == without.active_count
+        # frame 0 activates every crop; frame 1 must not inherit that
+        oracle = oracle_for_scene(
+            1280, 720, stateless, {0: dense_objects(), 1: [gt(400, 300, 90, 90)]}
+        )
+        frames = [Frame(0, 1280, 720), Frame(1, 1280, 720)]
+        first, with_history = run_sequence(frames, stateless, oracle)
+        without = run_one(frames[1], stateless, oracle)
+        assert first.active_count == first.total_count
+        assert with_history.active_count == without.active_count < 18
         assert with_history.detections == without.detections
 
     def test_window_two_reuses_previous_attention(self):
@@ -369,14 +375,14 @@ class TestRunFrame:
                 y = rng.randint(0, 720 - h)
                 objects.append(gt(x, y, w, h, oid=f"{case}:{i}"))
             frame, oracle = scene_720(objects)
-            staged = run_frame(frame, SETTINGS_720, oracle)
-            exhaustive = run_allcrops_baseline(frame, SETTINGS_720, oracle)
+            staged = run_one(frame, SETTINGS_720, oracle)
+            exhaustive = run_one(frame, SETTINGS_720, oracle, mode="allcrops")
             assert staged.detections == exhaustive.detections, objects
             assert staged.active_count <= exhaustive.active_count
 
     def test_timing_recorded(self):
         frame, oracle = scene_720([gt(100, 100, 80, 80)])
-        timing = run_frame(frame, SETTINGS_720, oracle).timing
+        timing = run_one(frame, SETTINGS_720, oracle).timing
         for name in TimingProfile.COLUMNS:
             assert getattr(timing, name) >= 0
         assert timing.per_worker == ()  # local run, no endpoints involved
@@ -398,10 +404,32 @@ class TestRunFrame:
         frame, oracle = scene_720([gt(100, 100, 80, 80)])
         plan = GridPlan.build(640, 480, SETTINGS_720)
         with pytest.raises(ValueError, match="640x480"):
-            run_frame(frame, SETTINGS_720, oracle, plan=plan)
+            run_one(frame, SETTINGS_720, oracle, plan=plan)
 
 
 class TestRunSequence:
+    @pytest.mark.parametrize("mode", RUN_MODES)
+    def test_every_mode_rejects_plan_of_another_size(self, mode):
+        frame, oracle = scene_720([gt(100, 100, 80, 80)])
+        plan = GridPlan.build(640, 480, SETTINGS_720)
+        with pytest.raises(ValueError, match="frame 0 is 1280x720, plan is 640x480"):
+            run_one(frame, SETTINGS_720, oracle, mode=mode, plan=plan)
+
+    @pytest.mark.parametrize("mode", RUN_MODES)
+    def test_every_mode_names_postprocess_failure(self, mode, monkeypatch):
+        def broken(tagged, grid, policy):
+            raise ArithmeticError("boom")
+
+        monkeypatch.setattr("tilepipe.pipeline.postprocess", broken)
+        frame, oracle = scene_720([gt(100, 100, 80, 80)], fid=4)
+        with pytest.raises(StageFailure, match="postprocess stage failed on frame 4"):
+            run_one(frame, SETTINGS_720, oracle, mode=mode)
+
+    def test_unknown_mode_rejected(self):
+        frame, oracle = scene_720([])
+        with pytest.raises(ValueError, match="unknown mode 'tiles'"):
+            run_one(frame, SETTINGS_720, oracle, mode="tiles")
+
     def test_mixed_frame_sizes_rejected(self):
         _, oracle = scene_720([gt(100, 100, 80, 80)])
         mixed = [Frame(0, 1280, 720), Frame(1, 640, 480)]
@@ -422,8 +450,8 @@ class TestStraddleScenes:
         ]
         frame, oracle = scene_720(objects)
         for result in (
-            run_frame(frame, SETTINGS_720, oracle),
-            run_allcrops_baseline(frame, SETTINGS_720, oracle),
+            run_one(frame, SETTINGS_720, oracle),
+            run_one(frame, SETTINGS_720, oracle, mode="allcrops"),
         ):
             assert len(result.detections) == len(objects)
             for obj in objects:
@@ -447,7 +475,7 @@ class TestDownscaleBaseline:
         obj = gt(50, 60, 100, 80)
         oracle = oracle_for_scene(608, 608, settings, {0: [obj]})
         counting = CountingDetector(oracle)
-        result = run_downscale_baseline(Frame(0, 608, 608), counting, settings)
+        result = run_one(Frame(0, 608, 608), settings, counting, mode="downscale")
         plan = GridPlan.build(608, 608, settings)
         assert counting.calls == [plan.downscale_id]
         assert result.detections == (Detection(Rect(50, 60, 100, 80), "person", 1.0),)
@@ -457,7 +485,7 @@ class TestDownscaleBaseline:
         settings = PipelineSettings.from_preset("1 att, 3 fin, 20 over")
         objects = [gt(1000, 1000, 40, 40, oid="tiny"), gt(2000, 500, 600, 600, oid="big")]
         oracle = oracle_for_scene(3840, 2160, settings, {0: objects})
-        result = run_downscale_baseline(Frame(0, 3840, 2160), oracle, settings)
+        result = run_one(Frame(0, 3840, 2160), settings, oracle, mode="downscale")
         assert len(result.detections) == 1
         assert result.detections[0].rect.w > 500
 
@@ -465,8 +493,8 @@ class TestDownscaleBaseline:
         settings = PipelineSettings.from_preset("1 att, 3 fin, 20 over")
         objects = [gt(1000, 1000, 40, 40, oid="tiny")]
         oracle = oracle_for_scene(3840, 2160, settings, {0: objects})
-        down = run_downscale_baseline(Frame(0, 3840, 2160), oracle, settings)
-        staged = run_frame(Frame(0, 3840, 2160), settings, oracle)
+        down = run_one(Frame(0, 3840, 2160), settings, oracle, mode="downscale")
+        staged = run_one(Frame(0, 3840, 2160), settings, oracle)
         assert down.detections == ()
         assert len(staged.detections) == 1
 
@@ -474,7 +502,7 @@ class TestDownscaleBaseline:
 class TestAllCropsBaseline:
     def test_every_crop_active(self):
         frame, oracle = scene_720([])
-        result = run_allcrops_baseline(frame, SETTINGS_720, oracle)
+        result = run_one(frame, SETTINGS_720, oracle, mode="allcrops")
         assert result.active_count == result.total_count == 18
 
     def test_sparse_scene_costs_more_than_staged(self):
@@ -484,9 +512,9 @@ class TestAllCropsBaseline:
         final_ids = {c.crop_id for c in plan.final_grid.crops}
 
         staged_counter = CountingDetector(oracle)
-        run_frame(Frame(0, 3840, 2160), settings, staged_counter)
+        run_one(Frame(0, 3840, 2160), settings, staged_counter)
         exhaustive_counter = CountingDetector(oracle)
-        run_allcrops_baseline(Frame(0, 3840, 2160), settings, exhaustive_counter)
+        run_one(Frame(0, 3840, 2160), settings, exhaustive_counter, mode="allcrops")
 
         staged_final_calls = sum(1 for c in staged_counter.calls if c in final_ids)
         exhaustive_calls = [c for c in exhaustive_counter.calls if c in final_ids]
