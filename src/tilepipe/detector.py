@@ -213,16 +213,25 @@ class NoisyOracle(Detector):
 
 
 def cut_tile(
-    pixels: np.ndarray, crop: CropSpec, input_side: int = MODEL_SIDE
+    pixels: np.ndarray,
+    crop: CropSpec,
+    input_side: int = MODEL_SIDE,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Cut a crop from frame pixels and resample it to input_side squared.
 
     Nearest-neighbor resampling with source index floor(u * side / input_side)
     for output pixel u; the choice is fixed so tiles are bit-reproducible.
     Crop area outside the frame is zero-filled.
+
+    ``out``, when given, is a C-contiguous input_side x input_side x 3 array
+    of the pixels' dtype, such as one tile of a request buffer; every pixel
+    of it is overwritten and it is returned. Otherwise a new array is.
     """
     if pixels.ndim != 3 or pixels.shape[2] != 3:
         raise ValueError(f"pixels must be HxWx3, got shape {pixels.shape}")
+    if out is None:
+        out = np.empty((input_side, input_side, 3), dtype=pixels.dtype)
     frame_h, frame_w = pixels.shape[:2]
     side = int(crop.global_rect.w)
     x0 = int(crop.global_rect.x)
@@ -230,10 +239,13 @@ def cut_tile(
     src = (np.arange(input_side, dtype=np.int64) * side) // input_side
     xs = x0 + src
     ys = y0 + src
-    x_ok = (xs >= 0) & (xs < frame_w)
-    y_ok = (ys >= 0) & (ys < frame_h)
-    tile = pixels[np.clip(ys, 0, frame_h - 1)][:, np.clip(xs, 0, frame_w - 1)]
-    tile = np.ascontiguousarray(tile)
-    tile[~y_ok, :, :] = 0
-    tile[:, ~x_ok, :] = 0
-    return tile
+    # the sampled positions ascend, so the clipped ones span one window of
+    # the frame; gather rows, then columns, from that window alone
+    xc = np.clip(xs, 0, frame_w - 1)
+    yc = np.clip(ys, 0, frame_h - 1)
+    window = pixels[yc[0] : yc[-1] + 1, xc[0] : xc[-1] + 1]
+    rows = np.take(window, yc - yc[0], axis=0)
+    np.take(rows, xc - xc[0], axis=1, out=out, mode="clip")
+    out[(ys < 0) | (ys >= frame_h)] = 0
+    out[:, (xs < 0) | (xs >= frame_w)] = 0
+    return out

@@ -12,8 +12,10 @@ from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..detector import Detection, cut_tile
-from ..geometry import CropSpec, Rect
+from ..geometry import MODEL_SIDE, CropSpec, Rect
 from ..pipeline import (
     AttentionModel,
     Frame,
@@ -26,6 +28,7 @@ from ..pipeline import (
     merge_temporal,
     select_active,
     tag_global,
+    timed_pulls,
 )
 from . import wire
 
@@ -111,23 +114,17 @@ def dispatch(
 
 def _crop_entries(
     frame: Frame, crops: Sequence[CropSpec]
-) -> tuple[list[dict], bytes]:
-    entries = []
-    chunks = []
-    for crop in crops:
-        if frame.pixels is None:
-            entries.append({"crop_id": crop.crop_id, "width": 0, "height": 0})
-        else:
-            tile = cut_tile(frame.pixels, crop)
-            entries.append(
-                {
-                    "crop_id": crop.crop_id,
-                    "width": tile.shape[1],
-                    "height": tile.shape[0],
-                }
-            )
-            chunks.append(tile.tobytes())
-    return entries, b"".join(chunks)
+) -> tuple[list[dict], memoryview | bytes]:
+    """The crop list of an EVAL_REQUEST and its payload: every tile cut
+    straight into one request buffer, sent as a flat byte view of it."""
+    side = 0 if frame.pixels is None else MODEL_SIDE
+    entries = [{"crop_id": c.crop_id, "width": side, "height": side} for c in crops]
+    if frame.pixels is None:
+        return entries, b""
+    tiles = np.empty((len(crops), side, side, 3), dtype=np.uint8)
+    for crop, tile in zip(crops, tiles):
+        cut_tile(frame.pixels, crop, out=tile)
+    return entries, memoryview(tiles.reshape(-1))
 
 
 def _parse_detections(rows: list[dict]) -> list[Detection]:
@@ -142,7 +139,10 @@ def _parse_detections(rows: list[dict]) -> list[Detection]:
 
 
 def _exchange(
-    endpoint: str, timeout_s: float, header: dict, payload: bytes = b""
+    endpoint: str,
+    timeout_s: float,
+    header: dict,
+    payload: bytes | memoryview = b"",
 ) -> dict:
     """Send one message on a fresh connection and return the reply header;
     every failure, an ERROR reply included, raises a WorkerError."""
@@ -235,20 +235,20 @@ def _attention_remote(
 
 
 def _pull(
-    frames: Iterator[Frame], plan: GridPlan | None
-) -> tuple[Frame | None, Exception | None]:
+    frames: Iterator[tuple[Frame, float]], plan: GridPlan | None
+) -> tuple[Frame | None, float, Exception | None]:
     """Pull the next frame and check it against the plan, if there is one.
 
-    Returns (frame, None), (None, None) at the end of the stream, or
-    (None, error) when pulling or checking raised.
+    Returns (frame, pull ms, None), (None, 0, None) at the end of the
+    stream, or (None, 0, error) when pulling or checking raised.
     """
     try:
-        frame = next(frames, None)
+        frame, io_ms = next(frames, (None, 0.0))
         if frame is not None and plan is not None:
             plan.check_frame(frame)
     except Exception as exc:
-        return None, exc
-    return frame, None
+        return None, 0.0, exc
+    return frame, io_ms, None
 
 
 def run_stream(
@@ -271,11 +271,11 @@ def run_stream(
     """
     pipelined = len(cluster.attention_workers) >= 1
     keep = settings.temporal_window - 1
-    frames = iter(frames)
+    frames = timed_pulls(frames)
 
     results: list[FrameResult] = []
     history: list[AttentionModel] = []
-    frame, error = _pull(frames, None)
+    frame, io_ms, error = _pull(frames, None)
     plan = None if frame is None else GridPlan.build(frame.width, frame.height, settings)
     pool = ThreadPoolExecutor(max_workers=1)
     pending = None
@@ -295,7 +295,7 @@ def run_stream(
                 wait_ms = (time.perf_counter() - waited) * 1000
 
                 pending = None
-                upcoming, error = _pull(frames, plan)
+                upcoming, upcoming_io_ms, error = _pull(frames, plan)
                 if pipelined and upcoming is not None:
                     pending = pool.submit(
                         _attention_remote, upcoming, plan, settings, cluster
@@ -321,6 +321,7 @@ def run_stream(
                 raise StreamAborted(t, results, str(exc)) from exc
 
             timing = TimingProfile(
+                io_ms=io_ms,
                 attention_wait_ms=wait_ms,
                 client_processing_ms=(c1 - c0) * 1000,
                 final_eval_ms=final_ms,
@@ -338,7 +339,7 @@ def run_stream(
             )
             history.append(att)
             del history[: max(0, len(history) - keep)]
-            frame = upcoming
+            frame, io_ms = upcoming, upcoming_io_ms
             t += 1
     finally:
         pool.shutdown(wait=False, cancel_futures=True)

@@ -34,9 +34,10 @@ def _detection_row(det) -> dict:
     }
 
 
-def _handle_eval(det: Detector, header: dict, payload: bytes) -> bytes:
+def _handle_eval(det: Detector, header: dict, payload: bytes | bytearray) -> bytes:
     frame_id = header["frame_id"]
     results = []
+    view = memoryview(payload)
     offset = 0
     for crop in header["crops"]:
         crop_id = crop["crop_id"]
@@ -44,7 +45,7 @@ def _handle_eval(det: Detector, header: dict, payload: bytes) -> bytes:
         size = width * height * 3
         tile = None
         if size:
-            chunk = payload[offset : offset + size]
+            chunk = view[offset : offset + size]
             offset += size
             try:
                 tile = np.frombuffer(chunk, dtype=np.uint8).reshape(height, width, 3)
@@ -65,7 +66,7 @@ def _handle_eval(det: Detector, header: dict, payload: bytes) -> bytes:
     return wire.eval_response(frame_id, results)
 
 
-def _respond(det: Detector, header: dict, payload: bytes) -> bytes:
+def _respond(det: Detector, header: dict, payload: bytes | bytearray) -> bytes:
     kind = header.get("type")
     if kind == "HEALTH":
         return wire.encode_message(

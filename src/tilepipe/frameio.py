@@ -13,6 +13,7 @@ from __future__ import annotations
 import configparser
 import csv
 import json
+import os
 import re
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
@@ -101,35 +102,45 @@ def _ppm_header(data: bytes, path) -> tuple[int, int, int] | None:
     return width, height, pos + 1
 
 
-def _ppm_size(path) -> tuple[int, int]:
-    """Width and height from a PPM's header, without reading the raster.
+def _read_header(fh, path) -> tuple[int, int, int]:
+    """Width, height and raster offset of an open PPM, read from its start.
 
     Reads 4 KiB, doubling what it holds until the header is complete.
     """
     data = b""
+    while (header := _ppm_header(data, path)) is None:
+        more = fh.read(len(data) or 4096)
+        if not more:
+            raise FrameDecodeError(f"{path}: truncated header")
+        data += more
+    return header
+
+
+def _ppm_size(path) -> tuple[int, int]:
+    """Width and height from a PPM's header, without reading the raster."""
     with open(path, "rb") as fh:
-        while (header := _ppm_header(data, path)) is None:
-            more = fh.read(len(data) or 4096)
-            if not more:
-                raise FrameDecodeError(f"{path}: truncated header")
-            data += more
-    return header[0], header[1]
+        width, height, _ = _read_header(fh, path)
+    return width, height
 
 
 def read_ppm(path) -> np.ndarray:
-    """Read a binary PPM into an HxWx3 uint8 array."""
-    data = Path(path).read_bytes()
-    header = _ppm_header(data, path)
-    if header is None:
-        raise FrameDecodeError(f"{path}: truncated header")
-    width, height, offset = header
-    expected = width * height * 3
-    raster = data[offset : offset + expected]
-    if len(raster) < expected:
-        raise FrameDecodeError(
-            f"{path}: raster truncated, {len(raster)} of {expected} bytes"
-        )
-    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3).copy()
+    """Read a binary PPM into a new HxWx3 uint8 array.
+
+    The raster is read straight into the array's memory, so each call
+    returns an array of its own that aliases no file data or other frame.
+    Nothing is allocated for a header that claims more than the file holds.
+    """
+    with open(path, "rb") as fh:
+        width, height, offset = _read_header(fh, path)
+        expected = width * height * 3
+        got = os.fstat(fh.fileno()).st_size - offset
+        if got >= expected:
+            pixels = np.empty((height, width, 3), dtype=np.uint8)
+            fh.seek(offset)
+            got = fh.readinto(memoryview(pixels).cast("B"))
+    if got < expected:
+        raise FrameDecodeError(f"{path}: raster truncated, {got} of {expected} bytes")
+    return pixels
 
 
 @dataclass(frozen=True)

@@ -105,15 +105,15 @@ class Frame:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError(f"frame must be >= 1x1, got {self.width}x{self.height}")
-        if self.pixels is not None and self.pixels.shape != (
-            self.height,
-            self.width,
-            3,
-        ):
+        if self.pixels is None:
+            return
+        if self.pixels.shape != (self.height, self.width, 3):
             raise ValueError(
                 f"pixels shape {self.pixels.shape} does not match "
                 f"{self.height}x{self.width}x3"
             )
+        if self.pixels.dtype != np.uint8:
+            raise ValueError(f"pixels must be uint8, got {self.pixels.dtype}")
 
 
 @dataclass(frozen=True)
@@ -147,6 +147,10 @@ class ActiveSet:
 @dataclass(frozen=True)
 class TimingProfile:
     """Wall-clock milliseconds spent on one frame, split by stage.
+
+    io_ms is the time the frame loop spent pulling the frame from its
+    source, decoding included; a remote stream pulls frame t+1 while frame
+    t is in flight, and charges that pull to frame t+1.
 
     The same shape serves local and distributed runs. Locally, transfer_ms
     is zero and per_worker is empty; attention_wait_ms is the full attention
@@ -431,6 +435,18 @@ def finish_detections(
 RUN_MODES = ("pipeline", "downscale", "allcrops")
 
 
+def timed_pulls(frames: Iterable[Frame]) -> Iterator[tuple[Frame, float]]:
+    """Each frame of ``frames`` with the milliseconds its pull took: what
+    the frame loops charge to io_ms."""
+    frames = iter(frames)
+    while True:
+        started = time.perf_counter()
+        frame = next(frames, None)
+        if frame is None:
+            return
+        yield frame, (time.perf_counter() - started) * 1000
+
+
 def run_sequence(
     frames: Iterable[Frame],
     settings: PipelineSettings,
@@ -456,7 +472,7 @@ def run_sequence(
         raise ValueError(f"unknown mode {mode!r}, expected one of {RUN_MODES}")
     keep = settings.temporal_window - 1
     history: list[AttentionModel] = []
-    for frame in frames:
+    for frame, io_ms in timed_pulls(frames):
         if plan is None:
             plan = GridPlan.build(frame.width, frame.height, settings)
         plan.check_frame(frame)
@@ -483,6 +499,7 @@ def run_sequence(
         t4 = time.perf_counter()
 
         timing = TimingProfile(
+            io_ms=io_ms,
             attention_wait_ms=(t1 - t0) * 1000,
             client_processing_ms=(t2 - t1) * 1000,
             final_eval_ms=(t3 - t2) * 1000,

@@ -1,17 +1,25 @@
-"""The per-frame functions the in-process pipeline had before run_sequence
-became its one frame loop, kept verbatim as the reference that
-tests/test_reference_pipeline.py compares run_sequence against.
+"""Earlier versions of the program's hot paths, kept verbatim as reference
+oracles for property tests.
 
-reference_sequence is the three-way branch ``tilepipe run`` used to pick
-between them.
+- The per-frame functions the in-process pipeline had before run_sequence
+  became its one frame loop; tests/test_reference_pipeline.py compares
+  run_sequence against them. reference_sequence is the three-way branch
+  ``tilepipe run`` used to pick between them.
+- cut_tile and read_ppm as they were before each pixel was copied once;
+  tests/test_reference_pixels.py compares the current ones against them.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Iterable, Sequence
+from pathlib import Path
+
+import numpy as np
 
 from tilepipe.detector import Detector
+from tilepipe.frameio import FrameDecodeError, _ppm_header
+from tilepipe.geometry import MODEL_SIDE, CropSpec
 from tilepipe.pipeline import (
     ActiveSet,
     AttentionModel,
@@ -150,3 +158,46 @@ def reference_sequence(
         del history[: max(0, len(history) - keep)]
         results.append(result)
     return results
+
+
+def cut_tile(
+    pixels: np.ndarray, crop: CropSpec, input_side: int = MODEL_SIDE
+) -> np.ndarray:
+    """Cut a crop from frame pixels and resample it to input_side squared.
+
+    Nearest-neighbor resampling with source index floor(u * side / input_side)
+    for output pixel u; the choice is fixed so tiles are bit-reproducible.
+    Crop area outside the frame is zero-filled.
+    """
+    if pixels.ndim != 3 or pixels.shape[2] != 3:
+        raise ValueError(f"pixels must be HxWx3, got shape {pixels.shape}")
+    frame_h, frame_w = pixels.shape[:2]
+    side = int(crop.global_rect.w)
+    x0 = int(crop.global_rect.x)
+    y0 = int(crop.global_rect.y)
+    src = (np.arange(input_side, dtype=np.int64) * side) // input_side
+    xs = x0 + src
+    ys = y0 + src
+    x_ok = (xs >= 0) & (xs < frame_w)
+    y_ok = (ys >= 0) & (ys < frame_h)
+    tile = pixels[np.clip(ys, 0, frame_h - 1)][:, np.clip(xs, 0, frame_w - 1)]
+    tile = np.ascontiguousarray(tile)
+    tile[~y_ok, :, :] = 0
+    tile[:, ~x_ok, :] = 0
+    return tile
+
+
+def read_ppm(path) -> np.ndarray:
+    """Read a binary PPM into an HxWx3 uint8 array."""
+    data = Path(path).read_bytes()
+    header = _ppm_header(data, path)
+    if header is None:
+        raise FrameDecodeError(f"{path}: truncated header")
+    width, height, offset = header
+    expected = width * height * 3
+    raster = data[offset : offset + expected]
+    if len(raster) < expected:
+        raise FrameDecodeError(
+            f"{path}: raster truncated, {len(raster)} of {expected} bytes"
+        )
+    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3).copy()

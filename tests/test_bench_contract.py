@@ -16,10 +16,15 @@ ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
-from perfbench.layers import expected_spans, install_client  # noqa: E402
+from perfbench.layers import (  # noqa: E402
+    _request_key,
+    expected_spans,
+    install_client,
+)
 from perfbench.spans import Hooks, Recorder  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
 from tilepipe.distribution import ClusterConfig, DetectorServer, run_stream  # noqa: E402
+from tilepipe.geometry import MODEL_SIDE  # noqa: E402
 from tilepipe.pipeline import (  # noqa: E402
     Frame,
     GridPlan,
@@ -30,6 +35,23 @@ from tilepipe.pipeline import (  # noqa: E402
 from tilepipe.synthetic import SceneSpec, generate_scene, render_frame  # noqa: E402
 
 WIDTH, HEIGHT = 1280, 720
+TILE_BYTES = MODEL_SIDE * MODEL_SIDE * 3
+
+
+def counting_tiles(tiles_by_key):
+    """A send_message wrapper that notes how many tiles each request carries."""
+
+    def make(original):
+        def send_message(sock, header, payload=b""):
+            if header.get("type") == "EVAL_REQUEST":
+                tiles_by_key[_request_key(header)] = sum(
+                    1 for crop in header["crops"] if crop["width"]
+                )
+            return original(sock, header, payload)
+
+        return send_message
+
+    return make
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +77,12 @@ def test_traced_run_records_every_required_span(name, ground_truth):
             cluster = ClusterConfig(
                 final_workers=(fin.endpoint,), attention_workers=(att.endpoint,)
             )
+        tiles_by_key = {}
         try:
+            if workload.cluster:
+                # wrapped first, so the benchmark's hook wraps this one
+                hooks.wrap("tilepipe.distribution.wire:send_message",
+                           counting_tiles(tiles_by_key))
             install_client(hooks, recorder, workload, len(plan.attention_grid.crops))
             if workload.cluster:
                 results = run_stream(frames, settings, cluster)
@@ -69,3 +96,10 @@ def test_traced_run_records_every_required_span(name, ground_truth):
     required = expected_spans(workload)[0] - {"frameio.next"}
     recorded = {span.name for span in recorder.spans}
     assert not required - recorded, f"no spans for {sorted(required - recorded)}"
+    # the benchmark counts request bytes with len(payload): each request
+    # must count at least its tiles' bytes, not, say, its number of tiles
+    for span in recorder.spans:
+        if span.name == "wire.send":
+            tiles = tiles_by_key[span.attrs["key"]]
+            assert tiles > 0
+            assert span.attrs["bytes"] >= tiles * TILE_BYTES, span.attrs

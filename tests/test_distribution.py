@@ -220,6 +220,27 @@ class TestWorker:
             )
         assert by_crop == bare_by_crop
 
+    def test_oversized_payload_is_malformed_and_closes(self):
+        side = 20000  # 1.2 GB of tile, over wire.MAX_PAYLOAD_BYTES
+        head = wire.canonical_json(
+            {
+                "type": "EVAL_REQUEST",
+                "frame_id": 0,
+                "crops": [{"crop_id": 0, "width": side, "height": side}],
+            }
+        )
+        assert side * side * 3 > wire.MAX_PAYLOAD_BYTES
+        with DetectorServer(make_oracle()) as server:
+            host, port = server.endpoint.rsplit(":", 1)
+            with socket.create_connection((host, int(port)), timeout=5) as sock:
+                sock.settimeout(5)
+                sock.sendall(struct.pack(">I", len(head)) + head)  # no payload
+                reply, _ = wire.recv_message(sock)
+                assert sock.recv(1) == b""  # the worker closed the connection
+        assert reply["type"] == "ERROR"
+        assert reply["code"] == "malformed"
+        assert "payload" in reply["message"]
+
 
 class TestEvaluateRemote:
     def test_transparent_vs_local_single_worker(self):
@@ -415,6 +436,23 @@ class TestRunStream:
         assert err.value.cursor == fail_at
         assert [r.frame_id for r in err.value.completed] == list(range(fail_at))
         assert isinstance(err.value.__cause__, OSError)
+
+    @pytest.mark.parametrize("pipelined", [True, False])
+    def test_frame_pulls_charged_to_io(self, pipelined):
+        def slow_frames():
+            for frame in frames(3):
+                time.sleep(0.02)
+                yield frame
+
+        with DetectorServer(make_oracle()) as att, DetectorServer(make_oracle()) as fin:
+            cluster = ClusterConfig(
+                final_workers=(fin.endpoint,),
+                attention_workers=(att.endpoint,) if pipelined else (),
+            )
+            remote = run_stream(slow_frames(), SETTINGS_720, cluster)
+        assert [r.frame_id for r in remote] == [0, 1, 2]
+        for result in remote:
+            assert result.timing.io_ms >= 20
 
     def test_mixed_frame_sizes_abort(self):
         mixed = [Frame(0, 1280, 720), Frame(1, 640, 480)]

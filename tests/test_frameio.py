@@ -91,6 +91,19 @@ class TestPpm:
         assert path.read_bytes() == before
         assert np.array_equal(read_ppm(path), pixels)
 
+    def test_header_claiming_more_than_the_file_holds(self, tmp_path):
+        path = tmp_path / "big.ppm"
+        # 3 TB of raster declared; raises before allocating any of it
+        path.write_bytes(b"P6\n1000000 1000000\n255\n" + bytes(12))
+        with pytest.raises(FrameDecodeError, match="12 of 3000000000000 bytes"):
+            read_ppm(path)
+
+    def test_trailing_bytes_after_raster_ignored(self, tmp_path):
+        pixels = checker(5, 3)
+        path = tmp_path / "t.ppm"
+        path.write_bytes(b"P6\n5 3\n255\n" + pixels.tobytes() + b"extra")
+        assert np.array_equal(read_ppm(path), pixels)
+
 
 def write_sequence(directory, ids, width=16, height=8):
     directory.mkdir(exist_ok=True)
@@ -119,6 +132,26 @@ class TestFrameSource:
         frames = list(source.frames())
         assert [f.frame_id for f in frames] == [3, 7]
         assert all(f.pixels is not None for f in frames)
+
+    def test_frames_held_together_do_not_share_memory(self, tmp_path):
+        write_sequence(tmp_path / "frames", [0, 1, 2])
+        source = FrameSource.open(tmp_path / "frames")
+        frames = source.frames()
+        first, second = next(frames), next(frames)
+        third = next(frames)
+        for a, b in ((first, second), (first, third), (second, third)):
+            assert not np.shares_memory(a.pixels, b.pixels)
+        for frame in (first, second, third):
+            assert np.array_equal(frame.pixels, checker(16, 8, seed=frame.frame_id))
+
+    def test_truncated_raster_raises_on_iteration(self, tmp_path):
+        write_sequence(tmp_path / "frames", [0, 1])
+        path = tmp_path / "frames" / frame_file_name(1)
+        path.write_bytes(path.read_bytes()[:-1])
+        frames = FrameSource.open(tmp_path / "frames").frames()
+        assert next(frames).frame_id == 0
+        with pytest.raises(FrameDecodeError, match="383 of 384 bytes"):
+            next(frames)
 
     def test_out_of_range_index(self, tmp_path):
         write_sequence(tmp_path / "frames", [0, 1])

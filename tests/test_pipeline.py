@@ -1,7 +1,9 @@
 """Tests for the staged pipeline and both baselines."""
 
 import random
+import time
 
+import numpy as np
 import pytest
 
 from tilepipe.detector import Detection, Detector, GroundTruthObject
@@ -407,7 +409,36 @@ class TestRunFrame:
             run_one(frame, SETTINGS_720, oracle, plan=plan)
 
 
+class TestFrame:
+    def test_pixels_must_match_size(self):
+        with pytest.raises(ValueError, match="does not match"):
+            Frame(0, 4, 2, np.zeros((4, 2, 3), dtype=np.uint8))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint16, np.int8])
+    def test_pixels_must_be_uint8(self, dtype):
+        with pytest.raises(ValueError, match="pixels must be uint8"):
+            Frame(0, 4, 2, np.zeros((2, 4, 3), dtype=dtype))
+
+
+def slow_pulls(frames, seconds):
+    """Yield each frame after sleeping, like a source that decodes slowly."""
+    for frame in frames:
+        time.sleep(seconds)
+        yield frame
+
+
 class TestRunSequence:
+    @pytest.mark.parametrize("mode", RUN_MODES)
+    def test_frame_pulls_charged_to_io(self, mode):
+        _, oracle = scene_720([gt(100, 100, 80, 80)])
+        frames = [Frame(i, 1280, 720) for i in range(3)]
+        results = list(
+            run_sequence(slow_pulls(frames, 0.02), SETTINGS_720, oracle, mode=mode)
+        )
+        assert [r.frame_id for r in results] == [0, 1, 2]
+        for result in results:
+            assert result.timing.io_ms >= 20
+
     @pytest.mark.parametrize("mode", RUN_MODES)
     def test_every_mode_rejects_plan_of_another_size(self, mode):
         frame, oracle = scene_720([gt(100, 100, 80, 80)])

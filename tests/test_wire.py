@@ -2,6 +2,7 @@ import json
 import socket
 import struct
 
+import numpy as np
 import pytest
 
 from tilepipe.distribution import wire
@@ -87,6 +88,27 @@ class TestSocketFraming:
         )
         assert payload == sent
 
+    def test_roundtrip_with_tile_buffer_view(self):
+        tiles = np.arange(2 * 3 * 3 * 3, dtype=np.uint8).reshape(2, 3, 3, 3)
+        crops = [{"crop_id": i, "width": 3, "height": 3} for i in range(2)]
+        header, payload = self.roundtrip(
+            {"type": "EVAL_REQUEST", "frame_id": 1, "crops": crops},
+            memoryview(tiles).cast("B"),
+        )
+        assert payload == tiles.tobytes()
+
+    def test_send_rejects_payload_counted_in_tiles(self):
+        tiles = np.zeros((2, 3, 3, 3), dtype=np.uint8)
+        crops = [{"crop_id": i, "width": 3, "height": 3} for i in range(2)]
+        header = {"type": "EVAL_REQUEST", "frame_id": 1, "crops": crops}
+        a, b = socket.socketpair()
+        try:
+            with pytest.raises(wire.ProtocolError):
+                wire.send_message(a, header, memoryview(tiles))  # len() is 2
+        finally:
+            a.close()
+            b.close()
+
     def recv_raw(self, raw: bytes):
         a, b = socket.socketpair()
         try:
@@ -115,6 +137,30 @@ class TestSocketFraming:
             self.recv_raw(b"\x00\x00")  # length prefix cut short
         with pytest.raises(ConnectionError):
             self.recv_raw(struct.pack(">I", 10) + b"short")
+
+    @pytest.mark.parametrize(
+        "width,height", [(20000, 20000), (-1, 1)], ids=["over_limit", "negative"]
+    )
+    def test_declared_payload_out_of_bounds_rejected_before_reading(
+        self, width, height
+    ):
+        header = json.dumps(
+            {
+                "type": "EVAL_REQUEST",
+                "frame_id": 0,
+                "crops": [{"crop_id": 0, "width": width, "height": height}],
+            }
+        ).encode()
+        a, b = socket.socketpair()
+        try:
+            # the writer stays open and sends no payload: reading would block
+            b.settimeout(5)
+            a.sendall(framed(header))
+            with pytest.raises(wire.ProtocolError, match="payload"):
+                wire.recv_message(b)
+        finally:
+            a.close()
+            b.close()
 
     def test_malformed_crop_list(self):
         header = json.dumps(
