@@ -227,6 +227,10 @@ def cut_tile(
     ``out``, when given, is a C-contiguous input_side x input_side x 3 array
     of the pixels' dtype, such as one tile of a request buffer; every pixel
     of it is overwritten and it is returned. Otherwise a new array is.
+
+    Only the sampled rows of the crop's window are copied, once, however
+    the pixels are strided. The pixels are only read, so concurrent calls
+    into distinct ``out`` arrays are safe.
     """
     if pixels.ndim != 3 or pixels.shape[2] != 3:
         raise ValueError(f"pixels must be HxWx3, got shape {pixels.shape}")
@@ -240,11 +244,13 @@ def cut_tile(
     xs = x0 + src
     ys = y0 + src
     # the sampled positions ascend, so the clipped ones span one window of
-    # the frame; gather rows, then columns, from that window alone
+    # the frame; gather rows, then columns, from that window alone. Indexing
+    # reads the strided window in place, where np.take would first copy it
+    # whole into a contiguous temporary.
     xc = np.clip(xs, 0, frame_w - 1)
     yc = np.clip(ys, 0, frame_h - 1)
     window = pixels[yc[0] : yc[-1] + 1, xc[0] : xc[-1] + 1]
-    rows = np.take(window, yc - yc[0], axis=0)
+    rows = window[yc - yc[0]]
     np.take(rows, xc - xc[0], axis=1, out=out, mode="clip")
     out[(ys < 0) | (ys >= frame_h)] = 0
     out[:, (xs < 0) | (xs >= frame_w)] = 0

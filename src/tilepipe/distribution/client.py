@@ -25,6 +25,7 @@ from ..pipeline import (
     TimingProfile,
     attention_model,
     finish_detections,
+    in_parallel,
     merge_temporal,
     select_active,
     tag_global,
@@ -116,14 +117,14 @@ def _crop_entries(
     frame: Frame, crops: Sequence[CropSpec]
 ) -> tuple[list[dict], memoryview | bytes]:
     """The crop list of an EVAL_REQUEST and its payload: every tile cut
-    straight into one request buffer, sent as a flat byte view of it."""
+    straight into one request buffer, in parallel on the cut pool, and sent
+    as a flat byte view of it."""
     side = 0 if frame.pixels is None else MODEL_SIDE
     entries = [{"crop_id": c.crop_id, "width": side, "height": side} for c in crops]
     if frame.pixels is None:
         return entries, b""
     tiles = np.empty((len(crops), side, side, 3), dtype=np.uint8)
-    for crop, tile in zip(crops, tiles):
-        cut_tile(frame.pixels, crop, out=tile)
+    in_parallel(lambda i: cut_tile(frame.pixels, crops[i], out=tiles[i]), len(crops))
     return entries, memoryview(tiles.reshape(-1))
 
 

@@ -3,12 +3,14 @@
 Workers are stateless between requests and never talk to each other. Each
 EVAL_REQUEST is answered with the crop-local detections for every listed
 crop; a malformed message gets an ERROR response and the connection stays
-open for the next message.
+open for the next message. A request is checked before any tile is read
+from it: crop ids must be ints, tiles squares of the detector's input side
+(or 0x0, for raster-free runs), and their bytes must fill the payload
+exactly.
 """
 
 from __future__ import annotations
 
-import logging
 import socketserver
 import threading
 
@@ -16,8 +18,6 @@ import numpy as np
 
 from ..detector import Detector
 from . import wire
-
-log = logging.getLogger(__name__)
 
 # How often serve_forever checks for shutdown; shutdown() waits up to this long.
 POLL_INTERVAL_S = 0.05
@@ -34,12 +34,40 @@ def _detection_row(det) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_crops(crops: list, input_side: int, payload_len: int) -> None:
+    """Raise ValueError unless every crop id is an int, every tile is a
+    square of side input_side or 0, and the tiles' bytes add up to exactly
+    payload_len."""
+    total = 0
+    for crop in crops:
+        crop_id, width, height = crop["crop_id"], crop["width"], crop["height"]
+        if not _is_int(crop_id):
+            raise ValueError(f"crop_id must be an int, got {crop_id!r}")
+        if not (_is_int(width) and width == height and width in (0, input_side)):
+            raise ValueError(
+                f"crop_id {crop_id}: tile must be {input_side}x{input_side} "
+                f"or 0x0, got {width!r}x{height!r}"
+            )
+        total += width * height * 3
+    if total != payload_len:
+        raise ValueError(f"tiles declare {total} payload bytes, got {payload_len}")
+
+
 def _handle_eval(det: Detector, header: dict, payload: bytes | bytearray) -> bytes:
     frame_id = header["frame_id"]
+    crops = header["crops"]
+    try:
+        _check_crops(crops, det.profile.input_side, len(payload))
+    except ValueError as exc:
+        return wire.error_message("malformed", f"bad EVAL_REQUEST: {exc}")
     results = []
     view = memoryview(payload)
     offset = 0
-    for crop in header["crops"]:
+    for crop in crops:
         crop_id = crop["crop_id"]
         width, height = crop["width"], crop["height"]
         size = width * height * 3
@@ -47,13 +75,7 @@ def _handle_eval(det: Detector, header: dict, payload: bytes | bytearray) -> byt
         if size:
             chunk = view[offset : offset + size]
             offset += size
-            try:
-                tile = np.frombuffer(chunk, dtype=np.uint8).reshape(height, width, 3)
-            except ValueError as exc:
-                log.warning("tile decode failed for crop_id=%s: %s", crop_id, exc)
-                return wire.error_message(
-                    "decode_failure", f"crop_id {crop_id}: {exc}"
-                )
+            tile = np.frombuffer(chunk, dtype=np.uint8).reshape(height, width, 3)
         try:
             found = det.detect(frame_id, crop_id, tile)
         except Exception as exc:

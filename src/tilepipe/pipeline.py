@@ -4,6 +4,9 @@ in-process frame loop; it also runs the two reference baselines (single
 downscaled look, exhaustive fine grid), which differ from the pipeline
 only in the set of active crops.
 
+A stage cuts its tiles on one process-wide thread pool (in_parallel) and
+runs its detector calls serially, in crop order, on the calling thread.
+
 Crop ids are unified per run so a bare (frame_id, crop_id) pair resolves to
 one crop anywhere: attention grid ids first, then final grid ids, then one
 pseudo-crop id for the downscaled whole frame. Remote workers rebuild the
@@ -12,9 +15,12 @@ same plan from the run settings and resolve ids independently.
 
 from __future__ import annotations
 
+import os
 import re
+import threading
 import time
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 
 from .detector import Detection, Detector, GroundTruthObject, SceneOracle, cut_tile
@@ -307,23 +313,77 @@ def oracle_for_scene(
     )
 
 
-def _tile_for(frame: Frame, crop: CropSpec) -> np.ndarray | None:
-    if frame.pixels is None:
-        return None
-    return cut_tile(frame.pixels, crop)
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_cut_pool: ThreadPoolExecutor | None = None
+_cut_pool_lock = threading.Lock()
+
+
+def _forget_cut_pool() -> None:
+    # a forked child has none of the parent's pool threads; it starts its own
+    global _cut_pool, _cut_pool_lock
+    _cut_pool, _cut_pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_cut_pool)
+
+
+def in_parallel(fn: Callable[[int], object], n: int) -> None:
+    """Call fn(0) .. fn(n - 1) on the process-wide cut pool, one thread per
+    usable CPU, and return once every call has; a single call runs inline.
+
+    The pool starts on first use. It is shared by every caller, so however
+    many threads cut at once, no more than usable_cpus() pool threads run.
+    fn must never submit to the pool itself: a call waiting on work queued
+    behind it could then deadlock. The first failure in index order is
+    raised, after every call has finished.
+    """
+    global _cut_pool
+    if n <= 1:
+        if n == 1:
+            fn(0)
+        return
+    with _cut_pool_lock:
+        if _cut_pool is None:
+            _cut_pool = ThreadPoolExecutor(
+                max_workers=usable_cpus(), thread_name_prefix="tilepipe-cut"
+            )
+        pool = _cut_pool
+    futures = [pool.submit(fn, i) for i in range(n)]
+    wait(futures)
+    for future in futures:
+        future.result()
 
 
 def detect_crops(
     frame: Frame, crops: Sequence[CropSpec], det: Detector, stage: str
 ) -> dict[int, list[Detection]]:
     """Crop-local detections by crop id, the shape evaluate_remote returns.
-    A detector failure raises StageFailure for ``stage``."""
-    found = {}
-    for crop in crops:
+
+    With pixels, every tile of the stage is first cut into one buffer, in
+    parallel on the cut pool; detection then runs serially on the calling
+    thread, in crop order. A failed cut or detection raises StageFailure
+    for ``stage``.
+    """
+    tiles: Sequence[np.ndarray | None] = [None] * len(crops)
+    if frame.pixels is not None:
+        tiles = np.empty((len(crops), MODEL_SIDE, MODEL_SIDE, 3), dtype=np.uint8)
         try:
-            found[crop.crop_id] = det.detect(
-                frame.frame_id, crop.crop_id, _tile_for(frame, crop)
+            in_parallel(
+                lambda i: cut_tile(frame.pixels, crops[i], out=tiles[i]), len(crops)
             )
+        except Exception as exc:
+            raise StageFailure(stage, frame.frame_id) from exc
+    found = {}
+    for crop, tile in zip(crops, tiles):
+        try:
+            found[crop.crop_id] = det.detect(frame.frame_id, crop.crop_id, tile)
         except Exception as exc:
             raise StageFailure(stage, frame.frame_id) from exc
     return found

@@ -1,6 +1,7 @@
 """Tests for the detector contract and the ground-truth oracle."""
 
 import random
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -308,3 +309,19 @@ class TestCutTile:
     def test_bad_frame_shape_rejected(self):
         with pytest.raises(ValueError):
             cut_tile(np.zeros((100, 100), np.uint8), make_crop(0, 0, 0, 50))
+
+    def test_copies_only_the_sampled_rows(self):
+        # a 2160-px crop of a 4K frame samples 608 rows of a 2160-px wide
+        # window; copying the whole window first would take 14 MB
+        pixels = self._frame(2160, 3840)
+        crop = make_crop(0, 840, 0, 2160)
+        out = np.empty((MODEL_SIDE, MODEL_SIDE, 3), np.uint8)
+        tracemalloc.start()
+        try:
+            cut_tile(pixels, crop, out=out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * MODEL_SIDE * 2160 * 3
+        src = (np.arange(MODEL_SIDE) * 2160) // MODEL_SIDE
+        assert np.array_equal(out, pixels[src][:, 840 + src])

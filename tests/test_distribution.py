@@ -6,6 +6,7 @@ import struct
 import threading
 import time
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from tilepipe.distribution import (
     evaluate_remote,
     run_stream,
 )
-from tilepipe.distribution import wire
+from tilepipe.distribution import wire, worker
 from tilepipe.geometry import Rect
 from tilepipe.pipeline import (
     Frame,
@@ -240,6 +241,108 @@ class TestWorker:
         assert reply["type"] == "ERROR"
         assert reply["code"] == "malformed"
         assert "payload" in reply["message"]
+
+
+class RecordingDetector(Detector):
+    def __init__(self, base):
+        self.base = base
+        self.profile = base.profile
+        self.calls = []
+
+    def detect(self, frame_id, crop_id, tile=None):
+        self.calls.append(crop_id)
+        return self.base.detect(frame_id, crop_id, tile)
+
+
+TILE_BYTES = 608 * 608 * 3
+GOOD_CROP = {"crop_id": 0, "width": 608, "height": 608}
+
+# (crop entry that follows a good one, payload bytes declared by the pair);
+# each request reaches the worker framed, with the bytes its header implies
+BAD_CROPS = {
+    "string_crop_id": ({"crop_id": "1", "width": 0, "height": 0}, TILE_BYTES),
+    "bool_crop_id": ({"crop_id": True, "width": 0, "height": 0}, TILE_BYTES),
+    "float_crop_id": ({"crop_id": 1.0, "width": 0, "height": 0}, TILE_BYTES),
+    "negative_width": ({"crop_id": 1, "width": -1, "height": 608}, TILE_BYTES - 608 * 3),
+    "not_square": ({"crop_id": 1, "width": 608, "height": 304}, TILE_BYTES * 3 // 2),
+    "other_side": ({"crop_id": 1, "width": 100, "height": 100}, TILE_BYTES + 30000),
+    "float_side": ({"crop_id": 1, "width": 608.0, "height": 608.0}, 2 * TILE_BYTES),
+    "string_side": ({"crop_id": 1, "width": "608", "height": "608"}, 2 * TILE_BYTES),
+}
+
+
+def eval_header(crops):
+    return {"type": "EVAL_REQUEST", "frame_id": 0, "crops": crops}
+
+
+def socketpair_exchange(det, header, payload):
+    """One request to a worker handler over a socketpair, then a HEALTH
+    check on the same connection; returns both reply headers."""
+    client, server = socket.socketpair()
+    handler = threading.Thread(
+        target=worker._Handler,
+        args=(server, "socketpair", SimpleNamespace(detector=det)),
+    )
+    handler.start()
+    try:
+        with client:
+            client.settimeout(5)
+            wire.send_message(client, header, payload)
+            reply, _ = wire.recv_message(client)
+            wire.send_message(client, {"type": "HEALTH"})
+            health, _ = wire.recv_message(client)
+    finally:
+        handler.join(5)
+        server.close()
+    assert not handler.is_alive()
+    return reply, health
+
+
+class TestEvalRequestChecks:
+    @pytest.mark.parametrize("case", sorted(BAD_CROPS))
+    def test_bad_crop_is_malformed_before_any_detection(self, case):
+        bad, size = BAD_CROPS[case]
+        header = eval_header([GOOD_CROP, bad])
+        det = RecordingDetector(make_oracle())
+        raw = worker._respond(det, header, bytes(size))
+        assert b'"code":"malformed"' in raw
+        assert det.calls == []
+
+    @pytest.mark.parametrize("case", sorted(BAD_CROPS))
+    def test_bad_crop_is_malformed_over_a_socketpair(self, case):
+        bad, size = BAD_CROPS[case]
+        det = RecordingDetector(make_oracle())
+        reply, health = socketpair_exchange(
+            det, eval_header([GOOD_CROP, bad]), bytes(size)
+        )
+        assert (reply["type"], reply["code"]) == ("ERROR", "malformed")
+        assert health["type"] == "HEALTH_OK"
+        assert det.calls == []
+
+    @pytest.mark.parametrize("extra", [-1, 1, TILE_BYTES])
+    def test_payload_must_match_declared_tiles(self, extra):
+        # framing makes the two agree on the wire, so this is checked in process
+        header = eval_header([GOOD_CROP, {"crop_id": 1, "width": 0, "height": 0}])
+        det = RecordingDetector(make_oracle())
+        raw = worker._respond(det, header, bytes(TILE_BYTES + extra))
+        assert b'"code":"malformed"' in raw
+        assert b"payload" in raw
+        assert det.calls == []
+
+    def test_payload_without_tiles_is_malformed(self):
+        det = RecordingDetector(make_oracle())
+        raw = worker._respond(det, eval_header([]), b"\x00")
+        assert b'"code":"malformed"' in raw
+
+    def test_good_request_is_answered(self):
+        crops = [GOOD_CROP, {"crop_id": 1, "width": 0, "height": 0}]
+        det = RecordingDetector(make_oracle())
+        in_process = worker._respond(det, eval_header(crops), bytes(TILE_BYTES))
+        reply, health = socketpair_exchange(det, eval_header(crops), bytes(TILE_BYTES))
+        assert b'"EVAL_RESPONSE"' in in_process
+        assert reply["type"] == "EVAL_RESPONSE"
+        assert [row["crop_id"] for row in reply["results"]] == [0, 1]
+        assert det.calls == [0, 1, 0, 1]
 
 
 class TestEvaluateRemote:

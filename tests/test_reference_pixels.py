@@ -1,5 +1,6 @@
 """cut_tile and read_ppm against the versions they replaced, which copied
-every pixel several times; the results must be equal, pixel for pixel."""
+every pixel several times; the results must be equal, pixel for pixel,
+also when the frame pixels are a strided view of a larger array."""
 
 import tempfile
 from pathlib import Path
@@ -13,11 +14,25 @@ from tilepipe.frameio import read_ppm
 from tilepipe.geometry import MODEL_SIDE, CropSpec, Rect
 
 PLACEMENTS = ("inside", "flush", "partly_outside", "outside")
+LAYOUTS = ("contiguous", "subslice", "reversed", "strided")
 
 
 def random_pixels(height, width, seed):
     rng = np.random.default_rng(seed)
     return rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8)
+
+
+def laid_out_pixels(height, width, seed, layout):
+    """Random height x width x 3 pixels, contiguous or as a view: a window
+    of a larger frame, the frame flipped on both axes, or every second row
+    and third column of a larger one."""
+    if layout == "contiguous":
+        return random_pixels(height, width, seed)
+    if layout == "subslice":
+        return random_pixels(height + 7, width + 5, seed)[3 : 3 + height, 2 : 2 + width]
+    if layout == "reversed":
+        return random_pixels(height, width, seed)[::-1, ::-1]
+    return random_pixels(2 * height, 3 * width, seed)[::2, ::3]
 
 
 @st.composite
@@ -47,15 +62,17 @@ def crop_cases(draw):
     return height, width, side, x, y, draw(st.integers(0, 2**16))
 
 
-@settings(max_examples=60, deadline=None)
-@given(case=crop_cases(), prefill=st.booleans())
-@example(case=(1300, 1300, 1100, 100, 150, 0), prefill=True)  # inside, side > 608
-@example(case=(1, 1, 1, 0, 0, 1), prefill=True)  # 1x1 frame
-@example(case=(1, 1, 700, -300, -300, 2), prefill=False)
-@example(case=(720, 1280, 608, 672, 112, 3), prefill=True)  # flush right and bottom
-def test_cut_tile_matches_reference(case, prefill):
+@settings(max_examples=80, deadline=None)
+@given(case=crop_cases(), prefill=st.booleans(), layout=st.sampled_from(LAYOUTS))
+@example(case=(1300, 1300, 1100, 100, 150, 0), prefill=True, layout="contiguous")
+@example(case=(1, 1, 1, 0, 0, 1), prefill=True, layout="contiguous")  # 1x1 frame
+@example(case=(1, 1, 700, -300, -300, 2), prefill=False, layout="reversed")
+@example(case=(720, 1280, 608, 672, 112, 3), prefill=True, layout="subslice")
+@example(case=(700, 900, 1100, -100, -50, 4), prefill=True, layout="strided")
+def test_cut_tile_matches_reference(case, prefill, layout):
     height, width, side, x, y, seed = case
-    pixels = random_pixels(height, width, seed)
+    pixels = laid_out_pixels(height, width, seed, layout)
+    assert pixels.shape == (height, width, 3)
     crop = CropSpec(0, 0, 0, Rect(x, y, side, side), side / MODEL_SIDE)
     want = reference.cut_tile(pixels, crop)
     if prefill:
