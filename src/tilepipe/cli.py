@@ -6,7 +6,8 @@ workers through run_stream), serve (a worker process), eval (AP metrics
 for a results file), simulate (worker scaling sweeps), gen-synthetic (test
 scenes with ground truth).
 
-Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
+Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error
+(a worker whose detector takes tiles of another size counts as one).
 """
 
 from __future__ import annotations
@@ -19,7 +20,13 @@ import sys
 import time
 from pathlib import Path
 
-from .distribution import DetectorServer, parse_endpoint, run_stream
+from .distribution import (
+    DetectorServer,
+    StreamAborted,
+    WorkerMismatch,
+    parse_endpoint,
+    run_stream,
+)
 from .distribution.sim import (
     SimScenario,
     mean_latency_ms,
@@ -170,7 +177,12 @@ def cmd_run(args) -> int:
     if config.detector == "remote":
         if mode != "pipeline":
             raise UsageError("baseline modes run locally; use detector kind oracle")
-        results = run_stream(frames, settings, config.cluster)
+        try:
+            results = run_stream(frames, settings, config.cluster)
+        except StreamAborted as exc:
+            if isinstance(exc.__cause__, WorkerMismatch):
+                raise UsageError(str(exc)) from exc
+            raise
     else:
         oracle = _oracle(config, settings, gt_by_frame, width, height, args)
         plan = GridPlan.build(width, height, settings)

@@ -9,6 +9,7 @@ from .client import (
     RemoteFault,
     StreamAborted,
     WorkerError,
+    WorkerMismatch,
     WorkerTimeout,
     WorkerUnavailable,
     check_health,
@@ -29,6 +30,7 @@ __all__ = [
     "SimScenario",
     "StreamAborted",
     "WorkerError",
+    "WorkerMismatch",
     "WorkerTimeout",
     "WorkerUnavailable",
     "check_health",

@@ -2,13 +2,21 @@
 run_stream, the one loop that runs both stages of every frame on workers
 with the next frame's attention precomputed. Every step between the
 network calls is a helper shared with the in-process pipeline.
+
+A stream first sends every worker a HEALTH message that carries a probe: the
+name of a shared-memory block holding a random nonce. A worker that reads
+the nonce back shares memory with the client. For the rest of the stream,
+each request to it with pixels has its tiles cut straight into one of the
+stream's blocks and names that block instead of carrying them (see shm.py).
+Requests to every other worker carry their tiles as the payload over TCP.
 """
 
 from __future__ import annotations
 
+import secrets
 import socket
 import time
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -31,7 +39,9 @@ from ..pipeline import (
     tag_global,
     timed_pulls,
 )
-from . import wire
+from . import shm, wire
+
+TILE_BYTES = MODEL_SIDE * MODEL_SIDE * 3
 
 
 def parse_endpoint(endpoint: str) -> tuple[str, int]:
@@ -86,6 +96,10 @@ class RemoteFault(WorkerError):
     """The worker answered, but with an error or an invalid message."""
 
 
+class WorkerMismatch(WorkerError):
+    """The worker's detector takes tiles of another size than the client cuts."""
+
+
 class StreamAborted(RuntimeError):
     """A stage failed mid-stream; carries the resume cursor and the results
     of every frame completed before the failure."""
@@ -114,16 +128,17 @@ def dispatch(
 
 
 def _crop_entries(
-    frame: Frame, crops: Sequence[CropSpec]
+    frame: Frame, crops: Sequence[CropSpec], out=None
 ) -> tuple[list[dict], memoryview | bytes]:
-    """The crop list of an EVAL_REQUEST and its payload: every tile cut
-    straight into one request buffer, in parallel on the cut pool, and sent
-    as a flat byte view of it."""
+    """The crop list of an EVAL_REQUEST and a flat byte view of its tiles,
+    every tile cut straight into one buffer, in parallel on the cut pool.
+    The buffer is ``out`` when given (a writable buffer of at least the
+    tiles' bytes, such as a shared-memory block), else a fresh array."""
     side = 0 if frame.pixels is None else MODEL_SIDE
     entries = [{"crop_id": c.crop_id, "width": side, "height": side} for c in crops]
     if frame.pixels is None:
         return entries, b""
-    tiles = np.empty((len(crops), side, side, 3), dtype=np.uint8)
+    tiles = np.ndarray((len(crops), side, side, 3), np.uint8, buffer=out)
     in_parallel(lambda i: cut_tile(frame.pixels, crops[i], out=tiles[i]), len(crops))
     return entries, memoryview(tiles.reshape(-1))
 
@@ -168,13 +183,35 @@ def _request_worker(
     frame: Frame,
     crops: Sequence[CropSpec],
     timeout_s: float,
+    blocks: shm.Blocks | None = None,
 ) -> tuple[dict[int, list[Detection]], float]:
-    """One EVAL_REQUEST round trip; returns detections by crop id + busy ms."""
-    entries, payload = _crop_entries(frame, crops)
-    header = {"type": "EVAL_REQUEST", "frame_id": frame.frame_id, "crops": entries}
-    started = time.perf_counter()
-    reply = _exchange(endpoint, timeout_s, header, payload)
-    busy_ms = (time.perf_counter() - started) * 1000
+    """One EVAL_REQUEST round trip; returns detections by crop id + busy ms.
+
+    With ``blocks`` (the worker shares memory with the client) and pixels,
+    the tiles go in a block taken from them, given back once the request has
+    a reply or has failed, and the request has no payload. If no block can
+    be had, they go as the payload.
+    """
+    block = None
+    if blocks is not None and frame.pixels is not None:
+        try:
+            block = blocks.take(len(crops) * TILE_BYTES)
+        except OSError:  # shared memory is full: this request goes over TCP
+            pass
+    try:
+        entries, tiles = _crop_entries(
+            frame, crops, None if block is None else block.buf
+        )
+        header = {"type": "EVAL_REQUEST", "frame_id": frame.frame_id, "crops": entries}
+        if block is not None:
+            header["shm"] = block.name
+            tiles = b""  # drops the view into the block
+        started = time.perf_counter()
+        reply = _exchange(endpoint, timeout_s, header, tiles)
+        busy_ms = (time.perf_counter() - started) * 1000
+    finally:
+        if block is not None:
+            blocks.give_back(block)
 
     if reply.get("type") != "EVAL_RESPONSE" or reply.get("frame_id") != frame.frame_id:
         raise RemoteFault(endpoint, f"unexpected reply {reply.get('type')!r}")
@@ -196,13 +233,17 @@ def evaluate_remote(
     crops: Sequence[CropSpec],
     workers: Sequence[str],
     timeout_s: float,
+    shared: Mapping[str, shm.Blocks] | None = None,
 ) -> tuple[dict[int, list[Detection]], float, tuple[tuple[str, float], ...]]:
     """Evaluate crops across workers; one concurrent request per worker.
 
+    ``shared`` maps each worker that shares memory with the client to the
+    blocks its requests' tiles go in; the others get them over TCP.
     Returns (crop-local detections by crop id, stage ms under the
     slowest-worker rule, per-worker (endpoint, busy_ms)). Any worker
     failure raises; partial results are never returned.
     """
+    shared = shared or {}
     assignments = [(w, part) for w, part in dispatch(crops, workers) if part]
     if not assignments:
         return {}, 0.0, ()
@@ -210,7 +251,13 @@ def evaluate_remote(
     per_worker = []
     with ThreadPoolExecutor(max_workers=len(assignments)) as pool:
         futures = [
-            (endpoint, pool.submit(_request_worker, endpoint, frame, part, timeout_s))
+            (
+                endpoint,
+                pool.submit(
+                    _request_worker, endpoint, frame, part, timeout_s,
+                    shared.get(endpoint),
+                ),
+            )
             for endpoint, part in assignments
         ]
         for endpoint, future in futures:
@@ -226,13 +273,50 @@ def _attention_remote(
     plan: GridPlan,
     settings: PipelineSettings,
     cluster: ClusterConfig,
+    shared: Mapping[str, shm.Blocks],
 ) -> tuple[AttentionModel, float]:
     crops = plan.attention_grid.crops
     workers = cluster.attention_workers or cluster.final_workers
     by_crop, stage_ms, _ = evaluate_remote(
-        frame, crops, workers, cluster.request_timeout_s
+        frame, crops, workers, cluster.request_timeout_s, shared
     )
     return attention_model(frame, crops, by_crop, settings.min_confidence), stage_ms
+
+
+def _echoes_probe(reply: dict, nonce: bytes) -> bool:
+    """Whether a HEALTH_OK reply read back the nonce of the stream's probe."""
+    return reply.get("probe") == nonce.hex()
+
+
+def _check_workers(cluster: ClusterConfig, blocks: shm.Blocks) -> list[str]:
+    """HEALTH every worker once, with a probe; returns the workers that share
+    memory with the client. Raises WorkerError for a worker that does not
+    answer, and WorkerMismatch for one whose detector takes tiles of
+    another size than MODEL_SIDE."""
+    nonce = secrets.token_bytes(shm.PROBE_BYTES)
+    try:
+        probe = blocks.take(shm.PROBE_BYTES)
+    except OSError:  # no shared memory on this host: every worker gets TCP
+        probe = name = None
+    else:
+        probe.buf[: shm.PROBE_BYTES] = nonce
+        name = probe.name
+    try:
+        shared = []
+        for endpoint in dict.fromkeys(cluster.attention_workers + cluster.final_workers):
+            reply = check_health(endpoint, cluster.request_timeout_s, probe=name)
+            if reply.get("input_side") != MODEL_SIDE:
+                raise WorkerMismatch(
+                    endpoint,
+                    f"detector input_side is {reply.get('input_side')!r}, "
+                    f"tiles are {MODEL_SIDE}x{MODEL_SIDE}",
+                )
+            if _echoes_probe(reply, nonce):
+                shared.append(endpoint)
+    finally:
+        if probe is not None:
+            blocks.give_back(probe)
+    return shared
 
 
 def _pull(
@@ -265,6 +349,12 @@ def run_stream(
     pass runs, and attention_wait_ms records only the part not hidden.
     Without them every frame runs both stages sequentially.
 
+    Before the first frame is pulled, every worker gets a HEALTH probe
+    (_check_workers). A worker that does not answer, or whose detector takes
+    tiles of another size, aborts the stream at cursor 0. Requests to the
+    workers that read the probe back carry their tiles in shared-memory
+    blocks; all of them are unlinked when the stream ends, however it ends.
+
     The first frame's size fixes the grid. On any failure, StreamAborted
     carries as cursor the index of the first frame without a result, and
     the results before it. A bad pull (the iterator raised, or the frame
@@ -272,16 +362,23 @@ def run_stream(
     """
     pipelined = len(cluster.attention_workers) >= 1
     keep = settings.temporal_window - 1
-    frames = timed_pulls(frames)
 
     results: list[FrameResult] = []
     history: list[AttentionModel] = []
-    frame, io_ms, error = _pull(frames, None)
-    plan = None if frame is None else GridPlan.build(frame.width, frame.height, settings)
+    blocks = shm.Blocks()
     pool = ThreadPoolExecutor(max_workers=1)
     pending = None
     t = 0
     try:
+        try:
+            shared = dict.fromkeys(_check_workers(cluster, blocks), blocks)
+        except WorkerError as exc:
+            raise StreamAborted(t, results, str(exc)) from exc
+        frames = timed_pulls(frames)
+        frame, io_ms, error = _pull(frames, None)
+        plan = None
+        if frame is not None:
+            plan = GridPlan.build(frame.width, frame.height, settings)
         while True:
             if error is not None:
                 raise StreamAborted(t, results, str(error)) from error
@@ -292,14 +389,14 @@ def run_stream(
                 if pending is not None:
                     att, _ = pending.result()
                 else:
-                    att, _ = _attention_remote(frame, plan, settings, cluster)
+                    att, _ = _attention_remote(frame, plan, settings, cluster, shared)
                 wait_ms = (time.perf_counter() - waited) * 1000
 
                 pending = None
                 upcoming, upcoming_io_ms, error = _pull(frames, plan)
                 if pipelined and upcoming is not None:
                     pending = pool.submit(
-                        _attention_remote, upcoming, plan, settings, cluster
+                        _attention_remote, upcoming, plan, settings, cluster, shared
                     )
 
                 c0 = time.perf_counter()
@@ -310,7 +407,8 @@ def run_stream(
                 c1 = time.perf_counter()
                 crops = active.crops
                 by_crop, final_ms, per_worker = evaluate_remote(
-                    frame, crops, cluster.final_workers, cluster.request_timeout_s
+                    frame, crops, cluster.final_workers, cluster.request_timeout_s,
+                    shared,
                 )
                 tagged = tag_global(frame, crops, by_crop)
                 p0 = time.perf_counter()
@@ -344,11 +442,16 @@ def run_stream(
             t += 1
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
+        blocks.close()
 
 
-def check_health(endpoint: str, timeout_s: float = 30.0) -> dict:
-    """HEALTH round trip; returns the worker's detector profile fields."""
-    reply = _exchange(endpoint, timeout_s, {"type": "HEALTH"})
+def check_health(
+    endpoint: str, timeout_s: float = 30.0, probe: str | None = None
+) -> dict:
+    """HEALTH round trip; returns the worker's detector profile fields, and
+    with ``probe``, the name of a block, what the worker read from it."""
+    header = {"type": "HEALTH"} if probe is None else {"type": "HEALTH", "probe": probe}
+    reply = _exchange(endpoint, timeout_s, header)
     if reply.get("type") != "HEALTH_OK":
         raise RemoteFault(endpoint, f"unexpected reply {reply.get('type')!r}")
     return reply

@@ -6,15 +6,24 @@ MAX_PAYLOAD_BYTES. Headers are canonical JSON (sorted keys, no whitespace)
 so that equal values always produce equal bytes.
 
 Message types:
-  EVAL_REQUEST   {type, frame_id, crops: [{crop_id, width, height}, ...]}
-                 payload: the crops' raw 8-bit RGB tiles concatenated in
+  EVAL_REQUEST   {type, frame_id, crops: [{crop_id, width, height}, ...],
+                  shm (optional)}
+                 tiles: the crops' raw 8-bit RGB tiles concatenated in
                  listed order (width * height * 3 bytes each; zero-size
-                 tiles for raster-free runs contribute no bytes)
+                 tiles for raster-free runs contribute no bytes). Without
+                 shm they are the payload. With shm, the name of a
+                 shared-memory block (see shm.py), they fill the start of
+                 that block and the message has no payload.
   EVAL_RESPONSE  {type, frame_id, results: [{crop_id, detections}, ...]}
                  detections are crop-local in model-input space:
                  {x, y, w, h, class, confidence}; no payload
-  HEALTH         {type}; no payload
-  HEALTH_OK      {type, input_side, classes}; no payload
+  HEALTH         {type, probe (optional)}; no payload. probe names a block
+                 whose first shm.PROBE_BYTES bytes are a random nonce.
+  HEALTH_OK      {type, input_side, classes, probe (when asked)}; no
+                 payload. probe is the hex of the first shm.PROBE_BYTES
+                 bytes the worker read from the named block, or null if it
+                 could not map it: the nonce comes back only from a worker
+                 that shares memory with the client.
   ERROR          {type, code, message}; no payload
 """
 
@@ -56,8 +65,9 @@ def encode_message(header: dict, payload: bytes = b"") -> bytes:
 
 
 def payload_size(header: dict) -> int:
-    """Payload bytes implied by a header: tile rasters for EVAL_REQUEST."""
-    if header.get("type") != "EVAL_REQUEST":
+    """Payload bytes implied by a header: the tile rasters of an
+    EVAL_REQUEST that names no shared-memory block."""
+    if header.get("type") != "EVAL_REQUEST" or "shm" in header:
         return 0
     total = 0
     for crop in header.get("crops", ()):

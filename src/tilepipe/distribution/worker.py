@@ -7,6 +7,12 @@ open for the next message. A request is checked before any tile is read
 from it: crop ids must be ints, tiles squares of the detector's input side
 (or 0x0, for raster-free runs), and their bytes must fill the payload
 exactly.
+
+A request reads its tiles from a shared-memory block instead when its
+header names one (shm): the client does so for every worker that read back
+the nonce of its HEALTH probe, that is, a worker on the client's host. The
+block must exist, hold at least the tiles' bytes, and come with no payload.
+The worker maps it for that one request and unmaps it before replying.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import threading
 import numpy as np
 
 from ..detector import Detector
-from . import wire
+from . import shm, wire
 
 # How often serve_forever checks for shutdown; shutdown() waits up to this long.
 POLL_INTERVAL_S = 0.05
@@ -38,10 +44,9 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_crops(crops: list, input_side: int, payload_len: int) -> None:
-    """Raise ValueError unless every crop id is an int, every tile is a
-    square of side input_side or 0, and the tiles' bytes add up to exactly
-    payload_len."""
+def _check_crops(crops: list, input_side: int) -> int:
+    """The bytes the tiles of a crop list fill; raise ValueError unless
+    every crop id is an int and every tile a square of side input_side or 0."""
     total = 0
     for crop in crops:
         crop_id, width, height = crop["crop_id"], crop["width"], crop["height"]
@@ -53,29 +58,38 @@ def _check_crops(crops: list, input_side: int, payload_len: int) -> None:
                 f"or 0x0, got {width!r}x{height!r}"
             )
         total += width * height * 3
-    if total != payload_len:
-        raise ValueError(f"tiles declare {total} payload bytes, got {payload_len}")
+    return total
 
 
-def _handle_eval(det: Detector, header: dict, payload: bytes | bytearray) -> bytes:
-    frame_id = header["frame_id"]
-    crops = header["crops"]
-    try:
-        _check_crops(crops, det.profile.input_side, len(payload))
-    except ValueError as exc:
-        return wire.error_message("malformed", f"bad EVAL_REQUEST: {exc}")
+def _tile_buffer(header: dict, payload: bytes | bytearray, input_side: int):
+    """The buffer that holds a checked request's tiles: its payload, or a
+    mapping of the block it names, which the caller must detach."""
+    total = _check_crops(header["crops"], input_side)
+    if "shm" not in header:
+        if total != len(payload):
+            raise ValueError(f"tiles declare {total} payload bytes, got {len(payload)}")
+        return payload
+    if payload:
+        raise ValueError(f"a request naming a block has {len(payload)} payload bytes")
+    block = shm.attach(header["shm"])
+    if total > len(block):
+        shm.detach(block)
+        raise ValueError(
+            f"tiles declare {total} bytes, block {header['shm']} holds {len(block)}"
+        )
+    return block
+
+
+def _detect_tiles(det: Detector, frame_id, crops: list, tiles) -> bytes:
     results = []
-    view = memoryview(payload)
     offset = 0
     for crop in crops:
-        crop_id = crop["crop_id"]
-        width, height = crop["width"], crop["height"]
-        size = width * height * 3
+        crop_id, side = crop["crop_id"], crop["width"]
+        size = side * side * 3
         tile = None
         if size:
-            chunk = view[offset : offset + size]
+            tile = np.frombuffer(tiles, np.uint8, size, offset).reshape(side, side, 3)
             offset += size
-            tile = np.frombuffer(chunk, dtype=np.uint8).reshape(height, width, 3)
         try:
             found = det.detect(frame_id, crop_id, tile)
         except Exception as exc:
@@ -88,16 +102,43 @@ def _handle_eval(det: Detector, header: dict, payload: bytes | bytearray) -> byt
     return wire.eval_response(frame_id, results)
 
 
+def _handle_eval(det: Detector, header: dict, payload: bytes | bytearray) -> bytes:
+    frame_id = header["frame_id"]
+    try:
+        tiles = _tile_buffer(header, payload, det.profile.input_side)
+    except (ValueError, OSError) as exc:
+        return wire.error_message("malformed", f"bad EVAL_REQUEST: {exc}")
+    try:
+        return _detect_tiles(det, frame_id, header["crops"], tiles)
+    finally:
+        if tiles is not payload:
+            shm.detach(tiles)
+
+
+def _read_probe(name) -> str | None:
+    """Hex of the nonce at the start of the named block; None when the
+    block cannot be mapped here."""
+    try:
+        block = shm.attach(name)
+    except (ValueError, OSError):
+        return None
+    try:
+        return block[: shm.PROBE_BYTES].hex()
+    finally:
+        shm.detach(block)
+
+
 def _respond(det: Detector, header: dict, payload: bytes | bytearray) -> bytes:
     kind = header.get("type")
     if kind == "HEALTH":
-        return wire.encode_message(
-            {
-                "type": "HEALTH_OK",
-                "input_side": det.profile.input_side,
-                "classes": sorted(det.profile.supported_classes),
-            }
-        )
+        reply = {
+            "type": "HEALTH_OK",
+            "input_side": det.profile.input_side,
+            "classes": sorted(det.profile.supported_classes),
+        }
+        if "probe" in header:
+            reply["probe"] = _read_probe(header["probe"])
+        return wire.encode_message(reply)
     if kind == "EVAL_REQUEST":
         try:
             return _handle_eval(det, header, payload)

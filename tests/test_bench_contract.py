@@ -4,6 +4,10 @@ each benchmark workload's entry point on a small pixel scene, and check that
 every span the traced run requires was recorded. A refactor that moves a
 hooked call out from under its hook fails here, not only in
 `python3 perfbench/run.py --trace 1`.
+
+The cluster case runs on both request transports: tiles as the TCP payload
+(the probe is made to fail, as for a worker on another host) and tiles in a
+shared-memory block, which in-process workers can map.
 """
 
 import sys
@@ -11,6 +15,8 @@ from contextlib import ExitStack
 from pathlib import Path
 
 import pytest
+
+import reference_pipeline as reference
 
 ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
@@ -24,6 +30,7 @@ from perfbench.layers import (  # noqa: E402
 from perfbench.spans import Hooks, Recorder  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
 from tilepipe.distribution import ClusterConfig, DetectorServer, run_stream  # noqa: E402
+from tilepipe.distribution import client, shm  # noqa: E402
 from tilepipe.geometry import MODEL_SIDE  # noqa: E402
 from tilepipe.pipeline import (  # noqa: E402
     Frame,
@@ -38,15 +45,28 @@ WIDTH, HEIGHT = 1280, 720
 TILE_BYTES = MODEL_SIDE * MODEL_SIDE * 3
 
 
-def counting_tiles(tiles_by_key):
-    """A send_message wrapper that notes how many tiles each request carries."""
+def counting_tiles(tiles_by_key, sent_by_key, frames, crops_by_id):
+    """A send_message wrapper that notes how many tiles each request carries,
+    and for a request whose tiles are in a block, what the block and the
+    payload held when it was sent, beside the reference tiles."""
 
     def make(original):
         def send_message(sock, header, payload=b""):
             if header.get("type") == "EVAL_REQUEST":
-                tiles_by_key[_request_key(header)] = sum(
-                    1 for crop in header["crops"] if crop["width"]
-                )
+                key = _request_key(header)
+                tiles_by_key[key] = sum(1 for crop in header["crops"] if crop["width"])
+                if "shm" in header:
+                    pixels = frames[header["frame_id"]].pixels
+                    want = b"".join(
+                        reference.cut_tile(pixels, crops_by_id[c["crop_id"]]).tobytes()
+                        for c in header["crops"]
+                    )
+                    block = shm.attach(header["shm"])
+                    try:
+                        held = block[: len(want)]
+                    finally:
+                        shm.detach(block)
+                    sent_by_key[key] = (header["shm"], bytes(payload), held, want)
             return original(sock, header, payload)
 
         return send_message
@@ -59,8 +79,17 @@ def ground_truth():
     return generate_scene(SceneSpec("mixed", WIDTH, HEIGHT, frame_count=3, seed=0))
 
 
-@pytest.mark.parametrize("name", ["local-4k-mixed", "cluster-4k-mixed"])
-def test_traced_run_records_every_required_span(name, ground_truth):
+@pytest.mark.parametrize(
+    "name, transport",
+    [
+        pytest.param("local-4k-mixed", None, id="local-4k-mixed"),
+        pytest.param("cluster-4k-mixed", "tcp", id="cluster-4k-mixed"),
+        pytest.param("cluster-4k-mixed", "shm", id="cluster-4k-mixed-shm"),
+    ],
+)
+def test_traced_run_records_every_required_span(
+    name, transport, ground_truth, monkeypatch
+):
     workload = WORKLOADS[name]
     settings = PipelineSettings.from_preset(workload.scene.preset)
     oracle = oracle_for_scene(WIDTH, HEIGHT, settings, ground_truth)
@@ -69,6 +98,8 @@ def test_traced_run_records_every_required_span(name, ground_truth):
         Frame(fid, WIDTH, HEIGHT, render_frame(WIDTH, HEIGHT, objects))
         for fid, objects in sorted(ground_truth.items())
     ]
+    if transport == "tcp":
+        monkeypatch.setattr(client, "_echoes_probe", lambda reply, nonce: False)
     recorder = Recorder()
     hooks = Hooks()
     with ExitStack() as stack:
@@ -78,11 +109,13 @@ def test_traced_run_records_every_required_span(name, ground_truth):
                 final_workers=(fin.endpoint,), attention_workers=(att.endpoint,)
             )
         tiles_by_key = {}
+        sent_by_key = {}
         try:
             if workload.cluster:
                 # wrapped first, so the benchmark's hook wraps this one
                 hooks.wrap("tilepipe.distribution.wire:send_message",
-                           counting_tiles(tiles_by_key))
+                           counting_tiles(tiles_by_key, sent_by_key, frames,
+                                          plan.crops_by_id()))
             install_client(hooks, recorder, workload, len(plan.attention_grid.crops))
             if workload.cluster:
                 results = run_stream(frames, settings, cluster)
@@ -96,6 +129,19 @@ def test_traced_run_records_every_required_span(name, ground_truth):
     required = expected_spans(workload)[0] - {"frameio.next"}
     recorded = {span.name for span in recorder.spans}
     assert not required - recorded, f"no spans for {sorted(required - recorded)}"
+    sends = [span for span in recorder.spans if span.name == "wire.send"]
+    if transport == "shm":
+        # no tiles on the wire: each request names a block that held them
+        assert sends
+        for span in sends:
+            key = span.attrs["key"]
+            assert tiles_by_key[key] > 0
+            name, payload, held, want = sent_by_key[key]
+            assert payload == b""
+            assert name.startswith(shm.PREFIX)
+            assert held == want
+        return
+    assert not sent_by_key
     # the benchmark counts request bytes with len(payload): each request
     # must count at least its tiles' bytes, not, say, its number of tiles
     for span in recorder.spans:

@@ -3,11 +3,17 @@
 import csv
 import io
 import json
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tilepipe
 from tilepipe.cli import main
-from tilepipe.distribution import DetectorServer
+from tilepipe.detector import Detector, DetectorProfile
+from tilepipe.distribution import DetectorServer, client
 from tilepipe.distribution.sim import (
     SimScenario,
     mean_latency_ms,
@@ -122,7 +128,7 @@ def test_cluster_bad_endpoint_exits_2(scene_dir, tmp_path, capsys):
     assert "'127.0.0.1:abc'" in capsys.readouterr().err
 
 
-def test_remote_run_matches_local_bytes(scene_dir, tmp_path):
+def run_on_in_process_workers(scene_dir, tmp_path) -> bytes:
     gt = read_ground_truth(scene_dir / "gt.jsonl")
     oracle = oracle_for_scene(1280, 720, SETTINGS, gt)
     with DetectorServer(oracle) as att, DetectorServer(oracle) as fin:
@@ -133,7 +139,76 @@ def test_remote_run_matches_local_bytes(scene_dir, tmp_path):
             cluster={"final_workers": fin.endpoint, "attention_workers": att.endpoint},
         )
         assert main(["run", "--config", str(config)]) == 0
-    assert (tmp_path / "remote.jsonl").read_bytes() == reference_bytes(scene_dir)
+    return (tmp_path / "remote.jsonl").read_bytes()
+
+
+def test_remote_run_matches_local_bytes(scene_dir, tmp_path, sent_blocks):
+    assert run_on_in_process_workers(scene_dir, tmp_path) == reference_bytes(scene_dir)
+    # same-host workers: every request's tiles went in a shared-memory block
+    assert sent_blocks and all(sent_blocks)
+
+
+def test_remote_run_over_tcp_matches_local_bytes(
+    scene_dir, tmp_path, sent_blocks, monkeypatch
+):
+    monkeypatch.setattr(client, "_echoes_probe", lambda reply, nonce: False)
+    assert run_on_in_process_workers(scene_dir, tmp_path) == reference_bytes(scene_dir)
+    assert sent_blocks and not any(sent_blocks)
+
+
+def test_run_on_serve_workers_matches_local_bytes(scene_dir, tmp_path, sent_blocks):
+    """Two `tilepipe serve` processes, each with its own resource tracker,
+    pipelined (attention + final) and sequential (two final workers)."""
+    serve_config = write_config(tmp_path / "serve.ini", scene_dir)
+    argv = [sys.executable, "-m", "tilepipe.cli", "serve", "--config",
+            str(serve_config), "--listen", "127.0.0.1:0"]
+    env = {"PYTHONPATH": str(Path(tilepipe.__file__).parents[1])}
+    workers = [
+        subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                         stderr=subprocess.PIPE, text=True)
+        for _ in range(2)
+    ]
+    try:
+        first, second = (
+            w.stdout.readline().removeprefix("listening on ").strip() for w in workers
+        )
+        for cluster in (
+            {"attention_workers": first, "final_workers": second},
+            {"final_workers": f"{first}, {second}"},
+        ):
+            config = write_config(
+                tmp_path / "remote.ini", scene_dir, detector="remote", cluster=cluster
+            )
+            assert main(["run", "--config", str(config)]) == 0
+            assert (tmp_path / "remote.jsonl").read_bytes() == reference_bytes(scene_dir)
+    finally:
+        for w in workers:
+            w.send_signal(signal.SIGINT)
+        errors = [w.communicate(timeout=10)[1] for w in workers]
+    assert sent_blocks and all(sent_blocks)
+    # a worker that registered the client's blocks with its resource
+    # tracker would have them unlinked, with a warning, when it exits
+    assert errors == ["", ""]
+    assert [w.returncode for w in workers] == [0, 0]
+
+
+def test_mismatched_worker_exits_2(scene_dir, tmp_path, capsys):
+    class Mismatched(Detector):
+        profile = DetectorProfile(input_side=416)
+
+        def detect(self, frame_id, crop_id, tile=None):
+            return []
+
+    with DetectorServer(Mismatched()) as fin:
+        config = write_config(
+            tmp_path / "remote.ini", scene_dir, detector="remote",
+            cluster={"final_workers": fin.endpoint},
+        )
+        assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert fin.endpoint in err
+    assert "input_side" in err
+    assert not (tmp_path / "remote.jsonl").exists()
 
 
 SCENARIO = {

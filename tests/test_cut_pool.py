@@ -20,7 +20,8 @@ import reference_pipeline as reference
 import tilepipe
 from tilepipe import pipeline
 from tilepipe.detector import Detector, DetectorProfile, GroundTruthObject
-from tilepipe.distribution.client import _crop_entries
+from tilepipe.distribution import shm
+from tilepipe.distribution.client import TILE_BYTES, _crop_entries
 from tilepipe.frameio import result_line
 from tilepipe.geometry import MODEL_SIDE, CropSpec, Rect
 from tilepipe.pipeline import (
@@ -111,15 +112,28 @@ def crop_lists(draw):
 
 
 @settings(max_examples=25, deadline=None)
-@given(case=crop_lists())
-@example(case=(300, 400, [], 0))
-@example(case=(300, 400, [make_crop(7, 10, 20, 250)], 1))
-def test_request_payload_is_the_reference_tiles(case):
+@given(case=crop_lists(), buffer=st.sampled_from(["array", "block"]))
+@example(case=(300, 400, [], 0), buffer="array")
+@example(case=(300, 400, [], 0), buffer="block")
+@example(case=(300, 400, [make_crop(7, 10, 20, 250)], 1), buffer="array")
+@example(case=(300, 400, [make_crop(7, 10, 20, 250)], 1), buffer="block")
+def test_request_payload_is_the_reference_tiles(case, buffer):
+    """The tile bytes a request sends, cut into a fresh array (the TCP
+    payload) or into a shared-memory block one tile larger than needed."""
     height, width, crops, seed = case
     frame = Frame(0, width, height, random_pixels(height, width, seed))
-    entries, payload = _crop_entries(frame, crops)
     want = b"".join(reference.cut_tile(frame.pixels, c).tobytes() for c in crops)
-    assert bytes(payload) == want
+    blocks = shm.Blocks()
+    try:
+        block = blocks.take(len(want) + TILE_BYTES) if buffer == "block" else None
+        out = None if block is None else block.buf
+        entries, payload = _crop_entries(frame, crops, out)
+        assert bytes(payload) == want
+        if block is not None:
+            assert block.buf[: len(want)] == want
+        del payload
+    finally:
+        blocks.close()
     assert [e["crop_id"] for e in entries] == [c.crop_id for c in crops]
     assert all(e["width"] == e["height"] == MODEL_SIDE for e in entries)
 

@@ -1,22 +1,30 @@
 """Worker/client integration over localhost sockets."""
 
+import os
 import random
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
 import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tilepipe.detector import Detector, GroundTruthObject
+import tilepipe
+from test_cut_pool import TileHashDetector
+from tilepipe.detector import Detector, DetectorProfile, GroundTruthObject
 from tilepipe.distribution import (
     ClusterConfig,
     DetectorServer,
     RemoteFault,
     StreamAborted,
+    WorkerMismatch,
     WorkerTimeout,
     WorkerUnavailable,
     check_health,
@@ -24,7 +32,7 @@ from tilepipe.distribution import (
     evaluate_remote,
     run_stream,
 )
-from tilepipe.distribution import wire, worker
+from tilepipe.distribution import client, shm, wire, worker
 from tilepipe.geometry import Rect
 from tilepipe.pipeline import (
     Frame,
@@ -344,6 +352,199 @@ class TestEvalRequestChecks:
         assert [row["crop_id"] for row in reply["results"]] == [0, 1]
         assert det.calls == [0, 1, 0, 1]
 
+    @pytest.fixture
+    def blocks(self):
+        blocks = shm.Blocks()
+        yield blocks
+        blocks.close()
+
+    def bad_shm_requests(self, blocks):
+        """Headers that name a bad block, by case. A header naming a block
+        implies no payload, so none is sent."""
+        small = blocks.take(TILE_BYTES - 1)
+        missing = blocks.prefix + "ffff"
+        requests = {
+            "missing_block": {"shm": missing},
+            "block_smaller_than_tiles": {"shm": small.name},
+            "int_name": {"shm": 7},
+            "null_name": {"shm": None},
+            "list_name": {"shm": [small.name]},
+            "name_without_prefix": {"shm": small.name[len(shm.PREFIX):]},
+            "path_name": {"shm": shm.PREFIX + "../" + small.name},
+        }
+        return {
+            case: {**eval_header([GOOD_CROP]), **extra}
+            for case, extra in requests.items()
+        }
+
+    def test_bad_block_is_malformed_before_any_detection(self, blocks):
+        for case, header in self.bad_shm_requests(blocks).items():
+            det = RecordingDetector(make_oracle())
+            raw = worker._respond(det, header, b"")
+            assert b'"code":"malformed"' in raw, case
+            assert det.calls == [], case
+
+    def test_bad_block_is_malformed_over_a_socketpair(self, blocks):
+        for case, header in self.bad_shm_requests(blocks).items():
+            det = RecordingDetector(make_oracle())
+            reply, health = socketpair_exchange(det, header, b"")
+            assert (reply["type"], reply["code"]) == ("ERROR", "malformed"), case
+            assert health["type"] == "HEALTH_OK", case
+            assert det.calls == [], case
+
+    def test_block_with_a_payload_is_malformed(self, blocks):
+        # the framing reads no payload after a header naming a block, so
+        # this is checked in process
+        block = blocks.take(TILE_BYTES)
+        det = RecordingDetector(make_oracle())
+        header = {**eval_header([GOOD_CROP]), "shm": block.name}
+        raw = worker._respond(det, header, bytes(TILE_BYTES))
+        assert b'"code":"malformed"' in raw
+        assert det.calls == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.one_of(
+            st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+            st.text().map(lambda tail: shm.PREFIX + tail),
+            st.text("0123456789abcdef", max_size=40).map(lambda t: shm.PREFIX + t),
+            st.lists(st.text(), max_size=3),
+            st.dictionaries(st.text(), st.integers(), max_size=3),
+        )
+    )
+    def test_random_block_names_are_malformed(self, name):
+        det = RecordingDetector(make_oracle())
+        header = {**eval_header([GOOD_CROP]), "shm": name}
+        raw = worker._respond(det, header, b"")
+        assert b'"code":"malformed"' in raw
+        assert det.calls == []
+
+    def test_block_request_matches_payload_request(self, blocks):
+        # a block one tile larger than the tiles, as a reused block may be
+        rng = np.random.default_rng(5)
+        tiles = rng.integers(0, 256, 2 * TILE_BYTES, dtype=np.uint8).tobytes()
+        crops = [GOOD_CROP, {"crop_id": 1, "width": 608, "height": 608}]
+        block = blocks.take(3 * TILE_BYTES)
+        block.buf[: len(tiles)] = tiles
+        det = TileHashDetector(make_oracle())
+        by_payload = worker._respond(det, eval_header(crops), tiles)
+        header = {**eval_header(crops), "shm": block.name}
+        reply, health = socketpair_exchange(det, header, b"")
+        assert reply["type"] == "EVAL_RESPONSE"
+        assert wire.encode_message(reply) == by_payload
+        assert health["type"] == "HEALTH_OK"
+
+    def test_worker_unmaps_the_block_before_replying(self, blocks):
+        block = blocks.take(TILE_BYTES)
+        seen = []
+
+        class CountingDetector(RecordingDetector):
+            def detect(self, frame_id, crop_id, tile=None):
+                seen.append(block_mappings(block.name))
+                return super().detect(frame_id, crop_id, tile)
+
+        before = block_mappings(block.name)
+        header = {**eval_header([GOOD_CROP]), "shm": block.name}
+        raw = worker._respond(CountingDetector(make_oracle()), header, b"")
+        assert b'"EVAL_RESPONSE"' in raw
+        assert seen == [before + 1]
+        assert block_mappings(block.name) == before
+
+
+def block_mappings(name):
+    """How many mappings of the named block this process holds."""
+    with open("/proc/self/maps") as maps:
+        return sum(1 for line in maps if line.rstrip().endswith("/" + name))
+
+
+class TestHealthProbe:
+    def test_worker_echoes_the_nonce(self):
+        blocks = shm.Blocks()
+        try:
+            probe = blocks.take(shm.PROBE_BYTES)
+            probe.buf[: shm.PROBE_BYTES] = b"0123456789abcdef"
+            with DetectorServer(make_oracle()) as server:
+                reply = check_health(server.endpoint, probe=probe.name)
+        finally:
+            blocks.close()
+        assert reply["probe"] == b"0123456789abcdef".hex()
+        assert reply["input_side"] == 608
+
+    @pytest.mark.parametrize("probe", [shm.PREFIX + "ffffffff0", "other", 3, None])
+    def test_unreadable_probe_is_answered_with_null(self, probe):
+        with DetectorServer(make_oracle()) as server:
+            reply = check_health(server.endpoint)
+            header = {"type": "HEALTH", "probe": probe}
+            probed = worker._respond(make_oracle(), header, b"")
+        assert "probe" not in reply
+        assert b'"probe":null' in probed
+        assert b'"HEALTH_OK"' in probed
+
+
+class TestBlocks:
+    def test_take_reuses_the_smallest_free_block_that_fits(self):
+        blocks = shm.Blocks()
+        try:
+            small, large = blocks.take(100), blocks.take(1000)
+            blocks.give_back(small)
+            blocks.give_back(large)
+            assert blocks.take(50) is small
+            assert blocks.take(500) is large
+            blocks.give_back(small)
+            grown = blocks.take(2000)  # replaces the free block that is too small
+            assert grown.size == 2000
+            assert shm_entries() >= {large.name, grown.name}
+            assert small.name not in shm_entries()
+        finally:
+            blocks.close()
+        assert not shm_entries() & {small.name, large.name, grown.name}
+
+    def test_close_unlinks_blocks_still_out(self):
+        blocks = shm.Blocks()
+        out = blocks.take(100)
+        blocks.close()
+        assert out.name not in shm_entries()
+        blocks.give_back(out)  # unmaps it
+        with pytest.raises(RuntimeError):
+            blocks.take(100)
+
+    def test_threads_never_share_a_block(self):
+        """More threads than cores take and give back blocks of random
+        sizes; each fills its block with its own id and checks it is intact
+        before giving the block back."""
+        blocks = shm.Blocks()
+        threads = 8
+        start = threading.Barrier(threads)
+        clashes = []
+
+        def worker_thread(ident):
+            rng = random.Random(ident)
+            start.wait()
+            for _ in range(200):
+                block = blocks.take(rng.randrange(1, 4096))
+                block.buf[:] = bytes([ident]) * block.size
+                time.sleep(0)
+                if block.buf.tobytes() != bytes([ident]) * block.size:
+                    clashes.append(block.name)
+                blocks.give_back(block)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            pool = [threading.Thread(target=worker_thread, args=(i,)) for i in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+            live = {name for name in shm_entries() if name.startswith(blocks.prefix)}
+            blocks.close()
+        assert not any(thread.is_alive() for thread in pool)
+        assert clashes == []
+        assert len(live) <= threads
+        assert not any(name.startswith(blocks.prefix) for name in shm_entries())
+
 
 class TestEvaluateRemote:
     def test_transparent_vs_local_single_worker(self):
@@ -475,8 +676,9 @@ class TestRunStream:
         assert remote[0].detections == self.local_reference(1)[0].detections
 
     def test_empty_stream(self):
-        cluster = ClusterConfig(final_workers=("127.0.0.1:1",))
-        assert run_stream([], SETTINGS_720, cluster) == []
+        with DetectorServer(make_oracle()) as fin:
+            cluster = ClusterConfig(final_workers=(fin.endpoint,))
+            assert run_stream([], SETTINGS_720, cluster) == []
 
     def test_attention_hidden_when_cheaper_than_final(self):
         # attention: 2 crops, final: >= 4 active crops per frame; same
@@ -564,3 +766,281 @@ class TestRunStream:
             with pytest.raises(StreamAborted) as err:
                 run_stream(mixed, SETTINGS_720, cluster)
         assert err.value.cursor == 1
+
+
+def shm_entries():
+    return {name for name in os.listdir("/dev/shm") if name.startswith(shm.PREFIX)}
+
+
+@pytest.fixture
+def no_leaked_blocks():
+    before = shm_entries()
+    yield
+    assert shm_entries() == before
+
+
+def pixel_frames(count=4):
+    rng = np.random.default_rng(count)
+    return [
+        Frame(i, 1280, 720, rng.integers(0, 256, (720, 1280, 3), dtype=np.uint8))
+        for i in range(count)
+    ]
+
+
+def mismatched_oracle():
+    class Mismatched(Detector):
+        profile = DetectorProfile(input_side=416)
+
+        def detect(self, frame_id, crop_id, tile=None):
+            return make_oracle().detect(frame_id, crop_id, tile)
+
+    return Mismatched()
+
+
+@pytest.mark.usefixtures("no_leaked_blocks")
+class TestSharedMemoryStream:
+    @pytest.mark.parametrize("pipelined", [True, False])
+    def test_same_host_workers_read_blocks_and_match_tcp(
+        self, pipelined, sent_blocks, monkeypatch
+    ):
+        det = TileHashDetector(make_oracle())
+        local = list(run_sequence(pixel_frames(), SETTINGS_720, det))
+        with DetectorServer(det) as att, DetectorServer(det) as fin:
+            cluster = ClusterConfig(
+                final_workers=(fin.endpoint,),
+                attention_workers=(att.endpoint,) if pipelined else (),
+            )
+            shared = run_stream(pixel_frames(), SETTINGS_720, cluster)
+            by_block = list(sent_blocks)
+            sent_blocks.clear()
+            monkeypatch.setattr(client, "_echoes_probe", lambda reply, nonce: False)
+            over_tcp = run_stream(pixel_frames(), SETTINGS_720, cluster)
+        assert by_block and all(name.startswith(shm.PREFIX) for name in by_block)
+        assert sent_blocks and not any(sent_blocks)
+        for ours, theirs, reference in zip(shared, over_tcp, local):
+            assert ours.detections == theirs.detections == reference.detections
+
+    def test_raster_free_frames_carry_no_block(self, sent_blocks):
+        with DetectorServer(make_oracle()) as fin:
+            cluster = ClusterConfig(final_workers=(fin.endpoint,))
+            run_stream(frames(2), SETTINGS_720, cluster)
+        assert sent_blocks and not any(sent_blocks)
+
+    def test_blocks_are_reused(self, sent_blocks):
+        live = []
+
+        class Watching(TileHashDetector):
+            def detect(self, frame_id, crop_id, tile=None):
+                live.append(len(shm_entries()))
+                return super().detect(frame_id, crop_id, tile)
+
+        before = len(shm_entries())
+        det = Watching(make_oracle())
+        with DetectorServer(det) as att, DetectorServer(det) as fin:
+            cluster = ClusterConfig(
+                final_workers=(fin.endpoint,), attention_workers=(att.endpoint,)
+            )
+            run_stream(pixel_frames(6), SETTINGS_720, cluster)
+        # one attention and one final request at a time: two blocks
+        assert max(live) - before <= 2
+        assert len(set(sent_blocks)) < len(sent_blocks)
+
+    @pytest.mark.parametrize("full", ["every_block", "tile_blocks"])
+    def test_requests_go_over_tcp_when_shared_memory_is_full(
+        self, full, sent_blocks, monkeypatch
+    ):
+        real = shm._reserve
+
+        def reserve(name, nbytes):
+            if full == "every_block" or nbytes > shm.PROBE_BYTES:
+                raise OSError(28, "No space left on device")
+            return real(name, nbytes)
+
+        monkeypatch.setattr(shm, "_reserve", reserve)
+        det = TileHashDetector(make_oracle())
+        local = list(run_sequence(pixel_frames(), SETTINGS_720, det))
+        with DetectorServer(det) as att, DetectorServer(det) as fin:
+            cluster = ClusterConfig(
+                final_workers=(fin.endpoint,), attention_workers=(att.endpoint,)
+            )
+            remote = run_stream(pixel_frames(), SETTINGS_720, cluster)
+        assert sent_blocks and not any(sent_blocks)
+        for ours, reference in zip(remote, local):
+            assert ours.detections == reference.detections
+
+    def test_blocks_unlinked_after_a_worker_shuts_down(self, sent_blocks):
+        with DetectorServer(make_oracle()) as att, DetectorServer(make_oracle()) as fin:
+
+            def stopping():
+                for frame in pixel_frames(4):
+                    if frame.frame_id == 2:
+                        fin.shutdown()
+                    yield frame
+
+            cluster = ClusterConfig(
+                final_workers=(fin.endpoint,), attention_workers=(att.endpoint,)
+            )
+            with pytest.raises(StreamAborted) as err:
+                run_stream(stopping(), SETTINGS_720, cluster)
+        assert err.value.cursor == 1
+        assert isinstance(err.value.__cause__, WorkerUnavailable)
+        assert any(sent_blocks)
+
+    def test_blocks_unlinked_after_an_iterator_error(self, sent_blocks):
+        def failing():
+            yield from pixel_frames(2)
+            raise OSError("frame 2 unreadable")
+
+        with DetectorServer(make_oracle()) as fin:
+            cluster = ClusterConfig(final_workers=(fin.endpoint,))
+            with pytest.raises(StreamAborted) as err:
+                run_stream(failing(), SETTINGS_720, cluster)
+        assert err.value.cursor == 2
+        assert any(sent_blocks)
+
+    def test_blocks_unlinked_after_a_failed_cut(self, monkeypatch):
+        real = client.cut_tile
+
+        def cut_tile(pixels, crop, *args, **kwargs):
+            if crop.crop_id == 2:
+                raise RuntimeError("cannot cut")
+            return real(pixels, crop, *args, **kwargs)
+
+        monkeypatch.setattr(client, "cut_tile", cut_tile)
+        with DetectorServer(make_oracle()) as fin:
+            cluster = ClusterConfig(final_workers=(fin.endpoint,))
+            with pytest.raises(StreamAborted) as err:
+                run_stream(pixel_frames(2), SETTINGS_720, cluster)
+        assert err.value.cursor == 0
+        assert "cannot cut" in str(err.value)
+
+
+class TestStreamStartHealthCheck:
+    @pytest.mark.parametrize("role", ["attention", "final"])
+    def test_mismatched_input_side_aborts_before_the_first_pull(self, role):
+        pulled = []
+
+        def recorded():
+            for frame in frames(2):
+                pulled.append(frame.frame_id)
+                yield frame
+
+        dets = {"attention": make_oracle(), "final": make_oracle()}
+        dets[role] = mismatched_oracle()
+        with DetectorServer(dets["attention"]) as att, DetectorServer(
+            dets["final"]
+        ) as fin:
+            cluster = ClusterConfig(
+                final_workers=(fin.endpoint,), attention_workers=(att.endpoint,)
+            )
+            with pytest.raises(StreamAborted) as err:
+                run_stream(recorded(), SETTINGS_720, cluster)
+            endpoint = {"attention": att, "final": fin}[role].endpoint
+        assert err.value.cursor == 0
+        assert err.value.completed == ()
+        assert isinstance(err.value.__cause__, WorkerMismatch)
+        assert endpoint in str(err.value)
+        assert "416" in str(err.value)
+        assert pulled == []
+
+    def test_unreachable_worker_aborts_before_the_first_pull(self):
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        endpoint = f"127.0.0.1:{probe.getsockname()[1]}"
+        probe.close()
+        pulled = []
+
+        def recorded():
+            pulled.append(0)
+            yield Frame(0, 1280, 720)
+
+        cluster = ClusterConfig(final_workers=(endpoint,), request_timeout_s=0.5)
+        with pytest.raises(StreamAborted) as err:
+            run_stream(recorded(), SETTINGS_720, cluster)
+        assert err.value.cursor == 0
+        assert isinstance(err.value.__cause__, WorkerUnavailable)
+        assert endpoint in str(err.value)
+        assert pulled == []
+
+    def test_empty_stream_still_checks_its_workers(self):
+        cluster = ClusterConfig(final_workers=("127.0.0.1:1",), request_timeout_s=0.5)
+        with pytest.raises(StreamAborted) as err:
+            run_stream([], SETTINGS_720, cluster)
+        assert err.value.cursor == 0
+
+
+SPAWNED_STREAM = """
+import multiprocessing, os
+import numpy as np
+from tilepipe.detector import GroundTruthObject
+from tilepipe.distribution import ClusterConfig, DetectorServer, run_stream, shm, wire
+from tilepipe.geometry import Rect
+from tilepipe.pipeline import Frame, PipelineSettings, oracle_for_scene
+
+SETTINGS = PipelineSettings.from_preset("1 att, 3 fin, 50 over")
+SCENE = {i: [GroundTruthObject(Rect(100 + 40 * i, 100, 80, 80), "person", "a")]
+         for i in range(3)}
+
+
+def serve(conn):
+    server = DetectorServer(oracle_for_scene(1280, 720, SETTINGS, SCENE)).start()
+    conn.send(server.endpoint)
+    conn.recv()
+    server.shutdown()
+
+
+def entries():
+    return sorted(n for n in os.listdir("/dev/shm") if n.startswith(shm.PREFIX))
+
+
+if __name__ == "__main__":
+    before = entries()
+    ctx = multiprocessing.get_context("spawn")
+    workers = []
+    for _ in range(2):
+        ours, theirs = ctx.Pipe()
+        proc = ctx.Process(target=serve, args=(theirs,), daemon=True)
+        proc.start()
+        workers.append((proc, ours))
+    att, fin = (conn.recv() for _, conn in workers)
+    sent = []
+    send = wire.send_message
+
+    def send_message(sock, header, payload=b""):
+        if header.get("type") == "EVAL_REQUEST":
+            sent.append(header.get("shm"))
+        return send(sock, header, payload)
+
+    wire.send_message = send_message
+    frames = [Frame(i, 1280, 720, np.zeros((720, 1280, 3), np.uint8)) for i in range(3)]
+    cluster = ClusterConfig(final_workers=(fin,), attention_workers=(att,))
+    results = run_stream(frames, SETTINGS, cluster)
+    after = entries()
+    for proc, conn in workers:
+        conn.send("stop")
+        proc.join(30)
+    print(len(results), len(sent), sum(1 for name in sent if name), before == after)
+"""
+
+
+def test_spawned_workers_leave_no_blocks_or_tracker_warnings(tmp_path):
+    script = tmp_path / "spawned_stream.py"
+    script.write_text(SPAWNED_STREAM)
+    src = str(Path(tilepipe.__file__).parents[1])
+    before = shm_entries()
+    out = subprocess.run(
+        [sys.executable, str(script)],
+        env={"PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    results, requests, by_block, unchanged = out.stdout.split()
+    assert results == "3"
+    assert by_block == requests != "0"
+    assert unchanged == "True"
+    assert "resource_tracker" not in out.stderr
+    assert "leaked" not in out.stderr
+    assert out.stderr == ""
+    assert shm_entries() == before
