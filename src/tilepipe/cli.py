@@ -3,8 +3,7 @@
 Subcommands: run (the pipeline, or with --mode one of its two baselines,
 over a frame source; in process through pipeline.run_sequence, or on
 workers through run_stream), serve (a worker process), eval (AP metrics
-for a results file), simulate (worker scaling sweeps), gen-synthetic (test
-scenes with ground truth).
+for a results file), gen-synthetic (test scenes with ground truth).
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error
 (a worker whose detector takes tiles of another size counts as one).
@@ -26,12 +25,6 @@ from .distribution import (
     WorkerMismatch,
     parse_endpoint,
     run_stream,
-)
-from .distribution.sim import (
-    SimScenario,
-    mean_latency_ms,
-    simulate_scaling,
-    write_sim_csv,
 )
 from .frameio import (
     FrameSource,
@@ -103,7 +96,7 @@ def _effective_settings(config: RunConfig, args) -> PipelineSettings:
     return settings
 
 
-def _scene_inputs(config: RunConfig, settings, args):
+def _scene_inputs(config: RunConfig):
     """Ground truth, frame dimensions, and the frame iterable for a run."""
     try:
         gt_by_frame = read_ground_truth(config.ground_truth_path)
@@ -128,9 +121,9 @@ def _scene_inputs(config: RunConfig, settings, args):
 def _oracle(config: RunConfig, settings, gt_by_frame, width, height, args):
     visibility = config.visibility_threshold
     min_tile = config.min_tile_px
-    if getattr(args, "visibility_threshold", None) is not None:
+    if args.visibility_threshold is not None:
         visibility = args.visibility_threshold
-    if getattr(args, "min_tile_px", None) is not None:
+    if args.min_tile_px is not None:
         min_tile = args.min_tile_px
     try:
         return oracle_for_scene(
@@ -163,7 +156,7 @@ def cmd_run(args) -> int:
     config = _load_config(args.config)
     mode = args.mode
     settings = _effective_settings(config, args)
-    gt_by_frame, width, height, frames = _scene_inputs(config, settings, args)
+    gt_by_frame, width, height, frames = _scene_inputs(config)
 
     results_path = Path(args.results) if args.results else config.results_path
     if args.timing:
@@ -276,47 +269,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _parse_count_list(raw: str, what: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in raw.split(",") if part.strip())
-    except ValueError as exc:
-        raise UsageError(f"bad {what} list {raw!r}") from exc
-
-
-def cmd_simulate(args) -> int:
-    spec = _load_json(args.scenario, "scenario")
-    if args.na:
-        spec["attention_worker_counts"] = _parse_count_list(args.na, "--na")
-    if args.nf:
-        spec["final_worker_counts"] = _parse_count_list(args.nf, "--nf")
-    try:
-        scenario = SimScenario(
-            frames=tuple(tuple(pair) for pair in spec["frames"]),
-            per_crop_cost_ms=spec["per_crop_cost_ms"],
-            transfer_cost_per_crop_ms=spec["transfer_cost_per_crop_ms"],
-            attention_worker_counts=tuple(
-                spec.get("attention_worker_counts", (0, 1))
-            ),
-            final_worker_counts=tuple(spec.get("final_worker_counts", (1, 2, 4, 8))),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"invalid scenario: {exc!r}") from exc
-
-    rows = simulate_scaling(scenario)
-    if args.out == "-":
-        write_sim_csv(rows, sys.stdout)
-    else:
-        write_sim_csv(rows, args.out)
-        combos = sorted({(r["attention_workers"], r["final_workers"]) for r in rows})
-        for n_a, n_f in combos:
-            print(
-                f"attention_workers={n_a} final_workers={n_f} "
-                f"mean_latency_ms={mean_latency_ms(rows, n_a, n_f):.3f}"
-            )
-        print(f"wrote {len(rows)} rows to {args.out}")
-    return 0
-
-
 def cmd_gen_synthetic(args) -> int:
     spec = _load_json(args.spec, "scene spec") if args.spec else {}
     for key in ("kind", "width", "height", "frame_count", "seed", "object_count"):
@@ -399,13 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ev.set_defaults(func=cmd_eval)
 
-    sim = sub.add_parser("simulate", help="sweep worker counts in the simulator")
-    sim.add_argument("--scenario", required=True, help="scenario JSON path")
-    sim.add_argument("--na", help="attention worker counts, comma-separated")
-    sim.add_argument("--nf", help="final worker counts, comma-separated")
-    sim.add_argument("--out", default="-", help="CSV output path, - for stdout")
-    sim.set_defaults(func=cmd_simulate)
-
     gen = sub.add_parser("gen-synthetic", help="generate a synthetic scene")
     gen.add_argument("--spec", help="scene spec JSON path")
     gen.add_argument("--out", required=True, help="output directory")
@@ -443,10 +388,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (RuntimeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

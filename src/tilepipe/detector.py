@@ -10,10 +10,9 @@ evaluation run identical code paths.
 
 from __future__ import annotations
 
-import random
 from abc import ABC, abstractmethod
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,13 +55,9 @@ class GroundTruthObject:
 
 @dataclass(frozen=True)
 class DetectorProfile:
-    """Static capabilities of a detector instance.
-
-    An empty supported_classes set means the detector is unrestricted.
-    """
+    """Static capabilities of a detector instance."""
 
     input_side: int = MODEL_SIDE
-    supported_classes: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self):
         if self.input_side < 1:
@@ -135,8 +130,9 @@ class SceneOracle(Detector):
 
     Holds the crop catalog (crop_id -> CropSpec) and the per-frame ground
     truth for the scene it serves; tile pixels are accepted for interface
-    fidelity but never inspected. All state is immutable after construction,
-    so instances are safe for concurrent use.
+    fidelity but never inspected, and every class in the ground truth is
+    answered. All state is immutable after construction, so instances are
+    safe for concurrent use.
     """
 
     def __init__(
@@ -158,12 +154,7 @@ class SceneOracle(Detector):
         self._gt = {fid: tuple(objs) for fid, objs in gt_by_frame.items()}
         self._visibility_threshold = visibility_threshold
         self._min_tile_px = min_tile_px
-        if profile is None:
-            classes = frozenset(
-                obj.class_label for objs in self._gt.values() for obj in objs
-            )
-            profile = DetectorProfile(supported_classes=classes)
-        self.profile = profile
+        self.profile = profile or DetectorProfile()
 
     def detect(
         self, frame_id: int, crop_id: int, tile: np.ndarray | None = None
@@ -177,39 +168,9 @@ class SceneOracle(Detector):
             raise ValueError(f"unknown crop_id: {crop_id}")
         crop = self._crops[crop_id]
         gt = self._gt.get(frame_id, ())
-        dets = mock_detect(
+        return mock_detect(
             crop, gt, self._visibility_threshold, min_tile_px=self._min_tile_px
         )
-        if self.profile.supported_classes:
-            dets = [d for d in dets if d.class_label in self.profile.supported_classes]
-        return dets
-
-
-class NoisyOracle(Detector):
-    """Oracle wrapper that drops detections at a seeded, per-crop miss rate.
-
-    The drop decision depends only on (seed, frame_id, crop_id) and the
-    detection order, never on call order, so results stay reproducible under
-    pipelined or multi-worker dispatch. Meant for robustness tests; not used
-    by acceptance runs.
-    """
-
-    def __init__(self, base: Detector, miss_rate: float, seed: int = 0):
-        if not 0.0 <= miss_rate <= 1.0:
-            raise ValueError(f"miss_rate must be in [0, 1], got {miss_rate}")
-        self._base = base
-        self._miss_rate = miss_rate
-        self._seed = seed
-        self.profile = base.profile
-
-    def detect(
-        self, frame_id: int, crop_id: int, tile: np.ndarray | None = None
-    ) -> list[Detection]:
-        dets = self._base.detect(frame_id, crop_id, tile)
-        if self._miss_rate == 0.0:
-            return dets
-        rng = random.Random(f"{self._seed}:{frame_id}:{crop_id}")
-        return [d for d in dets if rng.random() >= self._miss_rate]
 
 
 def cut_tile(

@@ -1,7 +1,6 @@
 """Client-server crop evaluation: framed TCP wire protocol, worker servers,
-a dispatching client whose one stream loop (run_stream) evaluates frames
-with the next frame's attention precomputed, and a scaling simulator for
-planning worker counts.
+and a dispatching client whose one stream loop (run_stream) evaluates
+frames with the next frame's attention precomputed.
 """
 
 from .client import (
@@ -18,7 +17,6 @@ from .client import (
     parse_endpoint,
     run_stream,
 )
-from .sim import SimScenario, simulate_scaling, stage_latency_ms, write_sim_csv
 from .wire import ProtocolError, recv_message, send_message
 from .worker import DetectorServer
 
@@ -27,7 +25,6 @@ __all__ = [
     "DetectorServer",
     "ProtocolError",
     "RemoteFault",
-    "SimScenario",
     "StreamAborted",
     "WorkerError",
     "WorkerMismatch",
@@ -40,7 +37,4 @@ __all__ = [
     "recv_message",
     "run_stream",
     "send_message",
-    "simulate_scaling",
-    "stage_latency_ms",
-    "write_sim_csv",
 ]

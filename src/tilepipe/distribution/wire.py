@@ -19,7 +19,7 @@ Message types:
                  {x, y, w, h, class, confidence}; no payload
   HEALTH         {type, probe (optional)}; no payload. probe names a block
                  whose first shm.PROBE_BYTES bytes are a random nonce.
-  HEALTH_OK      {type, input_side, classes, probe (when asked)}; no
+  HEALTH_OK      {type, input_side, probe (when asked)}; no
                  payload. probe is the hex of the first shm.PROBE_BYTES
                  bytes the worker read from the named block, or null if it
                  could not map it: the nonce comes back only from a worker

@@ -131,11 +131,7 @@ def _read_probe(name) -> str | None:
 def _respond(det: Detector, header: dict, payload: bytes | bytearray) -> bytes:
     kind = header.get("type")
     if kind == "HEALTH":
-        reply = {
-            "type": "HEALTH_OK",
-            "input_side": det.profile.input_side,
-            "classes": sorted(det.profile.supported_classes),
-        }
+        reply = {"type": "HEALTH_OK", "input_side": det.profile.input_side}
         if "probe" in header:
             reply["probe"] = _read_probe(header["probe"])
         return wire.encode_message(reply)
@@ -153,8 +149,6 @@ class _Handler(socketserver.BaseRequestHandler):
         while True:
             try:
                 header, payload = wire.recv_message(self.request)
-            except ConnectionError:
-                return
             except OSError:
                 return
             except wire.ProtocolError as exc:

@@ -242,15 +242,25 @@ def read_ground_truth(path) -> dict[int, list[GroundTruthObject]]:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
+            if not isinstance(row, dict):
+                raise ValueError(
+                    f"{path}:{lineno}: bad ground-truth row: not a JSON object"
+                )
             missing = [f for f in GROUND_TRUTH_FIELDS if f not in row]
             if missing:
                 raise ValueError(f"{path}:{lineno}: missing fields {missing}")
-            obj = GroundTruthObject(
-                Rect(row["x"], row["y"], row["w"], row["h"]),
-                str(row["class"]),
-                str(row["object_id"]),
-            )
-            out.setdefault(int(row["frame_id"]), []).append(obj)
+            try:
+                obj = GroundTruthObject(
+                    Rect(row["x"], row["y"], row["w"], row["h"]),
+                    str(row["class"]),
+                    str(row["object_id"]),
+                )
+                frame_id = int(row["frame_id"])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: bad ground-truth row: {exc}"
+                ) from exc
+            out.setdefault(frame_id, []).append(obj)
     return out
 
 
@@ -411,12 +421,20 @@ def _load_settings(parser: configparser.ConfigParser) -> PipelineSettings:
 
 def read_run_config(path) -> RunConfig:
     """Load a run configuration, resolving relative paths against the file
-    and checking that every referenced input exists."""
+    and checking that every referenced input exists. A file that does not
+    parse as INI raises ValueError naming it."""
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
-    parser.read(path)
+    try:
+        parser.read(path)
+        return _run_config(parser, path)
+    except configparser.Error as exc:
+        raise ValueError(f"{path}: malformed config: {exc}") from exc
+
+
+def _run_config(parser: configparser.ConfigParser, path: Path) -> RunConfig:
     base = path.parent
 
     def resolve(raw: str) -> Path:
@@ -474,55 +492,3 @@ def read_run_config(path) -> RunConfig:
         min_tile_px=det.getint("min_tile_px", 8),
     )
 
-
-def write_run_config(config: RunConfig, path) -> None:
-    """Write a configuration back out as the same key-value format."""
-    parser = configparser.ConfigParser()
-    settings = config.settings
-    pipeline: dict[str, str] = {}
-    preset = settings.preset_name()
-    if preset is not None:
-        pipeline["preset"] = preset
-    else:
-        pipeline["attention_rows"] = str(settings.attention.rows)
-        pipeline["attention_overlap_px"] = str(settings.attention.overlap_px)
-        pipeline["final_rows"] = str(settings.final.rows)
-        pipeline["final_overlap_px"] = str(settings.final.overlap_px)
-    pipeline["attention_margin_px"] = str(settings.attention_margin_px)
-    pipeline["temporal_window"] = str(settings.temporal_window)
-    pipeline["min_confidence"] = repr(settings.min_confidence)
-    parser["pipeline"] = pipeline
-
-    parser["detector"] = {
-        "kind": config.detector,
-        "visibility_threshold": repr(config.visibility_threshold),
-        "min_tile_px": str(config.min_tile_px),
-    }
-
-    paths = {
-        "ground_truth": str(config.ground_truth_path),
-        "results": str(config.results_path),
-    }
-    if config.frames_dir is not None:
-        paths["frames"] = str(config.frames_dir)
-    if config.timing_path is not None:
-        paths["timing"] = str(config.timing_path)
-    parser["paths"] = paths
-
-    if config.frame_width is not None and config.frame_height is not None:
-        parser["frame"] = {
-            "width": str(config.frame_width),
-            "height": str(config.frame_height),
-        }
-
-    if config.cluster is not None:
-        cluster = {
-            "final_workers": ", ".join(config.cluster.final_workers),
-            "request_timeout_s": repr(config.cluster.request_timeout_s),
-        }
-        if config.cluster.attention_workers:
-            cluster["attention_workers"] = ", ".join(config.cluster.attention_workers)
-        parser["cluster"] = cluster
-
-    with open(path, "w") as fh:
-        parser.write(fh)

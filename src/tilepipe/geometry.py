@@ -47,9 +47,6 @@ class Rect:
     def area(self) -> float:
         return self.w * self.h
 
-    def contains_point(self, px: float, py: float) -> bool:
-        return self.x <= px < self.x2 and self.y <= py < self.y2
-
     def intersection(self, other: "Rect") -> "Rect | None":
         """Overlap rect, or None when the overlap has zero area."""
         x1 = max(self.x, other.x)

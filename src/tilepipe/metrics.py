@@ -3,9 +3,9 @@
 Matching is the standard VOC greedy protocol: detections in descending
 confidence order each claim the unmatched same-class ground-truth box with
 the highest IoU, provided that IoU meets the threshold. AP integrates the
-monotone precision envelope over recall (the continuous method);
-average_precision also offers 11-point interpolation. ap_report is the one
-AP report: overall and per-class AP at each requested IoU threshold.
+monotone precision envelope over recall (the continuous method). ap_report
+is the one AP report: overall and per-class AP at each requested IoU
+threshold.
 """
 
 from __future__ import annotations
@@ -121,7 +121,6 @@ def average_precision(
     gts_by_frame: Mapping[int, Sequence[GroundTruthObject]],
     iou_threshold: float,
     *,
-    eleven_point: bool = False,
     class_label: str | None = None,
 ) -> float:
     """AP over a cross-frame global confidence ranking.
@@ -142,14 +141,6 @@ def average_precision(
         tp += flag
         precisions.append(tp / (i + 1))
         recalls.append(tp / total_gt)
-
-    if eleven_point:
-        points = []
-        for tenth in range(11):
-            level = tenth / 10
-            eligible = [p for p, r in zip(precisions, recalls) if r >= level]
-            points.append(max(eligible, default=0.0))
-        return sum(points) / 11
 
     # monotone envelope: best precision achievable at or beyond each recall
     envelope = list(precisions)

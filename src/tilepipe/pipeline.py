@@ -34,7 +34,7 @@ from .geometry import (
     intersects,
     to_global,
 )
-from .postprocess import MergePolicy, postprocess
+from .postprocess import postprocess
 
 import numpy as np
 
@@ -66,13 +66,6 @@ class PipelineSettings:
         if not 0.0 <= self.min_confidence <= 1.0:
             raise ValueError("min_confidence must be in [0, 1]")
 
-    @property
-    def overlap_px(self) -> int | None:
-        """The shared overlap, or None when the two stages disagree."""
-        if self.attention.overlap_px == self.final.overlap_px:
-            return self.attention.overlap_px
-        return None
-
     @classmethod
     def from_preset(cls, text: str, **overrides) -> "PipelineSettings":
         """Build settings from a preset string like "1 att, 3 fin, 50 over"."""
@@ -87,12 +80,6 @@ class PipelineSettings:
             final=CropSettings(fin_rows, overlap),
             **overrides,
         )
-
-    def preset_name(self) -> str | None:
-        """The canonical preset string, when one describes these settings."""
-        if self.overlap_px is None:
-            return None
-        return f"{self.attention.rows} att, {self.final.rows} fin, {self.overlap_px} over"
 
 
 @dataclass(frozen=True)
@@ -279,13 +266,6 @@ class GridPlan:
             1,
             (self.downscale_crop,),
         )
-
-    def crop_by_id(self, crop_id: int) -> CropSpec:
-        if crop_id == self.downscale_crop.crop_id:
-            return self.downscale_crop
-        if crop_id < len(self.attention_grid.crops):
-            return self.attention_grid.crop_by_id(crop_id)
-        return self.final_grid.crop_by_id(crop_id)
 
     def crops_by_id(self) -> dict[int, CropSpec]:
         out = {c.crop_id: c for c in self.attention_grid.crops}
@@ -488,7 +468,7 @@ def finish_detections(
     tagged: Sequence[tuple[int, Detection]], grid: GridSpec, min_confidence: float
 ) -> tuple[Detection, ...]:
     """Postprocess a frame's tagged detections and drop the unconfident ones."""
-    dets = postprocess(tagged, grid, MergePolicy())
+    dets = postprocess(tagged, grid)
     return tuple(d for d in dets if d.confidence >= min_confidence)
 
 

@@ -1,7 +1,5 @@
 """End-to-end tests of the tilepipe command line, run in process."""
 
-import csv
-import io
 import json
 import signal
 import subprocess
@@ -14,12 +12,6 @@ import tilepipe
 from tilepipe.cli import main
 from tilepipe.detector import Detector, DetectorProfile
 from tilepipe.distribution import DetectorServer, client
-from tilepipe.distribution.sim import (
-    SimScenario,
-    mean_latency_ms,
-    simulate_scaling,
-    write_sim_csv,
-)
 from tilepipe.frameio import FrameSource, read_ground_truth, read_results, result_line
 from tilepipe.metrics import ap_report, count_report
 from tilepipe.pipeline import RUN_MODES, PipelineSettings, oracle_for_scene, run_sequence
@@ -211,49 +203,6 @@ def test_mismatched_worker_exits_2(scene_dir, tmp_path, capsys):
     assert not (tmp_path / "remote.jsonl").exists()
 
 
-SCENARIO = {
-    "frames": [[2, 5], [2, 3], [2, 7]],
-    "per_crop_cost_ms": 10.0,
-    "transfer_cost_per_crop_ms": 1.0,
-    "attention_worker_counts": [0, 1],
-    "final_worker_counts": [1, 2],
-}
-
-
-def expected_sim_rows():
-    spec = {**SCENARIO, "frames": tuple(tuple(f) for f in SCENARIO["frames"])}
-    return simulate_scaling(SimScenario(**spec))
-
-
-def test_simulate_writes_csv_to_stdout(tmp_path, capsys):
-    scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps(SCENARIO))
-    assert main(["simulate", "--scenario", str(scenario)]) == 0
-    expected = io.StringIO(newline="")
-    write_sim_csv(expected_sim_rows(), expected)
-    out = capsys.readouterr().out
-    assert list(csv.reader(io.StringIO(out))) == list(
-        csv.reader(io.StringIO(expected.getvalue()))
-    )
-    assert out.startswith("attention_workers,final_workers,frame_id,")
-
-
-def test_simulate_to_file_prints_mean_latencies(tmp_path, capsys):
-    scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps(SCENARIO))
-    out_csv = tmp_path / "sim.csv"
-    assert main(["simulate", "--scenario", str(scenario), "--out", str(out_csv)]) == 0
-    rows = expected_sim_rows()
-    printed = capsys.readouterr().out.splitlines()
-    assert printed[:4] == [
-        f"attention_workers={n_a} final_workers={n_f} "
-        f"mean_latency_ms={mean_latency_ms(rows, n_a, n_f):.3f}"
-        for n_a in (0, 1)
-        for n_f in (1, 2)
-    ]
-    assert printed[4] == f"wrote {len(rows)} rows to {out_csv}"
-
-
 def test_bad_preset_exits_2(scene_dir, tmp_path, capsys):
     config = write_config(tmp_path / "local.ini", scene_dir)
     assert main(["run", "--config", str(config), "--preset", "three rows"]) == 2
@@ -266,3 +215,46 @@ def test_grid_without_preset_or_rows_exits_2(scene_dir, tmp_path, capsys):
     config.write_text(text)
     assert main(["run", "--config", str(config)]) == 2
     assert "attention_rows" in capsys.readouterr().err
+
+
+MALFORMED_CONFIGS = {
+    "no-section-header": lambda text: text.replace("[pipeline]\n", "", 1),
+    "duplicate-key": lambda text: text.replace(
+        "[detector]\n", f"preset = {PRESET}\n[detector]\n", 1
+    ),
+    "lone-percent": lambda text: text.replace(
+        "[detector]\n", "[detector]\nmin_tile_px = 8%\n", 1
+    ),
+}
+CONFIG_COMMANDS = {
+    "run": [],
+    "serve": ["--listen", "127.0.0.1:0"],
+    "eval": [],
+}
+
+
+@pytest.mark.parametrize("command", CONFIG_COMMANDS)
+@pytest.mark.parametrize("malformed", MALFORMED_CONFIGS)
+def test_malformed_config_exits_2(scene_dir, tmp_path, capsys, command, malformed):
+    config = write_config(tmp_path / "local.ini", scene_dir)
+    config.write_text(MALFORMED_CONFIGS[malformed](config.read_text()))
+    argv = [command, "--config", str(config), *CONFIG_COMMANDS[command]]
+    assert main(argv) == 2
+    assert f"{config}: malformed config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "eval"])
+def test_malformed_ground_truth_exits_2(scene_dir, results_path, tmp_path, capsys, command):
+    gt_path = tmp_path / "gt.jsonl"
+    gt_path.write_text((scene_dir / "gt.jsonl").read_text() + "5\n")
+    if command == "run":
+        config = write_config(tmp_path / "local.ini", scene_dir)
+        config.write_text(
+            config.read_text().replace(str(scene_dir / "gt.jsonl"), str(gt_path))
+        )
+        argv = ["run", "--config", str(config)]
+    else:
+        argv = ["eval", "--detections", str(results_path), "--gt", str(gt_path)]
+    assert main(argv) == 2
+    assert f"{gt_path}:" in capsys.readouterr().err
+    assert not (tmp_path / "local.jsonl").exists()

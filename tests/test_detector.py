@@ -11,7 +11,6 @@ from tilepipe.detector import (
     Detection,
     DetectorProfile,
     GroundTruthObject,
-    NoisyOracle,
     SceneOracle,
     cut_tile,
     mock_detect,
@@ -207,18 +206,6 @@ class TestSceneOracle:
         with pytest.raises(ValueError, match="tile"):
             oracle.detect(5, 0, tile[:100])
 
-    def test_profile_defaults_to_scene_classes(self):
-        oracle = simple_oracle()
-        assert oracle.profile.supported_classes == {"person", "car"}
-        assert oracle.profile.input_side == 608
-
-    def test_profile_class_filter(self):
-        oracle = simple_oracle(
-            profile=DetectorProfile(supported_classes=frozenset({"person"}))
-        )
-        assert oracle.detect(5, 1) == []
-        assert [d.class_label for d in oracle.detect(5, 0)] == ["person"]
-
     def test_threshold_validated(self):
         with pytest.raises(ValueError):
             simple_oracle(threshold=0.0)
@@ -229,41 +216,6 @@ class TestSceneOracle:
         with ThreadPoolExecutor(max_workers=8) as pool:
             parallel = list(pool.map(lambda i: oracle.detect(5, i % 2), range(40)))
         assert parallel == serial
-
-
-class TestNoisyOracle:
-    def _busy_oracle(self):
-        crops = {0: make_crop(0, 0, 0, 608)}
-        gt = {
-            1: [
-                GroundTruthObject(Rect(10 * i, 10, 9, 9), "person", f"o{i}")
-                for i in range(50)
-            ]
-        }
-        return SceneOracle(crops, gt, 0.3)
-
-    def test_zero_miss_rate_is_transparent(self):
-        base = self._busy_oracle()
-        noisy = NoisyOracle(base, 0.0, seed=7)
-        assert noisy.detect(1, 0) == base.detect(1, 0)
-
-    def test_full_miss_rate_drops_everything(self):
-        noisy = NoisyOracle(self._busy_oracle(), 1.0, seed=7)
-        assert noisy.detect(1, 0) == []
-
-    def test_seeded_and_call_order_independent(self):
-        base = self._busy_oracle()
-        a = NoisyOracle(base, 0.5, seed=7)
-        b = NoisyOracle(base, 0.5, seed=7)
-        first = a.detect(1, 0)
-        a.detect(1, 0)  # extra call must not shift later results
-        assert a.detect(1, 0) == first == b.detect(1, 0)
-        kept = len(first)
-        assert 0 < kept < 50
-
-    def test_miss_rate_validated(self):
-        with pytest.raises(ValueError):
-            NoisyOracle(self._busy_oracle(), 1.5)
 
 
 class TestCutTile:

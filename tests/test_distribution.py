@@ -163,8 +163,7 @@ class TestWorker:
     def test_health(self):
         with DetectorServer(make_oracle()) as server:
             reply = check_health(server.endpoint)
-        assert reply["input_side"] == 608
-        assert reply["classes"] == ["car", "person"]
+        assert reply == {"type": "HEALTH_OK", "input_side": 608}
 
     def test_zero_crops(self):
         with DetectorServer(make_oracle()) as server:

@@ -22,7 +22,6 @@ from tilepipe.frameio import (
     write_ground_truth,
     write_ppm,
     write_results,
-    write_run_config,
     write_timing_csv,
 )
 from tilepipe.geometry import CropSettings, Rect
@@ -281,6 +280,27 @@ class TestGroundTruthIo:
         with pytest.raises(ValueError, match="object_id"):
             read_ground_truth(path)
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "5",
+            "null",
+            '{"class":"car","frame_id":0,"h":4,"object_id":"z","w":4,"x":"a","y":0}',
+            '{"class":"car","frame_id":0,"h":4,"object_id":"z","w":0,"x":0,"y":0}',
+            '{"class":"car","frame_id":"a","h":4,"object_id":"z","w":4,"x":0,"y":0}',
+        ],
+        ids=["number", "null", "text-coordinate", "zero-width", "text-frame-id"],
+    )
+    def test_bad_row_names_line(self, tmp_path, row):
+        path = tmp_path / "gt.jsonl"
+        path.write_text(
+            '{"class":"car","frame_id":0,"h":4,"object_id":"z","w":4,"x":0,"y":0}\n'
+            + row
+            + "\n"
+        )
+        with pytest.raises(ValueError, match=":2: bad ground-truth row"):
+            read_ground_truth(path)
+
 
 def make_result(fid=7, timing=None):
     detections = (
@@ -427,7 +447,13 @@ class TestRunConfig:
     def test_round_trip_local(self, tmp_path):
         config = self.oracle_config(tmp_path, timing_path=tmp_path / "timing.csv")
         path = tmp_path / "run.cfg"
-        write_run_config(config, path)
+        path.write_text(
+            "[pipeline]\npreset = 1 att, 3 fin, 20 over\n"
+            "[detector]\nkind = oracle\n"
+            "[paths]\nground_truth = gt.jsonl\nresults = results.jsonl\n"
+            "timing = timing.csv\n"
+            "[frame]\nwidth = 1280\nheight = 720\n"
+        )
         assert read_run_config(path) == config
 
     def test_round_trip_remote(self, tmp_path):
@@ -438,7 +464,14 @@ class TestRunConfig:
         )
         config = self.oracle_config(tmp_path, detector="remote", cluster=cluster)
         path = tmp_path / "run.cfg"
-        write_run_config(config, path)
+        path.write_text(
+            "[pipeline]\npreset = 1 att, 3 fin, 20 over\n"
+            "[detector]\nkind = remote\n"
+            "[paths]\nground_truth = gt.jsonl\nresults = results.jsonl\n"
+            "[frame]\nwidth = 1280\nheight = 720\n"
+            "[cluster]\nfinal_workers = 127.0.0.1:7601, 127.0.0.1:7602\n"
+            "attention_workers = 127.0.0.1:7600\nrequest_timeout_s = 12.5\n"
+        )
         assert read_run_config(path) == config
 
     def test_round_trip_with_frames_dir(self, tmp_path):
@@ -448,7 +481,12 @@ class TestRunConfig:
             frame_width=None, frame_height=None,
         )
         path = tmp_path / "run.cfg"
-        write_run_config(config, path)
+        path.write_text(
+            "[pipeline]\npreset = 1 att, 3 fin, 20 over\n"
+            "[detector]\nkind = oracle\n"
+            "[paths]\nground_truth = gt.jsonl\nresults = results.jsonl\n"
+            "frames = frames\n"
+        )
         assert read_run_config(path) == config
 
     def test_relative_paths_resolve_against_config(self, tmp_path):
@@ -505,6 +543,25 @@ class TestRunConfig:
         (tmp_path / "run.cfg").write_text("[pipeline]\npreset = 1 att, 3 fin, 20 over\n")
         with pytest.raises(ValueError, match="detector"):
             read_run_config(tmp_path / "run.cfg")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "preset = 1 att, 3 fin, 20 over\n",
+            "[pipeline]\npreset = 1 att, 3 fin, 20 over\npreset = 1 att, 2 fin, 20 over\n",
+            "[pipeline]\npreset = 1 att, 3 fin, 20 over\n"
+            "[detector]\nkind = oracle\n"
+            "[frame]\nwidth = 1280\nheight = 720\n"
+            "[paths]\nground_truth = gt.jsonl\nresults = 100%.jsonl\n",
+        ],
+        ids=["no-section-header", "duplicate-key", "lone-percent"],
+    )
+    def test_malformed_file_names_it(self, tmp_path, text):
+        write_minimal_gt(tmp_path / "gt.jsonl")
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="run.cfg: malformed config"):
+            read_run_config(path)
 
     def test_validation(self, tmp_path):
         with pytest.raises(ValueError, match="detector"):

@@ -194,7 +194,12 @@ class TestBuildGrid:
         ys = sorted(y for y in ys if 0 <= y < frame_h)
         for px in xs:
             for py in ys:
-                if not any(c.global_rect.contains_point(px + 0.5, py + 0.5) for c in grid_crops):
+                cx, cy = px + 0.5, py + 0.5
+                if not any(
+                    c.global_rect.x <= cx < c.global_rect.x2
+                    and c.global_rect.y <= cy < c.global_rect.y2
+                    for c in grid_crops
+                ):
                     return False
         return True
 

@@ -155,17 +155,6 @@ class TestAveragePrecision:
         ]
         assert average_precision(*one_frame(dets, gts), 0.5) == pytest.approx(5 / 9)
 
-    def test_hand_computed_curve_eleven_point(self):
-        # max precision is 1 for recall levels 0..0.3, 2/3 for 0.4..0.6
-        gts = [gt(300 * i, 0, 50, 50, oid=f"g{i}") for i in range(3)]
-        dets = [
-            det(0, 0, 50, 50, 0.9),
-            det(900, 900, 50, 50, 0.8),
-            det(300, 0, 50, 50, 0.7),
-        ]
-        value = average_precision(*one_frame(dets, gts), 0.5, eleven_point=True)
-        assert value == pytest.approx((4 * 1.0 + 3 * (2 / 3)) / 11)
-
     def test_ranking_is_global_across_frames(self):
         # frame 1's strong FP outranks frame 2's weaker TP
         dets_by_frame = {

@@ -74,22 +74,13 @@ class TestPipelineSettings:
         s = PipelineSettings.from_preset("1 att, 3 fin, 50 over")
         assert s.attention == CropSettings(1, 50)
         assert s.final == CropSettings(3, 50)
-        assert s.overlap_px == 50
+        assert s.attention.overlap_px == s.final.overlap_px == 50
         s = PipelineSettings.from_preset("2 att, 6 fin, 20 over")
         assert (s.attention.rows, s.final.rows) == (2, 6)
-
-    def test_preset_name_round_trip(self):
-        for text in ("1 att, 2 fin, 50 over", "2 att, 6 fin, 20 over"):
-            assert PipelineSettings.from_preset(text).preset_name() == text
 
     def test_bad_preset_rejected(self):
         with pytest.raises(ValueError):
             PipelineSettings.from_preset("3 rows, 20 over")
-
-    def test_mixed_overlap_has_no_shared_value(self):
-        s = PipelineSettings(CropSettings(1, 20), CropSettings(3, 50))
-        assert s.overlap_px is None
-        assert s.preset_name() is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -112,7 +103,7 @@ class TestGridPlan:
         assert plan.downscale_id == 20
         assert plan.downscale_crop.global_rect == Rect(0, 0, 3840, 3840)
         for crop_id, spec in plan.crops_by_id().items():
-            assert plan.crop_by_id(crop_id) == spec
+            assert spec.crop_id == crop_id
 
     def test_downscale_grid_wraps_pseudo_crop(self):
         plan = GridPlan.build(1280, 720, SETTINGS_720)
@@ -448,7 +439,7 @@ class TestRunSequence:
 
     @pytest.mark.parametrize("mode", RUN_MODES)
     def test_every_mode_names_postprocess_failure(self, mode, monkeypatch):
-        def broken(tagged, grid, policy):
+        def broken(tagged, grid):
             raise ArithmeticError("boom")
 
         monkeypatch.setattr("tilepipe.pipeline.postprocess", broken)

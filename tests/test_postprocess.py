@@ -6,7 +6,7 @@ import pytest
 
 from tilepipe.detector import Detection
 from tilepipe.geometry import CropSettings, Rect, build_grid
-from tilepipe.postprocess import MergePolicy, merge_split, nms_keep_indices, postprocess
+from tilepipe.postprocess import merge_split, nms_keep_indices, postprocess
 
 
 def nms(dets, threshold):
@@ -39,23 +39,6 @@ def reference_nms(dets, threshold):
 
 def det(x, y, w, h, conf, label="person"):
     return Detection(Rect(x, y, w, h), label, conf)
-
-
-class TestMergePolicy:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MergePolicy(nms_iou=0.0)
-        with pytest.raises(ValueError):
-            MergePolicy(nms_iou=1.0)
-        with pytest.raises(ValueError):
-            MergePolicy(vertical_gap_px=-1)
-        with pytest.raises(ValueError):
-            MergePolicy(mergeable_classes={"person": "diagonal"})
-
-    def test_defaults(self):
-        policy = MergePolicy()
-        assert policy.nms_iou == 0.45
-        assert policy.mergeable_classes == {"person": "vertical"}
 
 
 class TestNms:
@@ -131,37 +114,23 @@ def upper_lower_fragments():
 
 class TestMergeSplit:
     def test_vertical_fragments_merge_to_union(self):
-        out = merge_split(upper_lower_fragments(), GRID, MergePolicy())
+        out = merge_split(upper_lower_fragments(), GRID)
         assert out == [det(50, 120, 60, 200, 0.67)]
 
     def test_same_crop_never_merges(self):
         tagged = [(0, det(50, 120, 60, 80, 0.9)), (0, det(50, 205, 60, 40, 0.8))]
-        assert len(merge_split(tagged, GRID, MergePolicy())) == 2
+        assert len(merge_split(tagged, GRID)) == 2
 
     def test_person_fragments_do_not_merge_horizontally(self):
         tagged = [(0, det(200, 100, 54, 80, 0.6)), (1, det(254, 100, 40, 80, 0.5))]
-        assert len(merge_split(tagged, GRID, MergePolicy())) == 2
+        assert len(merge_split(tagged, GRID)) == 2
 
     def test_class_without_rule_never_merges(self):
         tagged = [
             (crop_id, Detection(d.rect, "car", d.confidence))
             for crop_id, d in upper_lower_fragments()
         ]
-        assert len(merge_split(tagged, GRID, MergePolicy())) == 2
-
-    def test_horizontal_rule_merges_across_vertical_border(self):
-        policy = MergePolicy(mergeable_classes={"car": "horizontal"})
-        tagged = [
-            (0, det(200, 100, 54, 80, 0.6, "car")),
-            (1, det(254, 100, 40, 80, 0.5, "car")),
-        ]
-        assert merge_split(tagged, GRID, policy) == [det(200, 100, 94, 80, 0.6, "car")]
-
-    def test_both_rule_merges_either_axis(self):
-        policy = MergePolicy(mergeable_classes={"person": "both"})
-        assert len(merge_split(upper_lower_fragments(), GRID, policy)) == 1
-        tagged = [(0, det(200, 100, 54, 80, 0.6)), (1, det(254, 100, 40, 80, 0.5))]
-        assert len(merge_split(tagged, GRID, policy)) == 1
+        assert len(merge_split(tagged, GRID)) == 2
 
     def test_three_row_chain_collapses_to_one_box(self):
         tagged = [
@@ -169,20 +138,20 @@ class TestMergeSplit:
             (GRID.cols, det(60, 233, 50, 254, 0.64)),
             (2 * GRID.cols, det(60, 466, 50, 34, 0.35)),
         ]
-        out = merge_split(tagged, GRID, MergePolicy())
+        out = merge_split(tagged, GRID)
         assert out == [det(60, 100, 50, 400, 0.64)]
 
     def test_gap_boundary_inclusive(self):
         near = [(0, det(50, 100, 60, 100, 0.7)), (GRID.cols, det(50, 240, 60, 50, 0.6))]
         far = [(0, det(50, 100, 60, 100, 0.7)), (GRID.cols, det(50, 241, 60, 50, 0.6))]
-        assert len(merge_split(near, GRID, MergePolicy())) == 1
-        assert len(merge_split(far, GRID, MergePolicy())) == 2
+        assert len(merge_split(near, GRID)) == 1
+        assert len(merge_split(far, GRID)) == 2
 
     def test_alignment_boundary_inclusive(self):
         ok = [(0, det(50, 120, 60, 134, 0.7)), (GRID.cols, det(80, 233, 60, 87, 0.6))]
         off = [(0, det(50, 120, 60, 134, 0.7)), (GRID.cols, det(81, 233, 60, 87, 0.6))]
-        assert len(merge_split(ok, GRID, MergePolicy())) == 1
-        assert len(merge_split(off, GRID, MergePolicy())) == 2
+        assert len(merge_split(ok, GRID)) == 1
+        assert len(merge_split(off, GRID)) == 2
 
     def test_random_never_grows_and_unions_stay_on_input_edges(self):
         rng = random.Random(5)
@@ -196,7 +165,7 @@ class TestMergeSplit:
                 tagged.append(
                     (crop_id, det(x, y, rng.randint(10, 100), rng.randint(10, 100), 0.5))
                 )
-            out = merge_split(tagged, GRID, MergePolicy())
+            out = merge_split(tagged, GRID)
             assert len(out) <= len(tagged)
             xs = {d.rect.x for _, d in tagged}
             ys = {d.rect.y for _, d in tagged}
@@ -212,7 +181,7 @@ class TestPostprocess:
         frags = upper_lower_fragments()
         # a second look at the upper fragment from the column 1 crop
         dup = (1, det(51, 121, 59, 133, 0.60))
-        out = postprocess(frags + [dup], GRID, MergePolicy())
+        out = postprocess(frags + [dup], GRID)
         assert out == [det(50, 120, 60, 200, 0.67)]
 
     def test_nms_runs_before_merge(self):
@@ -221,7 +190,7 @@ class TestPostprocess:
             (0, det(50, 100, 60, 150, 0.7)),
             (GRID.cols, det(50, 140, 60, 120, 0.6)),
         ]
-        assert postprocess(tagged, GRID, MergePolicy()) == [det(50, 100, 60, 150, 0.7)]
+        assert postprocess(tagged, GRID) == [det(50, 100, 60, 150, 0.7)]
 
     def test_empty_input(self):
-        assert postprocess([], GRID, MergePolicy()) == []
+        assert postprocess([], GRID) == []

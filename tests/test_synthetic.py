@@ -104,7 +104,7 @@ class TestRender:
         cy = round(obj.rect.y + obj.rect.h / 2)
         assert tuple(canvas[cy, cx]) == class_color(obj.class_label)
         assert tuple(canvas[0, 0]) == (24, 24, 24) or any(
-            o.rect.contains_point(0, 0) for o in scene[0]
+            o.rect.x <= 0 < o.rect.x2 and o.rect.y <= 0 < o.rect.y2 for o in scene[0]
         )
 
     def test_unknown_class_color_is_stable(self):
