@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import statistics
 import sys
 import time
@@ -27,6 +28,7 @@ from .distribution import (
     run_stream,
 )
 from .frameio import (
+    FrameDecodeError,
     FrameSource,
     RunConfig,
     frame_file_name,
@@ -72,6 +74,15 @@ def _load_json(path: str, what: str) -> dict:
     return loaded
 
 
+def _open_frames(directory) -> FrameSource:
+    """The run's frame source; a directory that holds no readable first
+    frame is a configuration error."""
+    try:
+        return FrameSource.open(directory)
+    except (FileNotFoundError, FrameDecodeError) as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _effective_settings(config: RunConfig, args) -> PipelineSettings:
     settings = config.settings
     try:
@@ -103,7 +114,7 @@ def _scene_inputs(config: RunConfig):
     except (OSError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
     if config.frames_dir is not None:
-        source = FrameSource.open(config.frames_dir)
+        source = _open_frames(config.frames_dir)
         if config.frame_width is not None and (
             config.frame_width != source.width
             or config.frame_height != source.height
@@ -208,7 +219,7 @@ def cmd_serve(args) -> int:
     except (OSError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
     if config.frames_dir is not None:
-        source = FrameSource.open(config.frames_dir)
+        source = _open_frames(config.frames_dir)
         width, height = source.width, source.height
     else:
         width, height = config.frame_width, config.frame_height
@@ -384,7 +395,16 @@ def _add_oracle_flags(sub) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Stdout's reader went away (say, `| head -1`). run, eval and
+        # gen-synthetic print only once their files are written, and worker
+        # sockets' errors surface as StreamAborted, not here. Point stdout
+        # at devnull, so that the flush at interpreter exit prints nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,7 +1,10 @@
 """Frame, annotation, result, and configuration persistence.
 
 Frames are binary PPM (P6) files named frame_%06d.ppm so any tool can
-produce or inspect them without codec dependencies. All persisted
+produce or inspect them without codec dependencies. A frame's pixels are a
+read-only view of its file, mapped rather than copied (see read_ppm): a
+frame file may be unlinked or replaced with os.replace while its frame is
+alive, but must not be truncated or rewritten in place. All persisted
 coordinates are integer global pixels; confidences are written with six
 decimal places so identical runs produce identical bytes. Wall-clock
 timings never go into the results file (reruns would differ byte-wise);
@@ -13,6 +16,7 @@ from __future__ import annotations
 import configparser
 import csv
 import json
+import mmap
 import os
 import re
 from collections.abc import Iterator, Mapping, Sequence
@@ -124,23 +128,31 @@ def _ppm_size(path) -> tuple[int, int]:
 
 
 def read_ppm(path) -> np.ndarray:
-    """Read a binary PPM into a new HxWx3 uint8 array.
+    """A binary PPM's pixels as a read-only HxWx3 uint8 view of the file.
 
-    The raster is read straight into the array's memory, so each call
-    returns an array of its own that aliases no file data or other frame.
-    Nothing is allocated for a header that claims more than the file holds.
+    The file is mapped, not read: no pixel is copied, and a page is read in
+    only when something first touches it. Each call makes a mapping of its
+    own, with a file descriptor of its own, which lives as long as the
+    returned array (or a view of it) does.
+    Nothing is mapped for a header that claims more than the file holds.
+
+    The mapping shares the file's pages. Unlinking the file, or replacing
+    it with os.replace, leaves the array as it was. Truncating or rewriting
+    the file in place while the array is alive does not: the array then
+    shows the new bytes, and touching a page past the new end kills the
+    process with SIGBUS.
     """
     with open(path, "rb") as fh:
         width, height, offset = _read_header(fh, path)
         expected = width * height * 3
         got = os.fstat(fh.fileno()).st_size - offset
-        if got >= expected:
-            pixels = np.empty((height, width, 3), dtype=np.uint8)
-            fh.seek(offset)
-            got = fh.readinto(memoryview(pixels).cast("B"))
-    if got < expected:
-        raise FrameDecodeError(f"{path}: raster truncated, {got} of {expected} bytes")
-    return pixels
+        if got < expected:
+            raise FrameDecodeError(
+                f"{path}: raster truncated, {got} of {expected} bytes"
+            )
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    pixels = np.frombuffer(mapped, dtype=np.uint8, count=expected, offset=offset)
+    return pixels.reshape(height, width, 3)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,10 @@ hooked call out from under its hook fails here, not only in
 
 The cluster case runs on both request transports: tiles as the TCP payload
 (the probe is made to fail, as for a worker on another host) and tiles in a
-shared-memory block, which in-process workers can map.
+shared-memory block, which in-process workers can map. Every case runs on
+frames built in memory and on the same frames written as PPMs and read
+through FrameSource, as the benchmark reads them: the oracle never looks at
+pixels, so only the block check here sees tiles cut from mapped files.
 """
 
 import sys
@@ -31,6 +34,7 @@ from perfbench.spans import Hooks, Recorder  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
 from tilepipe.distribution import ClusterConfig, DetectorServer, run_stream  # noqa: E402
 from tilepipe.distribution import client, shm  # noqa: E402
+from tilepipe.frameio import FrameSource, frame_file_name, write_ppm  # noqa: E402
 from tilepipe.geometry import MODEL_SIDE  # noqa: E402
 from tilepipe.pipeline import (  # noqa: E402
     Frame,
@@ -79,16 +83,23 @@ def ground_truth():
     return generate_scene(SceneSpec("mixed", WIDTH, HEIGHT, frame_count=3, seed=0))
 
 
+CASES = [
+    ("local-4k-mixed", None, "local-4k-mixed"),
+    ("cluster-4k-mixed", "tcp", "cluster-4k-mixed"),
+    ("cluster-4k-mixed", "shm", "cluster-4k-mixed-shm"),
+]
+
+
 @pytest.mark.parametrize(
-    "name, transport",
+    "name, transport, source",
     [
-        pytest.param("local-4k-mixed", None, id="local-4k-mixed"),
-        pytest.param("cluster-4k-mixed", "tcp", id="cluster-4k-mixed"),
-        pytest.param("cluster-4k-mixed", "shm", id="cluster-4k-mixed-shm"),
+        pytest.param(name, transport, source, id=case + suffix)
+        for name, transport, case in CASES
+        for source, suffix in (("memory", ""), ("ppm", "-ppm"))
     ],
 )
 def test_traced_run_records_every_required_span(
-    name, transport, ground_truth, monkeypatch
+    name, transport, source, ground_truth, monkeypatch, tmp_path
 ):
     workload = WORKLOADS[name]
     settings = PipelineSettings.from_preset(workload.scene.preset)
@@ -98,6 +109,11 @@ def test_traced_run_records_every_required_span(
         Frame(fid, WIDTH, HEIGHT, render_frame(WIDTH, HEIGHT, objects))
         for fid, objects in sorted(ground_truth.items())
     ]
+    run_frames = frames
+    if source == "ppm":
+        for frame in frames:
+            write_ppm(tmp_path / frame_file_name(frame.frame_id), frame.pixels)
+        run_frames = FrameSource.open(tmp_path).frames()
     if transport == "tcp":
         monkeypatch.setattr(client, "_echoes_probe", lambda reply, nonce: False)
     recorder = Recorder()
@@ -118,9 +134,9 @@ def test_traced_run_records_every_required_span(
                                           plan.crops_by_id()))
             install_client(hooks, recorder, workload, len(plan.attention_grid.crops))
             if workload.cluster:
-                results = run_stream(frames, settings, cluster)
+                results = run_stream(run_frames, settings, cluster)
             else:
-                results = list(run_sequence(frames, settings, oracle, plan=plan))
+                results = list(run_sequence(run_frames, settings, oracle, plan=plan))
         finally:
             hooks.restore()
 

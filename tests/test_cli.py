@@ -1,6 +1,7 @@
 """End-to-end tests of the tilepipe command line, run in process."""
 
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -12,7 +13,13 @@ import tilepipe
 from tilepipe.cli import main
 from tilepipe.detector import Detector, DetectorProfile
 from tilepipe.distribution import DetectorServer, client
-from tilepipe.frameio import FrameSource, read_ground_truth, read_results, result_line
+from tilepipe.frameio import (
+    FrameSource,
+    frame_file_name,
+    read_ground_truth,
+    read_results,
+    result_line,
+)
 from tilepipe.metrics import ap_report, count_report
 from tilepipe.pipeline import RUN_MODES, PipelineSettings, oracle_for_scene, run_sequence
 
@@ -257,4 +264,44 @@ def test_malformed_ground_truth_exits_2(scene_dir, results_path, tmp_path, capsy
         argv = ["eval", "--detections", str(results_path), "--gt", str(gt_path)]
     assert main(argv) == 2
     assert f"{gt_path}:" in capsys.readouterr().err
+    assert not (tmp_path / "local.jsonl").exists()
+
+
+def test_run_into_a_closed_stdout_exits_0(scene_dir, tmp_path):
+    """A reader that went away (`tilepipe run … | head -1`) after the run
+    wrote its files does not make a finished run fail."""
+    config = write_config(tmp_path / "local.ini", scene_dir)
+    argv = [sys.executable, "-m", "tilepipe.cli", "run", "--config", str(config)]
+    env = {"PYTHONPATH": str(Path(tilepipe.__file__).parents[1])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(argv, env=env, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert (tmp_path / "local.jsonl").read_bytes() == reference_bytes(scene_dir)
+
+
+BAD_FRAME_DIRS = {
+    "no-frames": {},
+    "p5-first-frame": {frame_file_name(0): b"P5\n1280 720\n255\n" + bytes(1280 * 720)},
+}
+
+
+@pytest.mark.parametrize("command", ["run", "serve"])
+@pytest.mark.parametrize("frames", BAD_FRAME_DIRS)
+def test_bad_frames_directory_exits_2(scene_dir, tmp_path, capsys, command, frames):
+    frames_dir = tmp_path / "frames"
+    frames_dir.mkdir()
+    for name, data in BAD_FRAME_DIRS[frames].items():
+        (frames_dir / name).write_bytes(data)
+    config = write_config(tmp_path / "local.ini", scene_dir)
+    config.write_text(
+        config.read_text().replace(f"frames = {scene_dir}", f"frames = {frames_dir}")
+    )
+    argv = [command, "--config", str(config), *CONFIG_COMMANDS[command]]
+    assert main(argv) == 2
+    assert str(frames_dir) in capsys.readouterr().err
     assert not (tmp_path / "local.jsonl").exists()

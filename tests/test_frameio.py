@@ -1,11 +1,12 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
 
 from tilepipe.detector import Detection, GroundTruthObject
-from tilepipe.distribution import ClusterConfig
+from tilepipe.distribution import ClusterConfig, DetectorServer, run_stream
 from tilepipe.frameio import (
     TIMING_CSV_COLUMNS,
     FrameDecodeError,
@@ -25,7 +26,14 @@ from tilepipe.frameio import (
     write_timing_csv,
 )
 from tilepipe.geometry import CropSettings, Rect
-from tilepipe.pipeline import FrameResult, PipelineSettings, TimingProfile
+from tilepipe.pipeline import (
+    FrameResult,
+    PipelineSettings,
+    TimingProfile,
+    oracle_for_scene,
+    run_sequence,
+)
+from tilepipe.synthetic import SceneSpec, generate_scene, render_frame
 
 
 def checker(width, height, seed=0):
@@ -86,7 +94,8 @@ class TestPpm:
         write_ppm(path, pixels)
         before = path.read_bytes()
         loaded = read_ppm(path)
-        loaded[:] = 0  # returned array is a private copy
+        with pytest.raises(ValueError):
+            loaded[:] = 0  # the returned array is a read-only view
         assert path.read_bytes() == before
         assert np.array_equal(read_ppm(path), pixels)
 
@@ -222,6 +231,88 @@ class TestFrameSource:
         load_frame(source, 0)
         load_frame(source, 0)
         assert path.read_bytes() == before
+
+
+class TestMappedFrames:
+    """What a frame whose pixels map its file promises its holders."""
+
+    def test_pixels_are_read_only(self, tmp_path):
+        write_sequence(tmp_path / "frames", [0, 1])
+        source = FrameSource.open(tmp_path / "frames")
+        for pixels in (
+            read_ppm(source.path_for(0)),
+            *(frame.pixels for frame in source.frames()),
+        ):
+            assert not pixels.flags.writeable
+            with pytest.raises(ValueError):
+                pixels[0, 0] = 0
+
+    @pytest.mark.parametrize("change", ["unlink", "replace"])
+    def test_pixels_outlive_their_file(self, tmp_path, change):
+        write_sequence(tmp_path / "frames", [0, 1])
+        frames = FrameSource.open(tmp_path / "frames").frames()
+        frame = next(frames)
+        path = tmp_path / "frames" / frame_file_name(0)
+        if change == "unlink":
+            path.unlink()
+        else:
+            write_ppm(tmp_path / "new.ppm", np.zeros((8, 16, 3), dtype=np.uint8))
+            os.replace(tmp_path / "new.ppm", path)
+        assert np.array_equal(frame.pixels, checker(16, 8, seed=0))
+
+
+MAPPED_SIDE = (640, 360)
+MAPPED_SETTINGS = PipelineSettings.from_preset("1 att, 2 fin, 20 over")
+
+
+def mapped_files(paths) -> int:
+    """How many of ``paths`` this process maps, from /proc/self/maps."""
+    with open("/proc/self/maps") as fh:
+        named = {
+            parts[5].rstrip("\n")
+            for line in fh
+            if len(parts := line.split(maxsplit=5)) == 6
+        }
+    return sum(str(path) in named for path in paths)
+
+
+@pytest.fixture(scope="module")
+def mapped_sequence(tmp_path_factory):
+    """A 12-frame PPM sequence and its scene's oracle."""
+    width, height = MAPPED_SIDE
+    scene = generate_scene(SceneSpec("mixed", width, height, frame_count=12, seed=0))
+    directory = tmp_path_factory.mktemp("mapped").resolve()
+    for frame_id, objects in scene.items():
+        write_ppm(directory / frame_file_name(frame_id), render_frame(width, height, objects))
+    oracle = oracle_for_scene(width, height, MAPPED_SETTINGS, scene)
+    return FrameSource.open(directory), oracle
+
+
+@pytest.mark.parametrize("loop", ["run_sequence", "run_stream"])
+def test_a_run_maps_at_most_two_frames(mapped_sequence, loop):
+    """Each mapping holds a file descriptor and the frame's pages: a run
+    must let go of a frame's mapping once it is done with the frame."""
+    source, oracle = mapped_sequence
+    paths = [source.path_for(i) for i in range(len(source))]
+    mapped_at_pull = []
+
+    def pulls():
+        for frame in source.frames():
+            mapped_at_pull.append(mapped_files(paths))
+            yield frame
+
+    if loop == "run_sequence":
+        results = list(run_sequence(pulls(), MAPPED_SETTINGS, oracle))
+    else:
+        with DetectorServer(oracle) as att, DetectorServer(oracle) as fin:
+            cluster = ClusterConfig(
+                final_workers=(fin.endpoint,), attention_workers=(att.endpoint,)
+            )
+            results = run_stream(pulls(), MAPPED_SETTINGS, cluster)
+    assert [r.frame_id for r in results] == list(range(12))
+    assert len(mapped_at_pull) == 12
+    assert 1 <= max(mapped_at_pull) <= 2
+    assert mapped_files(paths) == 0
 
 
 def gt(x, y, w, h, label="person", oid="a", fid=0):
