@@ -5,6 +5,11 @@ over a frame source; in process through pipeline.run_sequence, or on
 workers through run_stream), serve (a worker process), eval (AP metrics
 for a results file), gen-synthetic (test scenes with ground truth).
 
+A run's grid and oracle settings come only from its config file (see
+frameio.read_run_config); no flag overrides them. The flags of run and
+serve name only what differs between runs of one config: run's mode and
+output paths, serve's listen address and ground-truth path.
+
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error
 (a worker whose detector takes tiles of another size counts as one).
 """
@@ -12,7 +17,6 @@ Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import statistics
@@ -45,7 +49,6 @@ from .pipeline import (
     RUN_MODES,
     Frame,
     GridPlan,
-    PipelineSettings,
     oracle_for_scene,
     run_sequence,
 )
@@ -83,34 +86,11 @@ def _open_frames(directory) -> FrameSource:
         raise UsageError(str(exc)) from exc
 
 
-def _effective_settings(config: RunConfig, args) -> PipelineSettings:
-    settings = config.settings
+def _scene_inputs(config: RunConfig, gt_path: Path):
+    """Ground truth, frame dimensions, and the frame iterable for a run
+    (run) or a worker (serve)."""
     try:
-        if args.preset:
-            settings = PipelineSettings.from_preset(
-                args.preset,
-                attention_margin_px=settings.attention_margin_px,
-                temporal_window=settings.temporal_window,
-                min_confidence=settings.min_confidence,
-            )
-        overrides = {}
-        if args.attention_margin_px is not None:
-            overrides["attention_margin_px"] = args.attention_margin_px
-        if args.temporal_window is not None:
-            overrides["temporal_window"] = args.temporal_window
-        if args.min_confidence is not None:
-            overrides["min_confidence"] = args.min_confidence
-        if overrides:
-            settings = dataclasses.replace(settings, **overrides)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    return settings
-
-
-def _scene_inputs(config: RunConfig):
-    """Ground truth, frame dimensions, and the frame iterable for a run."""
-    try:
-        gt_by_frame = read_ground_truth(config.ground_truth_path)
+        gt_by_frame = read_ground_truth(gt_path)
     except (OSError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
     if config.frames_dir is not None:
@@ -129,16 +109,11 @@ def _scene_inputs(config: RunConfig):
     return gt_by_frame, width, height, frames
 
 
-def _oracle(config: RunConfig, settings, gt_by_frame, width, height, args):
-    visibility = config.visibility_threshold
-    min_tile = config.min_tile_px
-    if args.visibility_threshold is not None:
-        visibility = args.visibility_threshold
-    if args.min_tile_px is not None:
-        min_tile = args.min_tile_px
+def _oracle(config: RunConfig, gt_by_frame, width, height):
     try:
         return oracle_for_scene(
-            width, height, settings, gt_by_frame, visibility, min_tile_px=min_tile
+            width, height, config.settings, gt_by_frame,
+            config.visibility_threshold, min_tile_px=config.min_tile_px,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -166,8 +141,10 @@ def _print_run_summary(results, wall_s: float, mode: str) -> None:
 def cmd_run(args) -> int:
     config = _load_config(args.config)
     mode = args.mode
-    settings = _effective_settings(config, args)
-    gt_by_frame, width, height, frames = _scene_inputs(config)
+    settings = config.settings
+    gt_by_frame, width, height, frames = _scene_inputs(
+        config, config.ground_truth_path
+    )
 
     results_path = Path(args.results) if args.results else config.results_path
     if args.timing:
@@ -188,7 +165,7 @@ def cmd_run(args) -> int:
                 raise UsageError(str(exc)) from exc
             raise
     else:
-        oracle = _oracle(config, settings, gt_by_frame, width, height, args)
+        oracle = _oracle(config, gt_by_frame, width, height)
         plan = GridPlan.build(width, height, settings)
         results = list(run_sequence(frames, settings, oracle, plan=plan, mode=mode))
     wall_s = time.perf_counter() - started
@@ -212,18 +189,9 @@ def cmd_serve(args) -> int:
         raise UsageError(f"unknown detector {args.detector!r}, expected oracle[:gt]")
 
     config = _load_config(args.config)
-    settings = _effective_settings(config, args)
     gt_path = Path(gt_override) if gt_override else config.ground_truth_path
-    try:
-        gt_by_frame = read_ground_truth(gt_path)
-    except (OSError, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
-    if config.frames_dir is not None:
-        source = _open_frames(config.frames_dir)
-        width, height = source.width, source.height
-    else:
-        width, height = config.frame_width, config.frame_height
-    oracle = _oracle(config, settings, gt_by_frame, width, height, args)
+    gt_by_frame, width, height, _ = _scene_inputs(config, gt_path)
+    oracle = _oracle(config, gt_by_frame, width, height)
 
     server = DetectorServer(oracle, host, port)
     print(f"listening on {server.endpoint}", flush=True)
@@ -337,8 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--results", help="results JSON-lines output path")
     run.add_argument("--timing", help="timing CSV output path")
-    _add_settings_flags(run)
-    _add_oracle_flags(run)
     run.set_defaults(func=cmd_run)
 
     serve = sub.add_parser("serve", help="run a worker server")
@@ -349,8 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="oracle",
         help="oracle (default) or oracle:<gt path override>",
     )
-    _add_settings_flags(serve)
-    _add_oracle_flags(serve)
     serve.set_defaults(func=cmd_serve)
 
     ev = sub.add_parser("eval", help="score a results file against ground truth")
@@ -378,33 +342,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_settings_flags(sub) -> None:
-    sub.add_argument("--preset", help='grid preset, e.g. "1 att, 3 fin, 20 over"')
-    sub.add_argument("--attention-margin-px", dest="attention_margin_px", type=int)
-    sub.add_argument("--temporal-window", dest="temporal_window", type=int)
-    sub.add_argument("--min-confidence", dest="min_confidence", type=float)
-
-
-def _add_oracle_flags(sub) -> None:
-    sub.add_argument(
-        "--visibility-threshold", dest="visibility_threshold", type=float
-    )
-    sub.add_argument("--min-tile-px", dest="min_tile_px", type=int)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # Stdout's reader went away (say, `| head -1`). run, eval and
-        # gen-synthetic print only once their files are written, and worker
-        # sockets' errors surface as StreamAborted, not here. Point stdout
-        # at devnull, so that the flush at interpreter exit prints nothing.
+    except BrokenPipeError as exc:
+        # Stdout's reader went away (say, `| head -1`). Worker sockets'
+        # errors surface as StreamAborted, not here. Point stdout at
+        # devnull, so that the flush at interpreter exit prints nothing.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+        if args.command in ("run", "eval", "gen-synthetic"):
+            return 0  # these print only once their files are written
+        print(f"error: {exc}", file=sys.stderr)  # serve never served
+        return 1
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

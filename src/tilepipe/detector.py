@@ -10,6 +10,7 @@ evaluation run identical code paths.
 
 from __future__ import annotations
 
+import hashlib
 from abc import ABC, abstractmethod
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
@@ -69,9 +70,13 @@ class Detector(ABC):
 
     Implementations must be safe for concurrent calls from multiple dispatch
     threads, or say in their docstring that calls must be serialized.
+
+    catalog_key is the crop_catalog_key of the catalog a detector resolves
+    crop ids against, or None for one that holds no catalog.
     """
 
     profile: DetectorProfile
+    catalog_key: str | None = None
 
     @abstractmethod
     def detect(
@@ -84,6 +89,17 @@ class Detector(ABC):
         accept ``None``. Returns crop-local detections in 608 space sorted
         by descending confidence.
         """
+
+
+def crop_catalog_key(crops_by_id: Mapping[int, CropSpec]) -> str:
+    """A short digest of a crop catalog: each crop id with its global rect.
+    Two catalogs that resolve some crop id to different rects have
+    different keys."""
+    rows = []
+    for crop_id, crop in sorted(crops_by_id.items()):
+        r = crop.global_rect
+        rows.append((crop_id, float(r.x), float(r.y), float(r.w), float(r.h)))
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
 
 
 def mock_detect(
@@ -151,6 +167,7 @@ class SceneOracle(Detector):
         if min_tile_px < 0:
             raise ValueError(f"min_tile_px must be >= 0, got {min_tile_px}")
         self._crops = dict(crops_by_id)
+        self.catalog_key = crop_catalog_key(self._crops)
         self._gt = {fid: tuple(objs) for fid, objs in gt_by_frame.items()}
         self._visibility_threshold = visibility_threshold
         self._min_tile_px = min_tile_px

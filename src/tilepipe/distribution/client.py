@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..detector import Detection, cut_tile
+from ..detector import Detection, crop_catalog_key, cut_tile
 from ..geometry import MODEL_SIDE, CropSpec, Rect
 from ..pipeline import (
     AttentionModel,
@@ -97,7 +97,8 @@ class RemoteFault(WorkerError):
 
 
 class WorkerMismatch(WorkerError):
-    """The worker's detector takes tiles of another size than the client cuts."""
+    """The worker's detector takes tiles of another size than the client
+    cuts, or resolves crop ids against another crop catalog."""
 
 
 class StreamAborted(RuntimeError):
@@ -288,10 +289,13 @@ def _echoes_probe(reply: dict, nonce: bytes) -> bool:
     return reply.get("probe") == nonce.hex()
 
 
-def _check_workers(cluster: ClusterConfig, blocks: shm.Blocks) -> list[str]:
+def _check_workers(
+    cluster: ClusterConfig, blocks: shm.Blocks
+) -> tuple[list[str], dict[str, str | None]]:
     """HEALTH every worker once, with a probe; returns the workers that share
-    memory with the client. Raises WorkerError for a worker that does not
-    answer, and WorkerMismatch for one whose detector takes tiles of
+    memory with the client, and each worker's crop catalog key (None: its
+    detector holds no catalog). Raises WorkerError for a worker that does
+    not answer, and WorkerMismatch for one whose detector takes tiles of
     another size than MODEL_SIDE."""
     nonce = secrets.token_bytes(shm.PROBE_BYTES)
     try:
@@ -303,6 +307,7 @@ def _check_workers(cluster: ClusterConfig, blocks: shm.Blocks) -> list[str]:
         name = probe.name
     try:
         shared = []
+        catalogs = {}
         for endpoint in dict.fromkeys(cluster.attention_workers + cluster.final_workers):
             reply = check_health(endpoint, cluster.request_timeout_s, probe=name)
             if reply.get("input_side") != MODEL_SIDE:
@@ -313,10 +318,25 @@ def _check_workers(cluster: ClusterConfig, blocks: shm.Blocks) -> list[str]:
                 )
             if _echoes_probe(reply, nonce):
                 shared.append(endpoint)
+            catalogs[endpoint] = reply.get("catalog")
     finally:
         if probe is not None:
             blocks.give_back(probe)
-    return shared
+    return shared, catalogs
+
+
+def _check_catalogs(catalogs: Mapping[str, str | None], plan: GridPlan) -> None:
+    """Raise WorkerMismatch for a worker whose detector resolves crop ids
+    against another catalog than the plan's: it was built for another grid
+    or frame size, and would answer for the wrong crops."""
+    want = crop_catalog_key(plan.crops_by_id())
+    for endpoint, key in catalogs.items():
+        if key is not None and key != want:
+            raise WorkerMismatch(
+                endpoint,
+                f"detector crop catalog is {key!r}, this stream's is {want!r} "
+                "(built for another grid or frame size)",
+            )
 
 
 def _pull(
@@ -351,7 +371,9 @@ def run_stream(
 
     Before the first frame is pulled, every worker gets a HEALTH probe
     (_check_workers). A worker that does not answer, or whose detector takes
-    tiles of another size, aborts the stream at cursor 0. Requests to the
+    tiles of another size, aborts the stream at cursor 0. So does one whose
+    detector resolves crop ids against another catalog than the plan built
+    from the first frame, before any crop is sent. Requests to the
     workers that read the probe back carry their tiles in shared-memory
     blocks; all of them are unlinked when the stream ends, however it ends.
 
@@ -371,14 +393,16 @@ def run_stream(
     t = 0
     try:
         try:
-            shared = dict.fromkeys(_check_workers(cluster, blocks), blocks)
+            same_host, catalogs = _check_workers(cluster, blocks)
+            shared = dict.fromkeys(same_host, blocks)
+            frames = timed_pulls(frames)
+            frame, io_ms, error = _pull(frames, None)
+            plan = None
+            if frame is not None:
+                plan = GridPlan.build(frame.width, frame.height, settings)
+                _check_catalogs(catalogs, plan)
         except WorkerError as exc:
             raise StreamAborted(t, results, str(exc)) from exc
-        frames = timed_pulls(frames)
-        frame, io_ms, error = _pull(frames, None)
-        plan = None
-        if frame is not None:
-            plan = GridPlan.build(frame.width, frame.height, settings)
         while True:
             if error is not None:
                 raise StreamAborted(t, results, str(error)) from error

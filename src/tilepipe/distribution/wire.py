@@ -19,8 +19,10 @@ Message types:
                  {x, y, w, h, class, confidence}; no payload
   HEALTH         {type, probe (optional)}; no payload. probe names a block
                  whose first shm.PROBE_BYTES bytes are a random nonce.
-  HEALTH_OK      {type, input_side, probe (when asked)}; no
-                 payload. probe is the hex of the first shm.PROBE_BYTES
+  HEALTH_OK      {type, input_side, catalog (when the detector has one),
+                 probe (when asked)}; no payload. catalog is the
+                 detector.crop_catalog_key of the crops its ids resolve to.
+                 probe is the hex of the first shm.PROBE_BYTES
                  bytes the worker read from the named block, or null if it
                  could not map it: the nonce comes back only from a worker
                  that shares memory with the client.
@@ -123,12 +125,6 @@ def recv_message(sock: socket.socket) -> tuple[dict, bytearray | bytes]:
         )
     payload = _recv_exact(sock, size) if size else b""
     return header, payload
-
-
-def eval_request(frame_id: int, crops: list[dict], payload: bytes = b"") -> bytes:
-    return encode_message(
-        {"type": "EVAL_REQUEST", "frame_id": frame_id, "crops": crops}, payload
-    )
 
 
 def eval_response(frame_id: int, results: list[dict]) -> bytes:

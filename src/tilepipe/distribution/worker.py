@@ -132,6 +132,8 @@ def _respond(det: Detector, header: dict, payload: bytes | bytearray) -> bytes:
     kind = header.get("type")
     if kind == "HEALTH":
         reply = {"type": "HEALTH_OK", "input_side": det.profile.input_side}
+        if det.catalog_key is not None:
+            reply["catalog"] = det.catalog_key
         if "probe" in header:
             reply["probe"] = _read_probe(header["probe"])
         return wire.encode_message(reply)

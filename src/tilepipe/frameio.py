@@ -27,7 +27,7 @@ import numpy as np
 
 from .detector import Detection, GroundTruthObject
 from .distribution import ClusterConfig
-from .geometry import CropSettings, Rect
+from .geometry import Rect
 from .pipeline import Frame, FrameResult, PipelineSettings, TimingProfile
 
 FRAME_NAME_FORMAT = "frame_%06d.ppm"
@@ -406,44 +406,73 @@ def _split_endpoints(raw: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in raw.replace(",", " ").split() if part.strip())
 
 
-def _load_settings(parser: configparser.ConfigParser) -> PipelineSettings:
-    section = parser["pipeline"]
-    kwargs = {}
-    if "attention_margin_px" in section:
-        kwargs["attention_margin_px"] = section.getint("attention_margin_px")
-    if "temporal_window" in section:
-        kwargs["temporal_window"] = section.getint("temporal_window")
-    if "min_confidence" in section:
-        kwargs["min_confidence"] = section.getfloat("min_confidence")
-    if "preset" in section:
-        return PipelineSettings.from_preset(section["preset"], **kwargs)
-    for key in ("attention_rows", "final_rows"):
-        if key not in section:
-            raise ValueError(f"[pipeline] needs preset or {key}")
-    overlap = section.getint("overlap_px", 20)
-    attention = CropSettings(
-        section.getint("attention_rows"),
-        section.getint("attention_overlap_px", overlap),
-    )
-    final = CropSettings(
-        section.getint("final_rows"), section.getint("final_overlap_px", overlap)
-    )
-    return PipelineSettings(attention, final, **kwargs)
+# Every section of a run config and the keys each may hold.
+_CONFIG_KEYS = {
+    "pipeline": ("preset", "attention_margin_px", "temporal_window", "min_confidence"),
+    "detector": ("kind", "visibility_threshold", "min_tile_px"),
+    "paths": ("ground_truth", "results", "frames", "timing"),
+    "frame": ("width", "height"),
+    "cluster": ("final_workers", "attention_workers", "request_timeout_s"),
+}
 
 
 def read_run_config(path) -> RunConfig:
     """Load a run configuration, resolving relative paths against the file
-    and checking that every referenced input exists. A file that does not
-    parse as INI raises ValueError naming it."""
+    and checking that every referenced input exists.
+
+    This is the one place a run's settings come from. An INI file with
+    these sections and keys, and no others:
+
+      [pipeline]  preset (required): the grid, like "1 att, 3 fin, 20 over";
+                  attention_margin_px (20), temporal_window (2) and
+                  min_confidence (0.3): see PipelineSettings.
+      [detector]  kind (oracle): oracle, the ground-truth oracle in process,
+                  or remote, workers listed in [cluster]. The oracle's
+                  visibility_threshold (0.3) and min_tile_px (8): see
+                  detector.mock_detect.
+      [paths]     ground_truth and results (required), frames (a directory
+                  of frame_%06d.ppm files) and timing (results' name with
+                  _timing.csv).
+      [frame]     width and height, required without frames; with frames,
+                  they must match the frames' size.
+      [cluster]   final_workers and attention_workers (host:port lists,
+                  comma- or space-separated) and request_timeout_s (30).
+
+    A file that does not parse as INI, or has a section or key not listed
+    here, [DEFAULT] keys included, raises ValueError naming it.
+    """
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
     try:
         parser.read(path)
+        _check_keys(parser, path)
         return _run_config(parser, path)
     except configparser.Error as exc:
         raise ValueError(f"{path}: malformed config: {exc}") from exc
+
+
+def _check_keys(parser: configparser.ConfigParser, path: Path) -> None:
+    """Raise ValueError naming the first section or key not in _CONFIG_KEYS.
+
+    A [DEFAULT] key would reach every section, so none is allowed."""
+    if parser.defaults():
+        key = next(iter(parser.defaults()))
+        raise ValueError(f"{path}: [DEFAULT] {key}: a run config has no [DEFAULT] keys")
+    for section in parser.sections():
+        known = _CONFIG_KEYS.get(section)
+        if known is None:
+            raise ValueError(
+                f"{path}: unknown section [{section}], expected one of "
+                + ", ".join(f"[{name}]" for name in _CONFIG_KEYS)
+            )
+        for key in parser[section]:
+            if key not in known:
+                raise ValueError(
+                    f"{path}: [{section}] {key}: unknown key, expected one of "
+                    + ", ".join(known)
+                )
 
 
 def _run_config(parser: configparser.ConfigParser, path: Path) -> RunConfig:
@@ -457,7 +486,17 @@ def _run_config(parser: configparser.ConfigParser, path: Path) -> RunConfig:
         if section not in parser:
             raise ValueError(f"{path}: missing [{section}] section")
 
-    settings = _load_settings(parser)
+    pipeline = parser["pipeline"]
+    if "preset" not in pipeline:
+        raise ValueError(f"{path}: [pipeline] needs preset")
+    tuning = {}
+    if "attention_margin_px" in pipeline:
+        tuning["attention_margin_px"] = pipeline.getint("attention_margin_px")
+    if "temporal_window" in pipeline:
+        tuning["temporal_window"] = pipeline.getint("temporal_window")
+    if "min_confidence" in pipeline:
+        tuning["min_confidence"] = pipeline.getfloat("min_confidence")
+    settings = PipelineSettings.from_preset(pipeline["preset"], **tuning)
     det = parser["detector"]
     detector = det.get("kind", "oracle")
 

@@ -11,7 +11,6 @@ threshold.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 
 from .detector import Detection, GroundTruthObject
 from .geometry import iou
@@ -19,16 +18,6 @@ from .geometry import iou
 
 class EmptyGroundTruthError(ValueError):
     """AP is undefined when there is no ground truth to recall."""
-
-
-@dataclass(frozen=True)
-class MatchResult:
-    """Outcome of matching one frame's detections against its ground truth."""
-
-    true_positives: int
-    false_positives: int
-    false_negatives: int
-    assignment: tuple[tuple[Detection, GroundTruthObject, float], ...]
 
 
 def _check_threshold(iou_threshold: float) -> None:
@@ -41,8 +30,8 @@ def _claim(
     gts: Sequence[GroundTruthObject],
     taken: set[int],
     iou_threshold: float,
-) -> tuple[int, float] | None:
-    """Index and IoU of the best unmatched same-class GT, or None."""
+) -> int | None:
+    """Index of the best unmatched same-class GT, or None."""
     best = None
     best_iou = 0.0
     for g, gt in enumerate(gts):
@@ -51,29 +40,7 @@ def _claim(
         value = iou(det.rect, gt.rect)
         if value >= iou_threshold and value > best_iou:
             best, best_iou = g, value
-    if best is None:
-        return None
-    return best, best_iou
-
-
-def match(
-    dets: Sequence[Detection],
-    gts: Sequence[GroundTruthObject],
-    iou_threshold: float,
-) -> MatchResult:
-    """Greedy VOC matching of one frame; every box is used at most once."""
-    _check_threshold(iou_threshold)
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
-    taken: set[int] = set()
-    assignment = []
-    for i in order:
-        claimed = _claim(dets[i], gts, taken, iou_threshold)
-        if claimed is not None:
-            g, value = claimed
-            taken.add(g)
-            assignment.append((dets[i], gts[g], value))
-    tp = len(assignment)
-    return MatchResult(tp, len(dets) - tp, len(gts) - tp, tuple(assignment))
+    return best
 
 
 def _ranked_flags(
@@ -109,10 +76,8 @@ def _ranked_flags(
             det, gts.get(fid, ()), taken.setdefault(fid, set()), iou_threshold
         )
         if claimed is not None:
-            taken[fid].add(claimed[0])
-            flags.append(True)
-        else:
-            flags.append(False)
+            taken[fid].add(claimed)
+        flags.append(claimed is not None)
     return flags, total_gt
 
 

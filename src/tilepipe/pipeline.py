@@ -10,7 +10,8 @@ runs its detector calls serially, in crop order, on the calling thread.
 Crop ids are unified per run so a bare (frame_id, crop_id) pair resolves to
 one crop anywhere: attention grid ids first, then final grid ids, then one
 pseudo-crop id for the downscaled whole frame. Remote workers rebuild the
-same plan from the run settings and resolve ids independently.
+same plan from the run settings and resolve ids independently; a stream
+checks that they did (detector.crop_catalog_key).
 """
 
 from __future__ import annotations
@@ -250,10 +251,6 @@ class GridPlan:
                 f"frame {frame.frame_id} is {frame.width}x{frame.height}, "
                 f"plan is {self.frame_w}x{self.frame_h}"
             )
-
-    @property
-    def downscale_id(self) -> int:
-        return self.downscale_crop.crop_id
 
     @property
     def downscale_grid(self) -> GridSpec:

@@ -1,5 +1,6 @@
 """End-to-end tests of the tilepipe command line, run in process."""
 
+import argparse
 import json
 import os
 import signal
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import tilepipe
-from tilepipe.cli import main
+from tilepipe import cli
+from tilepipe.cli import build_parser, main
 from tilepipe.detector import Detector, DetectorProfile
 from tilepipe.distribution import DetectorServer, client
 from tilepipe.frameio import (
@@ -210,9 +212,29 @@ def test_mismatched_worker_exits_2(scene_dir, tmp_path, capsys):
     assert not (tmp_path / "remote.jsonl").exists()
 
 
+def test_worker_on_another_grid_exits_2(scene_dir, tmp_path, capsys):
+    """Workers built for 1 att, 3 fin; the client's config names 1 att, 2 fin."""
+    gt = read_ground_truth(scene_dir / "gt.jsonl")
+    oracle = oracle_for_scene(1280, 720, SETTINGS, gt)
+    with DetectorServer(oracle) as att, DetectorServer(oracle) as fin:
+        config = write_config(
+            tmp_path / "remote.ini", scene_dir, detector="remote",
+            cluster={"final_workers": fin.endpoint, "attention_workers": att.endpoint},
+        )
+        config.write_text(
+            config.read_text().replace(PRESET, "1 att, 2 fin, 50 over")
+        )
+        assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert att.endpoint in err
+    assert "catalog" in err
+    assert not (tmp_path / "remote.jsonl").exists()
+
+
 def test_bad_preset_exits_2(scene_dir, tmp_path, capsys):
     config = write_config(tmp_path / "local.ini", scene_dir)
-    assert main(["run", "--config", str(config), "--preset", "three rows"]) == 2
+    config.write_text(config.read_text().replace(PRESET, "three rows"))
+    assert main(["run", "--config", str(config)]) == 2
     assert "bad preset" in capsys.readouterr().err
 
 
@@ -221,7 +243,9 @@ def test_grid_without_preset_or_rows_exits_2(scene_dir, tmp_path, capsys):
     text = config.read_text().replace(f"preset = {PRESET}", "final_rows = 2")
     config.write_text(text)
     assert main(["run", "--config", str(config)]) == 2
-    assert "attention_rows" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{config}: [pipeline] final_rows: unknown key" in err
+    assert "preset" in err
 
 
 MALFORMED_CONFIGS = {
@@ -248,6 +272,40 @@ def test_malformed_config_exits_2(scene_dir, tmp_path, capsys, command, malforme
     argv = [command, "--config", str(config), *CONFIG_COMMANDS[command]]
     assert main(argv) == 2
     assert f"{config}: malformed config" in capsys.readouterr().err
+
+
+@pytest.fixture
+def no_server(monkeypatch):
+    """A serve that gets past its checks fails here instead of serving."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("serve started a server")
+
+    monkeypatch.setattr(cli, "DetectorServer", refuse)
+
+
+UNKNOWN_KEYS = {
+    "overlap-beside-preset": (
+        "[detector]\n", "overlap_px = 50\n[detector]\n",
+        "[pipeline] overlap_px: unknown key",
+    ),
+    "run-section": (
+        "[paths]\n", "[run]\nmode = downscale\n[paths]\n", "unknown section [run]",
+    ),
+}
+
+
+@pytest.mark.usefixtures("no_server")
+@pytest.mark.parametrize("unknown", UNKNOWN_KEYS)
+@pytest.mark.parametrize("command", CONFIG_COMMANDS)
+def test_unknown_config_key_exits_2(scene_dir, tmp_path, capsys, command, unknown):
+    before, after, named = UNKNOWN_KEYS[unknown]
+    config = write_config(tmp_path / "local.ini", scene_dir)
+    config.write_text(config.read_text().replace(before, after, 1))
+    argv = [command, "--config", str(config), *CONFIG_COMMANDS[command]]
+    assert main(argv) == 2
+    assert f"{config}: {named}" in capsys.readouterr().err
+    assert not (tmp_path / "local.jsonl").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "eval"])
@@ -288,6 +346,55 @@ BAD_FRAME_DIRS = {
     "no-frames": {},
     "p5-first-frame": {frame_file_name(0): b"P5\n1280 720\n255\n" + bytes(1280 * 720)},
 }
+
+
+def test_serve_into_a_closed_stdout_exits_1(scene_dir, tmp_path):
+    """serve prints its endpoint before it serves: a worker whose stdout is
+    gone never served, and must not read as a clean exit."""
+    config = write_config(tmp_path / "serve.ini", scene_dir)
+    argv = [sys.executable, "-m", "tilepipe.cli", "serve", "--config", str(config),
+            "--listen", "127.0.0.1:0"]
+    env = {"PYTHONPATH": str(Path(tilepipe.__file__).parents[1])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(argv, env=env, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=30)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert "Broken pipe" in done.stderr
+    assert "Exception ignored" not in done.stderr
+
+
+@pytest.mark.usefixtures("no_server")
+@pytest.mark.parametrize("command", ["run", "serve"])
+def test_frame_size_disagreeing_with_frames_exits_2(scene_dir, tmp_path, capsys, command):
+    config = write_config(tmp_path / "local.ini", scene_dir)
+    config.write_text(config.read_text() + "[frame]\nwidth = 1920\nheight = 1080\n")
+    argv = [command, "--config", str(config), *CONFIG_COMMANDS[command]]
+    assert main(argv) == 2
+    assert "config says 1920x1080 but frames are 1280x720" in capsys.readouterr().err
+    assert not (tmp_path / "local.jsonl").exists()
+
+
+def test_run_and_serve_take_no_settings_flags():
+    """A run's grid and oracle settings come only from its config file."""
+    (subparsers,) = (
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+
+    def options(command):
+        return {
+            option
+            for action in subparsers.choices[command]._actions
+            for option in action.option_strings
+        } - {"-h", "--help"}
+
+    assert options("run") == {"--config", "--mode", "--results", "--timing"}
+    assert options("serve") == {"--config", "--listen", "--detector"}
 
 
 @pytest.mark.parametrize("command", ["run", "serve"])

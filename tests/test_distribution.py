@@ -18,7 +18,12 @@ from hypothesis import given, settings, strategies as st
 
 import tilepipe
 from test_cut_pool import TileHashDetector
-from tilepipe.detector import Detector, DetectorProfile, GroundTruthObject
+from tilepipe.detector import (
+    Detector,
+    DetectorProfile,
+    GroundTruthObject,
+    crop_catalog_key,
+)
 from tilepipe.distribution import (
     ClusterConfig,
     DetectorServer,
@@ -163,11 +168,21 @@ class TestWorker:
     def test_health(self):
         with DetectorServer(make_oracle()) as server:
             reply = check_health(server.endpoint)
+        assert reply == {
+            "type": "HEALTH_OK",
+            "input_side": 608,
+            "catalog": crop_catalog_key(make_plan().crops_by_id()),
+        }
+
+    def test_health_of_a_detector_without_a_catalog(self):
+        with DetectorServer(RecordingDetector(make_oracle())) as server:
+            reply = check_health(server.endpoint)
         assert reply == {"type": "HEALTH_OK", "input_side": 608}
 
     def test_zero_crops(self):
         with DetectorServer(make_oracle()) as server:
-            (raw,) = raw_exchange(server.endpoint, [wire.eval_request(0, [])])
+            request = wire.encode_message(eval_header([]))
+            (raw,) = raw_exchange(server.endpoint, [request])
         assert (
             raw
             == b'\x00\x00\x00\x32{"frame_id":0,"results":[],"type":"EVAL_RESPONSE"}'
@@ -190,13 +205,15 @@ class TestWorker:
             {"crop_id": c.crop_id, "width": 0, "height": 0}
             for c in plan.final_grid.crops
         ]
-        request = wire.eval_request(0, entries)
+        request = wire.encode_message(eval_header(entries))
         with DetectorServer(make_oracle()) as server:
             first, second = raw_exchange(server.endpoint, [request, request])
         assert first == second
 
     def test_unknown_crop_id_is_error_and_connection_survives(self):
-        bad = wire.eval_request(0, [{"crop_id": 999, "width": 0, "height": 0}])
+        bad = wire.encode_message(
+            eval_header([{"crop_id": 999, "width": 0, "height": 0}])
+        )
         health = wire.encode_message({"type": "HEALTH"})
         with DetectorServer(make_oracle()) as server:
             error_raw, health_raw = raw_exchange(server.endpoint, [bad, health])
@@ -960,6 +977,39 @@ class TestStreamStartHealthCheck:
         assert isinstance(err.value.__cause__, WorkerUnavailable)
         assert endpoint in str(err.value)
         assert pulled == []
+
+    @pytest.mark.parametrize("role", ["attention", "final"])
+    @pytest.mark.parametrize("case", ["preset", "frame-size"])
+    def test_worker_on_another_grid_aborts_before_any_request(
+        self, role, case, sent_blocks
+    ):
+        # the workers resolve crop ids for 1 att, 3 fin at 1280x720
+        settings, size = SETTINGS_720, (1280, 720)
+        if case == "preset":
+            settings = PipelineSettings.from_preset("1 att, 2 fin, 50 over")
+        else:
+            size = (1920, 1080)
+        dets = {"attention": make_oracle(), "final": make_oracle()}
+        if role == "attention":  # the other one holds no catalog: not checked
+            dets["final"] = RecordingDetector(dets["final"])
+        else:
+            dets["attention"] = RecordingDetector(dets["attention"])
+        stream = [Frame(i, *size) for i in range(2)]
+        with DetectorServer(dets["attention"]) as att, DetectorServer(
+            dets["final"]
+        ) as fin:
+            cluster = ClusterConfig(
+                final_workers=(fin.endpoint,), attention_workers=(att.endpoint,)
+            )
+            with pytest.raises(StreamAborted) as err:
+                run_stream(stream, settings, cluster)
+            endpoint = {"attention": att, "final": fin}[role].endpoint
+        assert err.value.cursor == 0
+        assert err.value.completed == ()
+        assert isinstance(err.value.__cause__, WorkerMismatch)
+        assert err.value.__cause__.endpoint == endpoint
+        assert "catalog" in str(err.value)
+        assert sent_blocks == []  # no EVAL_REQUEST went out
 
     def test_empty_stream_still_checks_its_workers(self):
         cluster = ClusterConfig(final_workers=("127.0.0.1:1",), request_timeout_s=0.5)

@@ -1,3 +1,4 @@
+import configparser
 import csv
 import json
 import os
@@ -5,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from tilepipe import frameio
 from tilepipe.detector import Detection, GroundTruthObject
 from tilepipe.distribution import ClusterConfig, DetectorServer, run_stream
 from tilepipe.frameio import (
@@ -594,20 +596,91 @@ class TestRunConfig:
         assert config.settings.final.rows == 3
         assert config.visibility_threshold == 0.3
 
-    def test_explicit_grid_keys(self, tmp_path):
+    EVERY_KEY = (
+        "[pipeline]\npreset = 1 att, 2 fin, 30 over\nattention_margin_px = 12\n"
+        "temporal_window = 3\nmin_confidence = 0.4\n"
+        "[detector]\nkind = remote\nvisibility_threshold = 0.25\nmin_tile_px = 4\n"
+        "[paths]\nground_truth = gt.jsonl\nresults = out.jsonl\nframes = frames\n"
+        "timing = t.csv\n"
+        "[frame]\nwidth = 16\nheight = 8\n"
+        "[cluster]\nfinal_workers = 127.0.0.1:7601\n"
+        "attention_workers = 127.0.0.1:7600\nrequest_timeout_s = 5\n"
+    )
+
+    def test_every_key_is_read(self, tmp_path):
+        write_sequence(tmp_path / "frames", [0])
+        config = self.oracle_config(
+            tmp_path,
+            settings=PipelineSettings.from_preset(
+                "1 att, 2 fin, 30 over",
+                attention_margin_px=12,
+                temporal_window=3,
+                min_confidence=0.4,
+            ),
+            detector="remote",
+            results_path=tmp_path / "out.jsonl",
+            cluster=ClusterConfig(
+                final_workers=("127.0.0.1:7601",),
+                attention_workers=("127.0.0.1:7600",),
+                request_timeout_s=5.0,
+            ),
+            frames_dir=tmp_path / "frames",
+            timing_path=tmp_path / "t.csv",
+            frame_width=16,
+            frame_height=8,
+            visibility_threshold=0.25,
+            min_tile_px=4,
+        )
+        path = tmp_path / "run.cfg"
+        path.write_text(self.EVERY_KEY)
+        assert read_run_config(path) == config
+
+    def test_docstring_lists_every_key(self):
+        parser = configparser.ConfigParser()
+        parser.read_string(self.EVERY_KEY)
+        sections = {name: tuple(parser[name]) for name in parser.sections()}
+        assert sections == frameio._CONFIG_KEYS
+        for name, keys in sections.items():
+            assert f"[{name}]" in read_run_config.__doc__
+            for key in keys:
+                assert key in read_run_config.__doc__
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            ("overlap_px = 50\n", "[pipeline] overlap_px: unknown key"),
+            ("[run]\nmode = downscale\n", "unknown section [run]"),
+            ("[DEFAULT]\nmin_tile_px = 4\n", "[DEFAULT] min_tile_px"),
+            ("[cluster]\nfinal_worker = 127.0.0.1:7601\n",
+             "[cluster] final_worker: unknown key"),
+        ],
+        ids=["overlap-beside-preset", "run-section", "default-key", "cluster-typo"],
+    )
+    def test_unknown_section_or_key_names_it(self, tmp_path, extra, named):
+        write_minimal_gt(tmp_path / "gt.jsonl")
+        path = tmp_path / "run.cfg"
+        text = (
+            "[detector]\nkind = oracle\n"
+            "[frame]\nwidth = 1280\nheight = 720\n"
+            "[paths]\nground_truth = gt.jsonl\nresults = results.jsonl\n"
+            "[pipeline]\npreset = 1 att, 3 fin, 20 over\n"
+        )
+        path.write_text(text + extra)  # extra lines without a header are [pipeline]'s
+        with pytest.raises(ValueError) as err:
+            read_run_config(path)
+        assert str(err.value).startswith(f"{path}: ")
+        assert named in str(err.value)
+
+    def test_preset_is_required(self, tmp_path):
         write_minimal_gt(tmp_path / "gt.jsonl")
         (tmp_path / "run.cfg").write_text(
-            "[pipeline]\nattention_rows = 2\nfinal_rows = 6\noverlap_px = 20\n"
-            "min_confidence = 0.4\n"
-            "[detector]\nkind = oracle\nvisibility_threshold = 0.25\n"
-            "[frame]\nwidth = 3840\nheight = 2160\n"
-            "[paths]\nground_truth = gt.jsonl\nresults = out.jsonl\n"
+            "[pipeline]\nmin_confidence = 0.4\n"
+            "[detector]\nkind = oracle\n"
+            "[frame]\nwidth = 1280\nheight = 720\n"
+            "[paths]\nground_truth = gt.jsonl\nresults = results.jsonl\n"
         )
-        config = read_run_config(tmp_path / "run.cfg")
-        assert config.settings.attention == CropSettings(2, 20)
-        assert config.settings.final == CropSettings(6, 20)
-        assert config.settings.min_confidence == 0.4
-        assert config.visibility_threshold == 0.25
+        with pytest.raises(ValueError, match=r"\[pipeline\] needs preset"):
+            read_run_config(tmp_path / "run.cfg")
 
     def test_missing_ground_truth_rejected(self, tmp_path):
         (tmp_path / "run.cfg").write_text(

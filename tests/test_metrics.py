@@ -6,12 +6,12 @@ import pytest
 
 from tilepipe.detector import Detection, GroundTruthObject
 from tilepipe.geometry import Rect
+from tilepipe import metrics
 from tilepipe.metrics import (
     EmptyGroundTruthError,
     ap_report,
     average_precision,
     count_report,
-    match,
 )
 
 
@@ -47,45 +47,69 @@ def optimal_tp(dets, gts, threshold):
     return best(0, frozenset())
 
 
+def one_frame(dets, gts):
+    return {0: dets}, {0: gts}
+
+
+def true_positives(dets, gts, threshold):
+    """How many of one frame's detections average_precision counts as hits."""
+    flags, _ = metrics._ranked_flags(*one_frame(dets, gts), threshold, None)
+    return sum(flags)
+
+
 class TestMatch:
+    """The VOC matching rules, as average_precision applies them."""
+
     def test_perfect_detections(self):
         gts = [gt(100 * i, 0, 50, 50, oid=f"g{i}") for i in range(4)]
         dets = [det(100 * i, 0, 50, 50, 0.9) for i in range(4)]
-        result = match(dets, gts, 0.5)
-        assert result.true_positives == 4
-        assert result.false_positives == 0
-        assert result.false_negatives == 0
-        assert all(v == 1.0 for _, _, v in result.assignment)
+        # every IoU is 1, so each matches at any threshold
+        assert true_positives(dets, gts, 0.99) == 4
+        assert average_precision(*one_frame(dets, gts), 0.99) == 1.0
 
     def test_no_detections(self):
-        result = match([], [gt(0, 0, 10, 10)], 0.5)
-        assert (result.true_positives, result.false_negatives) == (0, 1)
+        assert average_precision(*one_frame([], [gt(0, 0, 10, 10)]), 0.5) == 0.0
 
     def test_two_detections_one_gt(self):
+        # the object is claimed once; the second detection is a FP ranked
+        # after full recall, so it costs no precision
         gts = [gt(0, 0, 100, 100)]
         dets = [det(0, 0, 100, 100, 0.9), det(5, 5, 100, 100, 0.8)]
-        result = match(dets, gts, 0.5)
-        assert (result.true_positives, result.false_positives) == (1, 1)
+        assert true_positives(dets, gts, 0.5) == 1
         assert optimal_tp(dets, gts, 0.5) == 1
-        assert result.assignment[0][0] is dets[0]
+        assert average_precision(*one_frame(dets, gts), 0.5) == 1.0
 
     def test_confidence_order_decides_claimant(self):
+        # the 0.8 detection, ranked first, claims the object: a hit then a
+        # FP; had the 0.6 one claimed it, precision at full recall is 1/2
         gts = [gt(0, 0, 100, 100)]
         dets = [det(5, 5, 100, 100, 0.6), det(0, 0, 100, 100, 0.8)]
-        result = match(dets, gts, 0.5)
-        assert result.assignment[0][0] is dets[1]
+        assert average_precision(*one_frame(dets, gts), 0.5) == 1.0
+
+    def test_best_iou_decides_the_claimed_object(self):
+        # the 0.9 detection overlaps g0 (IoU 1/3) and g1 (IoU 9/11) and takes
+        # g1, which leaves g0 to the 0.8 detection (IoU 1, g1 only 1/4)
+        gts = [gt(0, 0, 100, 100, oid="g0"), gt(60, 0, 100, 100, oid="g1")]
+        dets = [det(50, 0, 100, 100, 0.9), det(0, 0, 100, 100, 0.8)]
+        assert true_positives(dets, gts, 0.3) == 2
+        assert average_precision(*one_frame(dets, gts), 0.3) == 1.0
 
     def test_iou_below_threshold_is_fp(self):
-        result = match([det(80, 0, 100, 100, 0.9)], [gt(0, 0, 100, 100)], 0.5)
-        assert (result.true_positives, result.false_positives) == (0, 1)
+        dets, gts = [det(80, 0, 100, 100, 0.9)], [gt(0, 0, 100, 100)]
+        assert average_precision(*one_frame(dets, gts), 0.5) == 0.0
+        # an IoU equal to the threshold is a hit
+        dets = [det(0, 0, 100, 100, 0.9)]
+        assert average_precision(*one_frame(dets, [gt(0, 0, 100, 50)]), 0.5) == 1.0
 
     def test_class_mismatch_never_matches(self):
-        result = match([det(0, 0, 50, 50, 0.9, "car")], [gt(0, 0, 50, 50)], 0.5)
-        assert result.true_positives == 0
+        dets, gts = [det(0, 0, 50, 50, 0.9, "car")], [gt(0, 0, 50, 50)]
+        assert average_precision(*one_frame(dets, gts), 0.5) == 0.0
 
     def test_threshold_validated(self):
-        with pytest.raises(ValueError):
-            match([], [], 0.0)
+        frames = one_frame([det(0, 0, 50, 50, 0.9)], [gt(0, 0, 50, 50)])
+        for threshold in (0.0, 1.0):
+            with pytest.raises(ValueError, match="iou_threshold"):
+                average_precision(*frames, threshold)
 
     def test_greedy_equals_optimal_when_detections_have_one_candidate(self):
         # objects spaced far apart, each detection a jitter of one of them:
@@ -112,7 +136,7 @@ class TestMatch:
                 else:
                     dets.append(det(2000 + 150 * j, 2000, 50, 50, 0.5))
             for threshold in (0.25, 0.5, 0.75):
-                got = match(dets, gts, threshold).true_positives
+                got = true_positives(dets, gts, threshold)
                 assert got == optimal_tp(dets, gts, threshold)
 
     def test_documented_greedy_divergence_from_optimal(self):
@@ -120,13 +144,9 @@ class TestMatch:
         # globally better assignment exists; VOC greedy accepts this
         gts = [gt(0, 0, 100, 100, oid="g1"), gt(110, 0, 100, 100, oid="g2")]
         dets = [det(25, 0, 150, 100, 0.9), det(-40, 0, 100, 100, 0.8)]
-        result = match(dets, gts, 0.25)
-        assert result.true_positives == 1
+        assert true_positives(dets, gts, 0.25) == 1
         assert optimal_tp(dets, gts, 0.25) == 2
-
-
-def one_frame(dets, gts):
-    return {0: dets}, {0: gts}
+        assert average_precision(*one_frame(dets, gts), 0.25) == 0.5
 
 
 class TestAveragePrecision:

@@ -100,7 +100,7 @@ class TestGridPlan:
         assert len(plan.attention_grid.crops) == 2
         assert (plan.final_grid.rows, plan.final_grid.cols) == (3, 6)
         assert sorted(plan.crops_by_id()) == list(range(21))
-        assert plan.downscale_id == 20
+        assert plan.downscale_crop.crop_id == 20
         assert plan.downscale_crop.global_rect == Rect(0, 0, 3840, 3840)
         for crop_id, spec in plan.crops_by_id().items():
             assert spec.crop_id == crop_id
@@ -499,7 +499,7 @@ class TestDownscaleBaseline:
         counting = CountingDetector(oracle)
         result = run_one(Frame(0, 608, 608), settings, counting, mode="downscale")
         plan = GridPlan.build(608, 608, settings)
-        assert counting.calls == [plan.downscale_id]
+        assert counting.calls == [plan.downscale_crop.crop_id]
         assert result.detections == (Detection(Rect(50, 60, 100, 80), "person", 1.0),)
         assert (result.active_count, result.total_count) == (1, 1)
 

@@ -33,10 +33,11 @@ class TestEncoding:
     def test_eval_request_roundtrip_bytes(self):
         crops = [{"crop_id": 3, "width": 2, "height": 2}]
         payload = bytes(range(12))
-        raw = wire.eval_request(7, crops, payload)
+        sent = {"type": "EVAL_REQUEST", "frame_id": 7, "crops": crops}
+        raw = wire.encode_message(sent, payload)
         header_len = struct.unpack(">I", raw[:4])[0]
         header = json.loads(raw[4 : 4 + header_len])
-        assert header == {"type": "EVAL_REQUEST", "frame_id": 7, "crops": crops}
+        assert header == sent
         assert raw[4 + header_len :] == payload
 
     def test_payload_size_sums_tiles(self):
