@@ -1,11 +1,12 @@
 """Fixed-resolution square detector contract and a ground-truth oracle.
 
 The detector boundary is deliberately narrow: a detector receives a frame id,
-a crop id, and optionally the 608x608 tile pixels, and returns crop-local
-detections in model (608) space. The oracle implementation resolves the crop
-geometry from its own scene configuration, the same way a remote worker
-resolves crops from the run settings it was started with, so local and remote
-evaluation run identical code paths.
+the crop ids of one stage (or one request), and optionally their 608x608
+tiles as one array, and returns crop-local detections in model (608) space,
+one list per crop. The oracle implementation resolves the crop geometry from
+its own scene configuration, the same way a remote worker resolves crops
+from the run settings it was started with, so local and remote evaluation
+run identical code paths.
 """
 
 from __future__ import annotations
@@ -54,15 +55,21 @@ class GroundTruthObject:
             raise ValueError("object_id must be non-empty")
 
 
-@dataclass(frozen=True)
-class DetectorProfile:
-    """Static capabilities of a detector instance."""
+def detection_row(det: Detection) -> dict:
+    """A detection as the row that EVAL_RESPONSE and the results file
+    share: {x, y, w, h, class, confidence}."""
+    r = det.rect
+    box = {"x": r.x, "y": r.y, "w": r.w, "h": r.h}
+    return {**box, "class": det.class_label, "confidence": det.confidence}
 
-    input_side: int = MODEL_SIDE
 
-    def __post_init__(self):
-        if self.input_side < 1:
-            raise ValueError(f"input_side must be >= 1, got {self.input_side}")
+def detection_from_row(row: Mapping) -> Detection:
+    """The detection a detection_row holds. A row of another shape raises
+    KeyError or TypeError; values that fail Rect's or Detection's checks
+    raise ValueError."""
+    return Detection(
+        Rect(row["x"], row["y"], row["w"], row["h"]), row["class"], row["confidence"]
+    )
 
 
 class Detector(ABC):
@@ -71,24 +78,34 @@ class Detector(ABC):
     Implementations must be safe for concurrent calls from multiple dispatch
     threads, or say in their docstring that calls must be serialized.
 
-    catalog_key is the crop_catalog_key of the catalog a detector resolves
-    crop ids against, or None for one that holds no catalog.
+    input_side is the side of the square tiles a detector takes. catalog_key
+    is the crop_catalog_key of the catalog a detector resolves crop ids
+    against, or None for one that holds no catalog.
     """
 
-    profile: DetectorProfile
+    input_side: int = MODEL_SIDE
     catalog_key: str | None = None
 
     @abstractmethod
     def detect(
-        self, frame_id: int, crop_id: int, tile: np.ndarray | None = None
-    ) -> list[Detection]:
-        """Detect objects on one crop.
+        self, frame_id: int, crop_ids: Sequence[int], tiles: np.ndarray | None = None
+    ) -> list[list[Detection]]:
+        """Detect objects on a batch of crops of one frame.
 
-        ``tile``, when given, must be an input_side x input_side x 3 uint8
-        array; implementations that work from scene configuration alone
-        accept ``None``. Returns crop-local detections in 608 space sorted
-        by descending confidence.
+        ``tiles``, when given, is one (len(crop_ids), input_side, input_side,
+        3) uint8 array whose tile i is crop_ids[i]'s (see check_tiles); a
+        detector that works from scene configuration alone accepts None.
+        Returns one list per crop id, in order, of crop-local detections in
+        608 space sorted by descending confidence.
         """
+
+
+def check_tiles(tiles, count: int, side: int) -> None:
+    """Raise ValueError unless tiles is a (count, side, side, 3) uint8 array."""
+    want = (count, side, side, 3)
+    if not isinstance(tiles, np.ndarray) or (tiles.dtype, tiles.shape) != (np.uint8, want):
+        got = tiles if not isinstance(tiles, np.ndarray) else (tiles.dtype, tiles.shape)
+        raise ValueError(f"tiles must be uint8 of shape {want}, got {got!r}")
 
 
 def crop_catalog_key(crops_by_id: Mapping[int, CropSpec]) -> str:
@@ -158,7 +175,6 @@ class SceneOracle(Detector):
         visibility_threshold: float = 0.3,
         *,
         min_tile_px: int = 8,
-        profile: DetectorProfile | None = None,
     ):
         if not 0.0 < visibility_threshold <= 1.0:
             raise ValueError(
@@ -171,23 +187,18 @@ class SceneOracle(Detector):
         self._gt = {fid: tuple(objs) for fid, objs in gt_by_frame.items()}
         self._visibility_threshold = visibility_threshold
         self._min_tile_px = min_tile_px
-        self.profile = profile or DetectorProfile()
 
     def detect(
-        self, frame_id: int, crop_id: int, tile: np.ndarray | None = None
-    ) -> list[Detection]:
-        if tile is not None:
-            side = self.profile.input_side
-            if not isinstance(tile, np.ndarray) or tile.shape != (side, side, 3):
-                got = tile.shape if isinstance(tile, np.ndarray) else type(tile)
-                raise ValueError(f"tile must be {side}x{side}x3, got {got}")
-        if crop_id not in self._crops:
-            raise ValueError(f"unknown crop_id: {crop_id}")
-        crop = self._crops[crop_id]
+        self, frame_id: int, crop_ids: Sequence[int], tiles: np.ndarray | None = None
+    ) -> list[list[Detection]]:
+        if tiles is not None:
+            check_tiles(tiles, len(crop_ids), self.input_side)
+        unknown = [i for i in crop_ids if i not in self._crops]
+        if unknown:
+            raise ValueError(f"unknown crop_id: {unknown[0]}")
         gt = self._gt.get(frame_id, ())
-        return mock_detect(
-            crop, gt, self._visibility_threshold, min_tile_px=self._min_tile_px
-        )
+        v, px = self._visibility_threshold, self._min_tile_px
+        return [mock_detect(self._crops[i], gt, v, min_tile_px=px) for i in crop_ids]
 
 
 def cut_tile(

@@ -13,6 +13,7 @@ Requests to every other worker carry their tiles as the payload over TCP.
 
 from __future__ import annotations
 
+import math
 import secrets
 import socket
 import time
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..detector import Detection, crop_catalog_key, cut_tile
-from ..geometry import MODEL_SIDE, CropSpec, Rect
+from ..detector import Detection, crop_catalog_key, cut_tile, detection_from_row
+from ..geometry import MODEL_SIDE, CropSpec
 from ..pipeline import (
     AttentionModel,
     Frame,
@@ -72,8 +73,9 @@ class ClusterConfig:
             raise ValueError("at least one final worker is required")
         for endpoint in self.final_workers + self.attention_workers:
             parse_endpoint(endpoint)
-        if self.request_timeout_s <= 0:
-            raise ValueError("request_timeout_s must be > 0")
+        timeout_s = self.request_timeout_s
+        if not 0 < timeout_s < math.inf:
+            raise ValueError(f"request_timeout_s: must be finite and > 0, got {timeout_s}")
 
 
 class WorkerError(RuntimeError):
@@ -144,17 +146,6 @@ def _crop_entries(
     return entries, memoryview(tiles.reshape(-1))
 
 
-def _parse_detections(rows: list[dict]) -> list[Detection]:
-    return [
-        Detection(
-            Rect(row["x"], row["y"], row["w"], row["h"]),
-            row["class"],
-            row["confidence"],
-        )
-        for row in rows
-    ]
-
-
 def _exchange(
     endpoint: str,
     timeout_s: float,
@@ -218,10 +209,10 @@ def _request_worker(
         raise RemoteFault(endpoint, f"unexpected reply {reply.get('type')!r}")
     try:
         by_crop = {
-            row["crop_id"]: _parse_detections(row["detections"])
+            row["crop_id"]: [detection_from_row(d) for d in row["detections"]]
             for row in reply["results"]
         }
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise RemoteFault(endpoint, f"bad EVAL_RESPONSE: {exc!r}") from exc
     missing = {c.crop_id for c in crops} - set(by_crop)
     if missing:
@@ -472,8 +463,8 @@ def run_stream(
 def check_health(
     endpoint: str, timeout_s: float = 30.0, probe: str | None = None
 ) -> dict:
-    """HEALTH round trip; returns the worker's detector profile fields, and
-    with ``probe``, the name of a block, what the worker read from it."""
+    """HEALTH round trip; returns the worker's HEALTH_OK reply, which with
+    ``probe``, the name of a block, holds what the worker read from it."""
     header = {"type": "HEALTH"} if probe is None else {"type": "HEALTH", "probe": probe}
     reply = _exchange(endpoint, timeout_s, header)
     if reply.get("type") != "HEALTH_OK":

@@ -9,14 +9,16 @@ Message types:
   EVAL_REQUEST   {type, frame_id, crops: [{crop_id, width, height}, ...],
                   shm (optional)}
                  tiles: the crops' raw 8-bit RGB tiles concatenated in
-                 listed order (width * height * 3 bytes each; zero-size
-                 tiles for raster-free runs contribute no bytes). Without
+                 listed order, all of one size (width * height * 3 bytes
+                 each; the 0x0 tiles of a raster-free run contribute no
+                 bytes). frame_id and crop_id are ints. Without
                  shm they are the payload. With shm, the name of a
                  shared-memory block (see shm.py), they fill the start of
                  that block and the message has no payload.
   EVAL_RESPONSE  {type, frame_id, results: [{crop_id, detections}, ...]}
                  detections are crop-local in model-input space:
-                 {x, y, w, h, class, confidence}; no payload
+                 {x, y, w, h, class, confidence} (detector.detection_row);
+                 no payload
   HEALTH         {type, probe (optional)}; no payload. probe names a block
                  whose first shm.PROBE_BYTES bytes are a random nonce.
   HEALTH_OK      {type, input_side, catalog (when the detector has one),

@@ -2,10 +2,11 @@
 
 Workers are stateless between requests and never talk to each other. Each
 EVAL_REQUEST is answered with the crop-local detections for every listed
-crop; a malformed message gets an ERROR response and the connection stays
-open for the next message. A request is checked before any tile is read
-from it: crop ids must be ints, tiles squares of the detector's input side
-(or 0x0, for raster-free runs), and their bytes must fill the payload
+crop, from one detector call on a view of all its tiles; a malformed
+message gets an ERROR response and the connection stays open for the next
+message. A request is checked before any tile is read from it: frame and
+crop ids must be ints, all tiles squares of the detector's input side (or
+all 0x0, for raster-free runs), and their bytes must fill the payload
 exactly.
 
 A request reads its tiles from a shared-memory block instead when its
@@ -17,38 +18,32 @@ The worker maps it for that one request and unmaps it before replying.
 
 from __future__ import annotations
 
+import math
 import socketserver
 import threading
 
 import numpy as np
 
-from ..detector import Detector
+from ..detector import Detector, detection_row
 from . import shm, wire
 
 # How often serve_forever checks for shutdown; shutdown() waits up to this long.
 POLL_INTERVAL_S = 0.05
 
 
-def _detection_row(det) -> dict:
-    return {
-        "x": det.rect.x,
-        "y": det.rect.y,
-        "w": det.rect.w,
-        "h": det.rect.h,
-        "class": det.class_label,
-        "confidence": det.confidence,
-    }
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_crops(crops: list, input_side: int) -> int:
-    """The bytes the tiles of a crop list fill; raise ValueError unless
-    every crop id is an int and every tile a square of side input_side or 0."""
-    total = 0
-    for crop in crops:
+def _check_request(header: dict, input_side: int) -> int:
+    """The side of every tile of an EVAL_REQUEST: input_side, or 0 for a
+    raster-free one. Raise ValueError unless the frame id and every crop id
+    are ints and every tile is a square of that one side."""
+    frame_id = header["frame_id"]
+    if not _is_int(frame_id):
+        raise ValueError(f"frame_id must be an int, got {frame_id!r}")
+    sides = set()
+    for crop in header["crops"]:
         crop_id, width, height = crop["crop_id"], crop["width"], crop["height"]
         if not _is_int(crop_id):
             raise ValueError(f"crop_id must be an int, got {crop_id!r}")
@@ -57,18 +52,22 @@ def _check_crops(crops: list, input_side: int) -> int:
                 f"crop_id {crop_id}: tile must be {input_side}x{input_side} "
                 f"or 0x0, got {width!r}x{height!r}"
             )
-        total += width * height * 3
-    return total
+        sides.add(width)
+    if len(sides) > 1:
+        raise ValueError(f"tiles must be all {input_side}x{input_side} or all 0x0")
+    return sides.pop() if sides else 0
 
 
 def _tile_buffer(header: dict, payload: bytes | bytearray, input_side: int):
-    """The buffer that holds a checked request's tiles: its payload, or a
-    mapping of the block it names, which the caller must detach."""
-    total = _check_crops(header["crops"], input_side)
+    """The tile side of a checked request and the buffer that holds its
+    tiles: its payload, or a mapping of the block it names, which the
+    caller must detach."""
+    side = _check_request(header, input_side)
+    total = len(header["crops"]) * side * side * 3
     if "shm" not in header:
         if total != len(payload):
             raise ValueError(f"tiles declare {total} payload bytes, got {len(payload)}")
-        return payload
+        return side, payload
     if payload:
         raise ValueError(f"a request naming a block has {len(payload)} payload bytes")
     block = shm.attach(header["shm"])
@@ -77,39 +76,35 @@ def _tile_buffer(header: dict, payload: bytes | bytearray, input_side: int):
         raise ValueError(
             f"tiles declare {total} bytes, block {header['shm']} holds {len(block)}"
         )
-    return block
+    return side, block
 
 
-def _detect_tiles(det: Detector, frame_id, crops: list, tiles) -> bytes:
-    results = []
-    offset = 0
-    for crop in crops:
-        crop_id, side = crop["crop_id"], crop["width"]
-        size = side * side * 3
-        tile = None
-        if size:
-            tile = np.frombuffer(tiles, np.uint8, size, offset).reshape(side, side, 3)
-            offset += size
-        try:
-            found = det.detect(frame_id, crop_id, tile)
-        except Exception as exc:
-            return wire.error_message(
-                "detector_failure", f"crop_id {crop_id}: {exc}"
-            )
-        results.append(
-            {"crop_id": crop_id, "detections": [_detection_row(d) for d in found]}
-        )
+def _detect_tiles(det: Detector, frame_id: int, crops: list, side: int, buffer):
+    """The reply to a checked request: one detector call on its tiles, a
+    view of buffer. Any failure of the detector is a detector_failure."""
+    crop_ids = [crop["crop_id"] for crop in crops]
+    tiles = None
+    if side:
+        shape = (len(crop_ids), side, side, 3)
+        tiles = np.frombuffer(buffer, np.uint8, math.prod(shape)).reshape(shape)
+    try:
+        found = det.detect(frame_id, crop_ids, tiles)
+        results = [
+            {"crop_id": crop_id, "detections": [detection_row(d) for d in dets]}
+            for crop_id, dets in zip(crop_ids, found, strict=True)
+        ]
+    except Exception as exc:
+        return wire.error_message("detector_failure", f"frame {frame_id}: {exc}")
     return wire.eval_response(frame_id, results)
 
 
 def _handle_eval(det: Detector, header: dict, payload: bytes | bytearray) -> bytes:
-    frame_id = header["frame_id"]
     try:
-        tiles = _tile_buffer(header, payload, det.profile.input_side)
+        side, tiles = _tile_buffer(header, payload, det.input_side)
     except (ValueError, OSError) as exc:
         return wire.error_message("malformed", f"bad EVAL_REQUEST: {exc}")
     try:
-        return _detect_tiles(det, frame_id, header["crops"], tiles)
+        return _detect_tiles(det, header["frame_id"], header["crops"], side, tiles)
     finally:
         if tiles is not payload:
             shm.detach(tiles)
@@ -131,7 +126,7 @@ def _read_probe(name) -> str | None:
 def _respond(det: Detector, header: dict, payload: bytes | bytearray) -> bytes:
     kind = header.get("type")
     if kind == "HEALTH":
-        reply = {"type": "HEALTH_OK", "input_side": det.profile.input_side}
+        reply = {"type": "HEALTH_OK", "input_side": det.input_side}
         if det.catalog_key is not None:
             reply["catalog"] = det.catalog_key
         if "probe" in header:

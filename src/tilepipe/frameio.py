@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .detector import Detection, GroundTruthObject
+from .detector import Detection, GroundTruthObject, detection_from_row
 from .distribution import ClusterConfig
 from .geometry import Rect
 from .pipeline import Frame, FrameResult, PipelineSettings, TimingProfile
@@ -324,14 +324,7 @@ def read_results(path) -> list[FrameResult]:
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
             try:
-                detections = tuple(
-                    Detection(
-                        Rect(d["x"], d["y"], d["w"], d["h"]),
-                        d["class"],
-                        d["confidence"],
-                    )
-                    for d in row["detections"]
-                )
+                detections = tuple(detection_from_row(d) for d in row["detections"])
                 out.append(
                     FrameResult(
                         int(row["frame_id"]),
@@ -341,7 +334,7 @@ def read_results(path) -> list[FrameResult]:
                         TimingProfile(),
                     )
                 )
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad result row: {exc!r}") from exc
     return out
 
@@ -396,10 +389,13 @@ class RunConfig:
             self.frame_width is None or self.frame_height is None
         ):
             raise ValueError("need either a frames directory or frame width/height")
+        for key, side in (("width", self.frame_width), ("height", self.frame_height)):
+            if side is not None and side < 1:
+                raise ValueError(f"[frame] {key}: must be >= 1, got {side}")
         if not 0.0 < self.visibility_threshold <= 1.0:
-            raise ValueError("visibility_threshold must be in (0, 1]")
+            raise ValueError("[detector] visibility_threshold: must be in (0, 1]")
         if self.min_tile_px < 0:
-            raise ValueError("min_tile_px must be >= 0")
+            raise ValueError("[detector] min_tile_px: must be >= 0")
 
 
 def _split_endpoints(raw: str) -> tuple[str, ...]:
@@ -438,8 +434,9 @@ def read_run_config(path) -> RunConfig:
       [cluster]   final_workers and attention_workers (host:port lists,
                   comma- or space-separated) and request_timeout_s (30).
 
-    A file that does not parse as INI, or has a section or key not listed
-    here, [DEFAULT] keys included, raises ValueError naming it.
+    A file that does not parse as INI, has a section or key not listed
+    here ([DEFAULT] keys included), or a value its key's type or range
+    refuses, raises ValueError naming the file, section and key.
     """
     path = Path(path)
     if not path.is_file():
@@ -447,30 +444,32 @@ def read_run_config(path) -> RunConfig:
     parser = configparser.ConfigParser()
     try:
         parser.read(path)
-        _check_keys(parser, path)
+        _check_keys(parser)
         return _run_config(parser, path)
     except configparser.Error as exc:
         raise ValueError(f"{path}: malformed config: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
-def _check_keys(parser: configparser.ConfigParser, path: Path) -> None:
+def _check_keys(parser: configparser.ConfigParser) -> None:
     """Raise ValueError naming the first section or key not in _CONFIG_KEYS.
 
     A [DEFAULT] key would reach every section, so none is allowed."""
     if parser.defaults():
         key = next(iter(parser.defaults()))
-        raise ValueError(f"{path}: [DEFAULT] {key}: a run config has no [DEFAULT] keys")
+        raise ValueError(f"[DEFAULT] {key}: a run config has no [DEFAULT] keys")
     for section in parser.sections():
         known = _CONFIG_KEYS.get(section)
         if known is None:
             raise ValueError(
-                f"{path}: unknown section [{section}], expected one of "
+                f"unknown section [{section}], expected one of "
                 + ", ".join(f"[{name}]" for name in _CONFIG_KEYS)
             )
         for key in parser[section]:
             if key not in known:
                 raise ValueError(
-                    f"{path}: [{section}] {key}: unknown key, expected one of "
+                    f"[{section}] {key}: unknown key, expected one of "
                     + ", ".join(known)
                 )
 
@@ -482,27 +481,30 @@ def _run_config(parser: configparser.ConfigParser, path: Path) -> RunConfig:
         p = Path(raw)
         return p if p.is_absolute() else (base / p).resolve()
 
+    def value(section: str, key: str, convert, default=None):
+        """A key's value through convert, or default if it is absent; a
+        ValueError names the section and key."""
+        if section not in parser or key not in parser[section]:
+            return default
+        try:
+            return convert(parser[section][key])
+        except ValueError as exc:
+            raise ValueError(f"[{section}] {key}: {exc}") from exc
+
     for section in ("pipeline", "detector", "paths"):
         if section not in parser:
-            raise ValueError(f"{path}: missing [{section}] section")
+            raise ValueError(f"missing [{section}] section")
 
     pipeline = parser["pipeline"]
     if "preset" not in pipeline:
-        raise ValueError(f"{path}: [pipeline] needs preset")
-    tuning = {}
-    if "attention_margin_px" in pipeline:
-        tuning["attention_margin_px"] = pipeline.getint("attention_margin_px")
-    if "temporal_window" in pipeline:
-        tuning["temporal_window"] = pipeline.getint("temporal_window")
-    if "min_confidence" in pipeline:
-        tuning["min_confidence"] = pipeline.getfloat("min_confidence")
+        raise ValueError("[pipeline] needs preset")
+    numbers = {"attention_margin_px": int, "temporal_window": int, "min_confidence": float}
+    tuning = {k: value("pipeline", k, f) for k, f in numbers.items() if k in pipeline}
     settings = PipelineSettings.from_preset(pipeline["preset"], **tuning)
-    det = parser["detector"]
-    detector = det.get("kind", "oracle")
 
     paths = parser["paths"]
     if "ground_truth" not in paths or "results" not in paths:
-        raise ValueError(f"{path}: [paths] needs ground_truth and results")
+        raise ValueError("[paths] needs ground_truth and results")
     gt_path = resolve(paths["ground_truth"])
     results_path = resolve(paths["results"])
     frames_dir = resolve(paths["frames"]) if "frames" in paths else None
@@ -519,27 +521,26 @@ def _run_config(parser: configparser.ConfigParser, path: Path) -> RunConfig:
     cluster = None
     if "cluster" in parser:
         sect = parser["cluster"]
-        cluster = ClusterConfig(
-            final_workers=_split_endpoints(sect.get("final_workers", "")),
-            attention_workers=_split_endpoints(sect.get("attention_workers", "")),
-            request_timeout_s=sect.getfloat("request_timeout_s", 30.0),
-        )
-
-    frame = parser["frame"] if "frame" in parser else {}
-    width = int(frame["width"]) if "width" in frame else None
-    height = int(frame["height"]) if "height" in frame else None
+        timeout_s = value("cluster", "request_timeout_s", float, 30.0)
+        try:
+            cluster = ClusterConfig(
+                final_workers=_split_endpoints(sect.get("final_workers", "")),
+                attention_workers=_split_endpoints(sect.get("attention_workers", "")),
+                request_timeout_s=timeout_s,
+            )
+        except ValueError as exc:
+            raise ValueError(f"[cluster] {exc}") from exc
 
     return RunConfig(
         settings=settings,
-        detector=detector,
+        detector=parser["detector"].get("kind", "oracle"),
         ground_truth_path=gt_path,
         results_path=results_path,
         cluster=cluster,
         frames_dir=frames_dir,
         timing_path=timing_path,
-        frame_width=width,
-        frame_height=height,
-        visibility_threshold=det.getfloat("visibility_threshold", 0.3),
-        min_tile_px=det.getint("min_tile_px", 8),
+        frame_width=value("frame", "width", int),
+        frame_height=value("frame", "height", int),
+        visibility_threshold=value("detector", "visibility_threshold", float, 0.3),
+        min_tile_px=value("detector", "min_tile_px", int, 8),
     )
-

@@ -5,7 +5,7 @@ downscaled look, exhaustive fine grid), which differ from the pipeline
 only in the set of active crops.
 
 A stage cuts its tiles on one process-wide thread pool (in_parallel) and
-runs its detector calls serially, in crop order, on the calling thread.
+passes them, in crop order, to one detector call on the calling thread.
 
 Crop ids are unified per run so a bare (frame_id, crop_id) pair resolves to
 one crop anywhere: attention grid ids first, then final grid ids, then one
@@ -345,27 +345,26 @@ def detect_crops(
 ) -> dict[int, list[Detection]]:
     """Crop-local detections by crop id, the shape evaluate_remote returns.
 
-    With pixels, every tile of the stage is first cut into one buffer, in
-    parallel on the cut pool; detection then runs serially on the calling
-    thread, in crop order. A failed cut or detection raises StageFailure
-    for ``stage``.
+    With pixels, every tile of the stage is first cut into one array, in
+    parallel on the cut pool. The detector then takes the whole stage in
+    one call, on the calling thread; an empty stage makes none. A failed
+    cut or detection, or an answer without one list per crop, raises
+    StageFailure for ``stage``.
     """
-    tiles: Sequence[np.ndarray | None] = [None] * len(crops)
-    if frame.pixels is not None:
-        tiles = np.empty((len(crops), MODEL_SIDE, MODEL_SIDE, 3), dtype=np.uint8)
-        try:
+    if not crops:
+        return {}
+    crop_ids = [c.crop_id for c in crops]
+    try:
+        tiles = None
+        if frame.pixels is not None:
+            tiles = np.empty((len(crops), MODEL_SIDE, MODEL_SIDE, 3), dtype=np.uint8)
             in_parallel(
                 lambda i: cut_tile(frame.pixels, crops[i], out=tiles[i]), len(crops)
             )
-        except Exception as exc:
-            raise StageFailure(stage, frame.frame_id) from exc
-    found = {}
-    for crop, tile in zip(crops, tiles):
-        try:
-            found[crop.crop_id] = det.detect(frame.frame_id, crop.crop_id, tile)
-        except Exception as exc:
-            raise StageFailure(stage, frame.frame_id) from exc
-    return found
+        found = det.detect(frame.frame_id, crop_ids, tiles)
+        return dict(zip(crop_ids, found, strict=True))
+    except Exception as exc:
+        raise StageFailure(stage, frame.frame_id) from exc
 
 
 def attention_model(

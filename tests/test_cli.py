@@ -13,7 +13,7 @@ import pytest
 import tilepipe
 from tilepipe import cli
 from tilepipe.cli import build_parser, main
-from tilepipe.detector import Detector, DetectorProfile
+from tilepipe.detector import Detector
 from tilepipe.distribution import DetectorServer, client
 from tilepipe.frameio import (
     FrameSource,
@@ -195,10 +195,10 @@ def test_run_on_serve_workers_matches_local_bytes(scene_dir, tmp_path, sent_bloc
 
 def test_mismatched_worker_exits_2(scene_dir, tmp_path, capsys):
     class Mismatched(Detector):
-        profile = DetectorProfile(input_side=416)
+        input_side = 416
 
-        def detect(self, frame_id, crop_id, tile=None):
-            return []
+        def detect(self, frame_id, crop_ids, tiles=None):
+            return [[] for _ in crop_ids]
 
     with DetectorServer(Mismatched()) as fin:
         config = write_config(
@@ -305,6 +305,31 @@ def test_unknown_config_key_exits_2(scene_dir, tmp_path, capsys, command, unknow
     argv = [command, "--config", str(config), *CONFIG_COMMANDS[command]]
     assert main(argv) == 2
     assert f"{config}: {named}" in capsys.readouterr().err
+    assert not (tmp_path / "local.jsonl").exists()
+
+
+# (section, key, value): each a value the key's type or range refuses
+BAD_VALUES = {
+    "zero-width": ("[frame]", "width", "0"),
+    "nan-timeout": ("[cluster]", "request_timeout_s", "nan"),
+    "inf-timeout": ("[cluster]", "request_timeout_s", "inf"),
+    "word-window": ("[pipeline]", "temporal_window", "two"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_VALUES)
+def test_bad_config_value_exits_2_naming_it(scene_dir, tmp_path, capsys, case):
+    section, key, value = BAD_VALUES[case]
+    cluster = {"final_workers": "127.0.0.1:1"} if section == "[cluster]" else None
+    config = write_config(
+        tmp_path / "local.ini", scene_dir, "remote" if cluster else "oracle", cluster
+    )
+    text = config.read_text()
+    if section == "[frame]":  # raster-free, so that only the config sizes frames
+        text = text.replace(f"frames = {scene_dir}\n", "") + "[frame]\nheight = 720\n"
+    config.write_text(text.replace(f"{section}\n", f"{section}\n{key} = {value}\n", 1))
+    assert main(["run", "--config", str(config)]) == 2
+    assert f"{config}: {section} {key}: " in capsys.readouterr().err
     assert not (tmp_path / "local.jsonl").exists()
 
 

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 import reference_pipeline as reference
 import tilepipe
 from tilepipe import pipeline
-from tilepipe.detector import Detector, DetectorProfile, GroundTruthObject
+from tilepipe.detector import Detector, GroundTruthObject
 from tilepipe.distribution import shm
 from tilepipe.distribution.client import TILE_BYTES, _crop_entries
 from tilepipe.frameio import result_line
@@ -59,39 +59,37 @@ def pool_threads():
 
 
 class NullDetector(Detector):
-    profile = DetectorProfile()
-
-    def detect(self, frame_id, crop_id, tile=None):
-        return []
+    def detect(self, frame_id, crop_ids, tiles=None):
+        return [[] for _ in crop_ids]
 
 
 class RecordingDetector(Detector):
-    """Records each call's crop id, thread and a copy of its tile."""
+    """Records, for each crop id it is asked for, the calling thread and a
+    copy of the crop's tile."""
 
     def __init__(self, base):
         self.base = base
-        self.profile = base.profile
         self.calls = []
 
-    def detect(self, frame_id, crop_id, tile=None):
-        self.calls.append((crop_id, threading.get_ident(), tile.copy()))
-        return self.base.detect(frame_id, crop_id, tile)
+    def detect(self, frame_id, crop_ids, tiles=None):
+        ident = threading.get_ident()
+        self.calls.extend((c, ident, tile.copy()) for c, tile in zip(crop_ids, tiles))
+        return self.base.detect(frame_id, crop_ids, tiles)
 
 
 class TileHashDetector(Detector):
-    """The oracle's boxes with confidences taken from a hash of the tile,
+    """The oracle's boxes with confidences taken from a hash of each tile,
     so a wrong pixel changes the results."""
 
     def __init__(self, base):
         self.base = base
-        self.profile = base.profile
 
-    def detect(self, frame_id, crop_id, tile=None):
-        salt = zlib.crc32(tile.tobytes()) % 1000
-        return [
-            replace(d, confidence=0.5 + salt / 2000)
-            for d in self.base.detect(frame_id, crop_id, tile)
-        ]
+    def detect(self, frame_id, crop_ids, tiles=None):
+        found = []
+        for tile, dets in zip(tiles, self.base.detect(frame_id, crop_ids, tiles)):
+            salt = zlib.crc32(tile.tobytes()) % 1000
+            found.append([replace(d, confidence=0.5 + salt / 2000) for d in dets])
+        return found
 
 
 @st.composite

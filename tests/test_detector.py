@@ -9,10 +9,12 @@ import pytest
 
 from tilepipe.detector import (
     Detection,
-    DetectorProfile,
     GroundTruthObject,
     SceneOracle,
+    check_tiles,
     cut_tile,
+    detection_from_row,
+    detection_row,
     mock_detect,
 )
 from tilepipe.geometry import MODEL_SIDE, CropSpec, Rect
@@ -53,9 +55,33 @@ class TestDetectionTypes:
         with pytest.raises(ValueError):
             GroundTruthObject(Rect(0, 0, 10, 10), "person", "")
 
-    def test_profile_validation(self):
-        with pytest.raises(ValueError):
-            DetectorProfile(input_side=0)
+    def test_row_round_trips(self):
+        det = Detection(Rect(1.5, 2, 30.25, 40), "car", 0.75)
+        row = detection_row(det)
+        assert row == {
+            "x": 1.5, "y": 2, "w": 30.25, "h": 40, "class": "car", "confidence": 0.75
+        }
+        assert detection_from_row(row) == det
+
+    @pytest.mark.parametrize(
+        "change, error",
+        [
+            ({"confidence": 1.5}, ValueError),
+            ({"w": 0}, ValueError),
+            ({"class": ""}, ValueError),
+            ({"x": "1"}, TypeError),
+        ],
+    )
+    def test_row_that_fails_the_checks_raises(self, change, error):
+        row = {**detection_row(Detection(Rect(0, 0, 10, 10), "car", 0.5)), **change}
+        with pytest.raises(error):
+            detection_from_row(row)
+
+    def test_row_missing_a_field_raises_key_error(self):
+        row = detection_row(Detection(Rect(0, 0, 10, 10), "car", 0.5))
+        del row["confidence"]
+        with pytest.raises(KeyError):
+            detection_from_row(row)
 
 
 class TestMockDetect:
@@ -188,23 +214,33 @@ def simple_oracle(threshold=0.3, **kwargs):
 class TestSceneOracle:
     def test_answers_from_scene_config(self):
         oracle = simple_oracle()
-        dets = oracle.detect(5, 0)
-        assert {d.class_label for d in dets} == {"person", "car"}
-        assert [d.class_label for d in oracle.detect(5, 1)] == ["car"]
+        first, second = oracle.detect(5, [0, 1])
+        assert {d.class_label for d in first} == {"person", "car"}
+        assert [d.class_label for d in second] == ["car"]
+
+    def test_one_list_per_crop_id_in_order(self):
+        oracle = simple_oracle()
+        first, second = oracle.detect(5, [0, 1])
+        assert oracle.detect(5, [1, 0, 1]) == [second, first, second]
+        assert oracle.detect(5, []) == []
 
     def test_unknown_frame_is_empty_scene(self):
-        assert simple_oracle().detect(99, 0) == []
+        assert simple_oracle().detect(99, [0, 1]) == [[], []]
 
     def test_unknown_crop_id_rejected(self):
-        with pytest.raises(ValueError, match="crop_id"):
-            simple_oracle().detect(5, 42)
+        with pytest.raises(ValueError, match="crop_id: 42"):
+            simple_oracle().detect(5, [0, 42])
 
     def test_tile_shape_checked_but_pixels_ignored(self):
         oracle = simple_oracle()
-        tile = np.random.default_rng(3).integers(0, 255, (608, 608, 3), np.uint8)
-        assert oracle.detect(5, 0, tile) == oracle.detect(5, 0)
-        with pytest.raises(ValueError, match="tile"):
-            oracle.detect(5, 0, tile[:100])
+        tiles = np.random.default_rng(3).integers(0, 255, (2, 608, 608, 3), np.uint8)
+        assert oracle.detect(5, [0, 1], tiles) == oracle.detect(5, [0, 1])
+        for bad in (tiles[:1], tiles[:, :100], tiles[0], tiles.astype(np.int16)):
+            with pytest.raises(ValueError, match="tiles"):
+                oracle.detect(5, [0, 1], bad)
+
+    def test_input_side_is_the_model_side(self):
+        assert simple_oracle().input_side == MODEL_SIDE
 
     def test_threshold_validated(self):
         with pytest.raises(ValueError):
@@ -212,10 +248,30 @@ class TestSceneOracle:
 
     def test_concurrent_calls_match_serial(self):
         oracle = simple_oracle()
-        serial = [oracle.detect(5, i % 2) for i in range(40)]
+        serial = [oracle.detect(5, [i % 2]) for i in range(40)]
         with ThreadPoolExecutor(max_workers=8) as pool:
-            parallel = list(pool.map(lambda i: oracle.detect(5, i % 2), range(40)))
+            parallel = list(pool.map(lambda i: oracle.detect(5, [i % 2]), range(40)))
         assert parallel == serial
+
+
+class TestCheckTiles:
+    def test_accepts_one_uint8_array_of_the_batch_shape(self):
+        check_tiles(np.zeros((3, 4, 4, 3), np.uint8), 3, 4)
+        check_tiles(np.zeros((0, 4, 4, 3), np.uint8), 0, 4)
+
+    @pytest.mark.parametrize(
+        "tiles",
+        [
+            np.zeros((2, 4, 4, 3), np.uint8),
+            np.zeros((3, 4, 5, 3), np.uint8),
+            np.zeros((3, 4, 4, 3)),
+            [np.zeros((4, 4, 3), np.uint8)] * 3,
+        ],
+        ids=["count", "side", "dtype", "list"],
+    )
+    def test_rejects_anything_else(self, tiles):
+        with pytest.raises(ValueError, match=r"uint8 of shape \(3, 4, 4, 3\)"):
+            check_tiles(tiles, 3, 4)
 
 
 class TestCutTile:

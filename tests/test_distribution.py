@@ -18,12 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import tilepipe
 from test_cut_pool import TileHashDetector
-from tilepipe.detector import (
-    Detector,
-    DetectorProfile,
-    GroundTruthObject,
-    crop_catalog_key,
-)
+from tilepipe.detector import Detector, GroundTruthObject, crop_catalog_key
 from tilepipe.distribution import (
     ClusterConfig,
     DetectorServer,
@@ -76,24 +71,22 @@ class DelayDetector(Detector):
 
     def __init__(self, base, seconds):
         self.base = base
-        self.profile = base.profile
         self.seconds = seconds
 
-    def detect(self, frame_id, crop_id, tile=None):
-        time.sleep(self.seconds)
-        return self.base.detect(frame_id, crop_id, tile)
+    def detect(self, frame_id, crop_ids, tiles=None):
+        time.sleep(self.seconds * len(crop_ids))
+        return self.base.detect(frame_id, crop_ids, tiles)
 
 
 class FailOnFrame(Detector):
     def __init__(self, base, bad_frame_id):
         self.base = base
-        self.profile = base.profile
         self.bad_frame_id = bad_frame_id
 
-    def detect(self, frame_id, crop_id, tile=None):
+    def detect(self, frame_id, crop_ids, tiles=None):
         if frame_id == self.bad_frame_id:
             raise RuntimeError("refusing this frame")
-        return self.base.detect(frame_id, crop_id, tile)
+        return self.base.detect(frame_id, crop_ids, tiles)
 
 
 class TestDispatch:
@@ -197,7 +190,7 @@ class TestWorker:
                 frame, plan.final_grid.crops, [server.endpoint], 5.0
             )
         for crop in plan.final_grid.crops:
-            assert by_crop[crop.crop_id] == oracle.detect(0, crop.crop_id)
+            assert [by_crop[crop.crop_id]] == oracle.detect(0, [crop.crop_id])
 
     def test_response_bytes_deterministic(self):
         plan = make_plan()
@@ -268,14 +261,18 @@ class TestWorker:
 
 
 class RecordingDetector(Detector):
+    """Records every crop id it is asked for, and each call's crop ids and
+    tile bytes (None without tiles)."""
+
     def __init__(self, base):
         self.base = base
-        self.profile = base.profile
         self.calls = []
+        self.batches = []
 
-    def detect(self, frame_id, crop_id, tile=None):
-        self.calls.append(crop_id)
-        return self.base.detect(frame_id, crop_id, tile)
+    def detect(self, frame_id, crop_ids, tiles=None):
+        self.calls.extend(crop_ids)
+        self.batches.append((list(crop_ids), None if tiles is None else tiles.tobytes()))
+        return self.base.detect(frame_id, crop_ids, tiles)
 
 
 TILE_BYTES = 608 * 608 * 3
@@ -346,9 +343,9 @@ class TestEvalRequestChecks:
     @pytest.mark.parametrize("extra", [-1, 1, TILE_BYTES])
     def test_payload_must_match_declared_tiles(self, extra):
         # framing makes the two agree on the wire, so this is checked in process
-        header = eval_header([GOOD_CROP, {"crop_id": 1, "width": 0, "height": 0}])
+        header = eval_header([GOOD_CROP, {**GOOD_CROP, "crop_id": 1}])
         det = RecordingDetector(make_oracle())
-        raw = worker._respond(det, header, bytes(TILE_BYTES + extra))
+        raw = worker._respond(det, header, bytes(2 * TILE_BYTES + extra))
         assert b'"code":"malformed"' in raw
         assert b"payload" in raw
         assert det.calls == []
@@ -359,14 +356,62 @@ class TestEvalRequestChecks:
         assert b'"code":"malformed"' in raw
 
     def test_good_request_is_answered(self):
-        crops = [GOOD_CROP, {"crop_id": 1, "width": 0, "height": 0}]
+        crops = [GOOD_CROP, {**GOOD_CROP, "crop_id": 1}]
+        tiles = bytes(2 * TILE_BYTES)
         det = RecordingDetector(make_oracle())
-        in_process = worker._respond(det, eval_header(crops), bytes(TILE_BYTES))
-        reply, health = socketpair_exchange(det, eval_header(crops), bytes(TILE_BYTES))
+        in_process = worker._respond(det, eval_header(crops), tiles)
+        reply, health = socketpair_exchange(det, eval_header(crops), tiles)
         assert b'"EVAL_RESPONSE"' in in_process
         assert reply["type"] == "EVAL_RESPONSE"
         assert [row["crop_id"] for row in reply["results"]] == [0, 1]
         assert det.calls == [0, 1, 0, 1]
+
+    @pytest.mark.parametrize("first_side", [608, 0])
+    def test_mixed_tile_sizes_are_malformed(self, first_side):
+        sides = [first_side, 608 - first_side]
+        crops = [{"crop_id": i, "width": s, "height": s} for i, s in enumerate(sides)]
+        det = RecordingDetector(make_oracle())
+        reply, health = socketpair_exchange(det, eval_header(crops), bytes(TILE_BYTES))
+        assert (reply["type"], reply["code"]) == ("ERROR", "malformed")
+        assert "all 608x608 or all 0x0" in reply["message"]
+        assert health["type"] == "HEALTH_OK"
+        assert det.calls == []
+
+    @pytest.mark.parametrize("frame_id", ["x", True, 1.0, [1]], ids=repr)
+    def test_frame_id_that_is_not_an_int_is_malformed(self, frame_id):
+        crops = [{"crop_id": 0, "width": 0, "height": 0}]
+        header = {**eval_header(crops), "frame_id": frame_id}
+        det = RecordingDetector(make_oracle())
+        reply, health = socketpair_exchange(det, header, b"")
+        assert (reply["type"], reply["code"]) == ("ERROR", "malformed")
+        assert "frame_id" in reply["message"]
+        assert health["type"] == "HEALTH_OK"
+        assert det.calls == []
+
+    def test_one_detector_call_per_request(self, blocks):
+        rng = np.random.default_rng(9)
+        tiles = rng.integers(0, 256, 3 * TILE_BYTES, dtype=np.uint8).tobytes()
+        crops = [{**GOOD_CROP, "crop_id": i} for i in (4, 2, 7)]
+        block = blocks.take(len(tiles))
+        block.buf[: len(tiles)] = tiles
+        det = RecordingDetector(make_oracle())
+        by_payload = worker._respond(det, eval_header(crops), tiles)
+        by_block = worker._respond(det, {**eval_header(crops), "shm": block.name}, b"")
+        assert by_payload == by_block
+        assert det.batches == [([4, 2, 7], tiles)] * 2
+        raster_free = [{"crop_id": i, "width": 0, "height": 0} for i in (4, 2, 7)]
+        assert worker._respond(det, eval_header(raster_free), b"") == by_payload
+        assert det.batches[2] == ([4, 2, 7], None)
+
+    def test_wrong_number_of_answers_is_detector_failure(self):
+        class Short(RecordingDetector):
+            def detect(self, frame_id, crop_ids, tiles=None):
+                return super().detect(frame_id, crop_ids, tiles)[:-1]
+
+        crops = [{"crop_id": i, "width": 0, "height": 0} for i in range(3)]
+        reply, health = socketpair_exchange(Short(make_oracle()), eval_header(crops), b"")
+        assert (reply["type"], reply["code"]) == ("ERROR", "detector_failure")
+        assert health["type"] == "HEALTH_OK"
 
     @pytest.fixture
     def blocks(self):
@@ -455,9 +500,9 @@ class TestEvalRequestChecks:
         seen = []
 
         class CountingDetector(RecordingDetector):
-            def detect(self, frame_id, crop_id, tile=None):
+            def detect(self, frame_id, crop_ids, tiles=None):
                 seen.append(block_mappings(block.name))
-                return super().detect(frame_id, crop_id, tile)
+                return super().detect(frame_id, crop_ids, tiles)
 
         before = block_mappings(block.name)
         header = {**eval_header([GOOD_CROP]), "shm": block.name}
@@ -644,6 +689,23 @@ class TestEvaluateRemote:
                 )
         assert err.value.endpoint == server.endpoint
 
+    def test_detection_that_fails_its_checks_is_remote_fault(self):
+        class Overconfident(Detector):
+            def detect(self, frame_id, crop_ids, tiles=None):
+                det = SimpleNamespace(
+                    rect=Rect(1, 2, 3, 4), class_label="car", confidence=1.5
+                )
+                return [[det] for _ in crop_ids]
+
+        plan = make_plan()
+        with DetectorServer(Overconfident()) as server:
+            with pytest.raises(RemoteFault, match="confidence") as err:
+                evaluate_remote(
+                    Frame(0, 1280, 720), plan.final_grid.crops[:1],
+                    [server.endpoint], 5.0,
+                )
+        assert err.value.endpoint == server.endpoint
+
     def test_no_crops_no_requests(self):
         by_crop, stage_ms, per_worker = evaluate_remote(
             Frame(0, 1280, 720), [], ["127.0.0.1:1"], 0.5
@@ -805,10 +867,10 @@ def pixel_frames(count=4):
 
 def mismatched_oracle():
     class Mismatched(Detector):
-        profile = DetectorProfile(input_side=416)
+        input_side = 416
 
-        def detect(self, frame_id, crop_id, tile=None):
-            return make_oracle().detect(frame_id, crop_id, tile)
+        def detect(self, frame_id, crop_ids, tiles=None):
+            return make_oracle().detect(frame_id, crop_ids, tiles)
 
     return Mismatched()
 
@@ -846,9 +908,9 @@ class TestSharedMemoryStream:
         live = []
 
         class Watching(TileHashDetector):
-            def detect(self, frame_id, crop_id, tile=None):
+            def detect(self, frame_id, crop_ids, tiles=None):
                 live.append(len(shm_entries()))
-                return super().detect(frame_id, crop_id, tile)
+                return super().detect(frame_id, crop_ids, tiles)
 
         before = len(shm_entries())
         det = Watching(make_oracle())

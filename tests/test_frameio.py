@@ -473,6 +473,15 @@ class TestResultsIo:
         with pytest.raises(ValueError, match="bad result row"):
             read_results(path)
 
+    def test_read_names_the_line_of_a_detection_that_fails_its_checks(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        write_results([make_result(fid=0), make_result(fid=1)], path)
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].replace('"confidence":', '"confidence":1', 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"r\.jsonl:2: bad result row"):
+            read_results(path)
+
 
 class TestTimingCsv:
     def rows(self, path):

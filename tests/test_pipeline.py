@@ -45,28 +45,39 @@ def scene_720(objects, fid=0):
 
 
 class CountingDetector(Detector):
-    """Delegates to a base detector and counts calls per crop id."""
+    """Delegates to a base detector; records every crop id it is asked
+    for, and each call's crop ids and tile array shape."""
 
     def __init__(self, base):
         self.base = base
-        self.profile = base.profile
         self.calls = []
+        self.batches = []
 
-    def detect(self, frame_id, crop_id, tile=None):
-        self.calls.append(crop_id)
-        return self.base.detect(frame_id, crop_id, tile)
+    def detect(self, frame_id, crop_ids, tiles=None):
+        self.calls.extend(crop_ids)
+        self.batches.append((list(crop_ids), None if tiles is None else tiles.shape))
+        return self.base.detect(frame_id, crop_ids, tiles)
 
 
 class FailingDetector(Detector):
     def __init__(self, base, fail_ids):
         self.base = base
-        self.profile = base.profile
         self.fail_ids = fail_ids
 
-    def detect(self, frame_id, crop_id, tile=None):
-        if crop_id in self.fail_ids:
+    def detect(self, frame_id, crop_ids, tiles=None):
+        if self.fail_ids & set(crop_ids):
             raise RuntimeError("boom")
-        return self.base.detect(frame_id, crop_id, tile)
+        return self.base.detect(frame_id, crop_ids, tiles)
+
+
+class ShortDetector(Detector):
+    """Answers one list fewer than it is asked for."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def detect(self, frame_id, crop_ids, tiles=None):
+        return self.base.detect(frame_id, crop_ids, tiles)[:-1]
 
 
 class TestPipelineSettings:
@@ -154,6 +165,47 @@ class TestAttentionPass:
         failing = FailingDetector(oracle, {0, 1})
         with pytest.raises(StageFailure, match="attention stage failed on frame 7"):
             attention_pass(frame, SETTINGS_720, failing)
+
+
+class TestOneDetectorCallPerStage:
+    def test_each_stage_is_one_call_with_one_tile_array(self):
+        objects = [gt(100, 100, 80, 80), gt(900, 500, 80, 80)]
+        _, oracle = scene_720(objects)
+        pixels = np.random.default_rng(2).integers(0, 256, (720, 1280, 3), np.uint8)
+        counting = CountingDetector(oracle)
+        result = run_one(Frame(0, 1280, 720, pixels), SETTINGS_720, counting)
+        plan = GridPlan.build(1280, 720, SETTINGS_720)
+        attention_ids = [c.crop_id for c in plan.attention_grid.crops]
+        final_ids = sorted({c.crop_id for c in plan.final_grid.crops} & set(counting.calls))
+        assert counting.batches == [
+            (attention_ids, (len(attention_ids), 608, 608, 3)),
+            (final_ids, (len(final_ids), 608, 608, 3)),
+        ]
+        assert len(final_ids) == result.active_count > 0
+
+    def test_raster_free_stage_passes_no_tiles(self):
+        frame, oracle = scene_720([gt(100, 100, 80, 80)])
+        counting = CountingDetector(oracle)
+        attention_pass(frame, SETTINGS_720, counting)
+        assert counting.batches == [([0, 1], None)]
+
+    def test_empty_stage_makes_no_call(self):
+        frame, oracle = scene_720([gt(100, 100, 80, 80)])
+        counting = CountingDetector(oracle)
+        plan = GridPlan.build(1280, 720, SETTINGS_720)
+        assert final_pass(frame, ActiveSet(plan.final_grid, frozenset()), counting) == []
+        assert counting.batches == []
+
+    @pytest.mark.parametrize("stage", ["attention", "final"])
+    def test_wrong_number_of_answers_is_a_stage_failure(self, stage):
+        frame, oracle = scene_720([gt(100, 100, 80, 80)], fid=4)
+        plan = GridPlan.build(1280, 720, SETTINGS_720)
+        short = ShortDetector(oracle)
+        with pytest.raises(StageFailure, match=f"{stage} stage failed on frame 4"):
+            if stage == "attention":
+                attention_pass(frame, SETTINGS_720, short, plan=plan)
+            else:
+                final_pass(frame, ActiveSet(plan.final_grid, frozenset({2, 3})), short)
 
 
 def model(fid, *boxes):
