@@ -3,12 +3,18 @@ run_stream, the one loop that runs both stages of every frame on workers
 with the next frame's attention precomputed. Every step between the
 network calls is a helper shared with the in-process pipeline.
 
-A stream first sends every worker a HEALTH message that carries a probe: the
-name of a shared-memory block holding a random nonce. A worker that reads
-the nonce back shares memory with the client. For the rest of the stream,
-each request to it with pixels has its tiles cut straight into one of the
-stream's blocks and names that block instead of carrying them (see shm.py).
-Requests to every other worker carry their tiles as the payload over TCP.
+A stream keeps one session (_Session) from start to end. It holds one TCP
+connection per worker, opened by the stream-start HEALTH message and used
+by every request after it; a second one is opened only while one worker
+serves both stages at once. It also holds the threads that run a stage's
+requests beside the calling thread, and the stream's shared-memory blocks.
+
+The HEALTH message carries a probe: the name of a shared-memory block
+holding a random nonce. A worker that reads the nonce back shares memory
+with the client. For the rest of the stream, each request to it with pixels
+has its tiles cut straight into one of the session's blocks and names that
+block instead of carrying them (see shm.py). Requests to every other worker
+carry their tiles as the payload over TCP.
 """
 
 from __future__ import annotations
@@ -16,9 +22,11 @@ from __future__ import annotations
 import math
 import secrets
 import socket
+import threading
 import time
-from collections.abc import Iterable, Iterator, Mapping, Sequence
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,48 +154,146 @@ def _crop_entries(
     return entries, memoryview(tiles.reshape(-1))
 
 
-def _exchange(
-    endpoint: str,
-    timeout_s: float,
-    header: dict,
-    payload: bytes | memoryview = b"",
-) -> dict:
-    """Send one message on a fresh connection and return the reply header;
-    every failure, an ERROR reply included, raises a WorkerError."""
-    try:
-        with socket.create_connection(parse_endpoint(endpoint), timeout=timeout_s) as sock:
-            sock.settimeout(timeout_s)
-            wire.send_message(sock, header, payload)
-            reply, _ = wire.recv_message(sock)
-    except TimeoutError as exc:
-        raise WorkerTimeout(endpoint, f"no reply within {timeout_s}s") from exc
-    except wire.ProtocolError as exc:
-        raise RemoteFault(endpoint, str(exc)) from exc
-    except OSError as exc:
-        raise WorkerUnavailable(endpoint, str(exc)) from exc
-    if reply.get("type") == "ERROR":
-        raise RemoteFault(endpoint, f"{reply.get('code')}: {reply.get('message')}")
-    return reply
+class _Session:
+    """What a stream holds for its workers until it ends: one connection to
+    each, the result of the stream-start probe, the shared-memory blocks and
+    the threads that run a stage's requests beside the calling one.
+
+    A request takes an idle connection to its worker and gives it back once
+    answered. Only when every connection to that worker is busy does it open
+    another, so a worker never has more connections than requests in
+    flight. Any failure of a request closes its connection. close() shuts
+    every connection down first, so a request still waiting for a reply
+    fails at once and closes its own; then it joins the request threads and
+    unlinks the blocks.
+    """
+
+    def __init__(self, timeout_s: float, threads: int = 1):
+        self.timeout_s = timeout_s
+        self.blocks = shm.Blocks()
+        # workers that read the probe back: their requests' tiles go in blocks
+        self.same_host: frozenset[str] = frozenset()
+        self._lock = threading.Lock()
+        self._open: set[socket.socket] = set()
+        self._idle: dict[str, list[socket.socket]] = {}
+        self._closed = False
+        self._pool = ThreadPoolExecutor(
+            max_workers=threads, thread_name_prefix="tilepipe-request"
+        )
+
+    def __enter__(self) -> "_Session":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def exchange(
+        self,
+        endpoint: str,
+        header: dict,
+        payload: bytes | memoryview = b"",
+        *,
+        expect: str,
+    ) -> dict:
+        """Send one message to endpoint and return the reply header, which
+        must be of type ``expect``. Every failure, an ERROR reply included,
+        closes the connection and raises a WorkerError."""
+        try:
+            sock = self._connection(endpoint)
+            try:
+                wire.send_message(sock, header, payload)
+                reply, _ = wire.recv_message(sock)
+            except BaseException:
+                self._discard(sock)
+                raise
+        except TimeoutError as exc:
+            raise WorkerTimeout(endpoint, f"no reply within {self.timeout_s}s") from exc
+        except wire.ProtocolError as exc:
+            raise RemoteFault(endpoint, str(exc)) from exc
+        except OSError as exc:
+            raise WorkerUnavailable(endpoint, str(exc)) from exc
+        if reply.get("type") != expect:
+            self._discard(sock)
+            if reply.get("type") == "ERROR":
+                raise RemoteFault(endpoint, f"{reply.get('code')}: {reply.get('message')}")
+            raise RemoteFault(endpoint, f"unexpected reply {reply.get('type')!r}")
+        self._give_back(endpoint, sock)
+        return reply
+
+    def run_all(self, fn: Callable, calls: Sequence[tuple]) -> list:
+        """fn(*args) for every args in calls, all at once: the first on the
+        calling thread, the others on the request threads. Returns their
+        results in order once every call has returned; raises the first
+        failure in that order."""
+        futures = [self._pool.submit(fn, *args) for args in calls[1:]]
+        try:
+            first = fn(*calls[0])
+        finally:
+            wait(futures)
+        return [first, *(future.result() for future in futures)]
+
+    def _connection(self, endpoint: str) -> socket.socket:
+        with self._lock:
+            if self._closed:
+                raise ConnectionAbortedError("the stream has ended")
+            idle = self._idle.get(endpoint)
+            if idle:
+                return idle.pop()
+        sock = socket.create_connection(parse_endpoint(endpoint), timeout=self.timeout_s)
+        with self._lock:
+            if not self._closed:
+                self._open.add(sock)
+                return sock
+        sock.close()
+        raise ConnectionAbortedError("the stream has ended")
+
+    def _give_back(self, endpoint: str, sock: socket.socket) -> None:
+        with self._lock:
+            if not self._closed:
+                self._idle.setdefault(endpoint, []).append(sock)
+                return
+        self._discard(sock)
+
+    def _discard(self, sock: socket.socket) -> None:
+        # under the lock, so that close() never shuts down a closed socket
+        with self._lock:
+            self._open.discard(sock)
+            sock.close()
+
+    def close(self) -> None:
+        with self._lock:
+            self._closed = True
+            idle = {sock for socks in self._idle.values() for sock in socks}
+            self._idle.clear()
+            for sock in self._open - idle:  # a request is waiting on it
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:  # the worker closed it first
+                    pass
+            for sock in idle:
+                sock.close()
+            self._open -= idle
+        self._pool.shutdown(cancel_futures=True)
+        self.blocks.close()
 
 
 def _request_worker(
+    session: _Session,
     endpoint: str,
     frame: Frame,
     crops: Sequence[CropSpec],
-    timeout_s: float,
-    blocks: shm.Blocks | None = None,
 ) -> tuple[dict[int, list[Detection]], float]:
     """One EVAL_REQUEST round trip; returns detections by crop id + busy ms.
 
-    With ``blocks`` (the worker shares memory with the client) and pixels,
-    the tiles go in a block taken from them, given back once the request has
+    To a worker that shares memory with the client, with pixels, the tiles
+    go in a block taken from the session's, given back once the request has
     a reply or has failed, and the request has no payload. If no block can
     be had, they go as the payload.
     """
     block = None
-    if blocks is not None and frame.pixels is not None:
+    if endpoint in session.same_host and frame.pixels is not None:
         try:
-            block = blocks.take(len(crops) * TILE_BYTES)
+            block = session.blocks.take(len(crops) * TILE_BYTES)
         except OSError:  # shared memory is full: this request goes over TCP
             pass
     try:
@@ -199,14 +305,14 @@ def _request_worker(
             header["shm"] = block.name
             tiles = b""  # drops the view into the block
         started = time.perf_counter()
-        reply = _exchange(endpoint, timeout_s, header, tiles)
+        reply = session.exchange(endpoint, header, tiles, expect="EVAL_RESPONSE")
         busy_ms = (time.perf_counter() - started) * 1000
     finally:
         if block is not None:
-            blocks.give_back(block)
+            session.blocks.give_back(block)
 
-    if reply.get("type") != "EVAL_RESPONSE" or reply.get("frame_id") != frame.frame_id:
-        raise RemoteFault(endpoint, f"unexpected reply {reply.get('type')!r}")
+    if reply.get("frame_id") != frame.frame_id:
+        raise RemoteFault(endpoint, f"reply for frame {reply.get('frame_id')!r}")
     try:
         by_crop = {
             row["crop_id"]: [detection_from_row(d) for d in row["detections"]]
@@ -225,39 +331,33 @@ def evaluate_remote(
     crops: Sequence[CropSpec],
     workers: Sequence[str],
     timeout_s: float,
-    shared: Mapping[str, shm.Blocks] | None = None,
+    session: _Session | None = None,
 ) -> tuple[dict[int, list[Detection]], float, tuple[tuple[str, float], ...]]:
     """Evaluate crops across workers; one concurrent request per worker.
 
-    ``shared`` maps each worker that shares memory with the client to the
-    blocks its requests' tiles go in; the others get them over TCP.
-    Returns (crop-local detections by crop id, stage ms under the
+    The requests run on ``session``, the stream's; without one, the call
+    opens a session with ``timeout_s`` for its own requests and closes it
+    on return. Returns (crop-local detections by crop id, stage ms under the
     slowest-worker rule, per-worker (endpoint, busy_ms)). Any worker
     failure raises; partial results are never returned.
     """
-    shared = shared or {}
     assignments = [(w, part) for w, part in dispatch(crops, workers) if part]
     if not assignments:
         return {}, 0.0, ()
+    own = _Session(timeout_s, len(assignments)) if session is None else nullcontext(session)
+    with own as session:
+        replies = session.run_all(
+            _request_worker,
+            [(session, endpoint, frame, part) for endpoint, part in assignments],
+        )
     detections: dict[int, list[Detection]] = {}
-    per_worker = []
-    with ThreadPoolExecutor(max_workers=len(assignments)) as pool:
-        futures = [
-            (
-                endpoint,
-                pool.submit(
-                    _request_worker, endpoint, frame, part, timeout_s,
-                    shared.get(endpoint),
-                ),
-            )
-            for endpoint, part in assignments
-        ]
-        for endpoint, future in futures:
-            by_crop, busy_ms = future.result()
-            detections.update(by_crop)
-            per_worker.append((endpoint, busy_ms))
+    for by_crop, _ in replies:
+        detections.update(by_crop)
+    per_worker = tuple(
+        (endpoint, busy_ms) for (endpoint, _), (_, busy_ms) in zip(assignments, replies)
+    )
     stage_ms = max(busy for _, busy in per_worker)
-    return detections, stage_ms, tuple(per_worker)
+    return detections, stage_ms, per_worker
 
 
 def _attention_remote(
@@ -265,12 +365,12 @@ def _attention_remote(
     plan: GridPlan,
     settings: PipelineSettings,
     cluster: ClusterConfig,
-    shared: Mapping[str, shm.Blocks],
+    session: _Session,
 ) -> tuple[AttentionModel, float]:
     crops = plan.attention_grid.crops
     workers = cluster.attention_workers or cluster.final_workers
     by_crop, stage_ms, _ = evaluate_remote(
-        frame, crops, workers, cluster.request_timeout_s, shared
+        frame, crops, workers, cluster.request_timeout_s, session
     )
     return attention_model(frame, crops, by_crop, settings.min_confidence), stage_ms
 
@@ -280,27 +380,26 @@ def _echoes_probe(reply: dict, nonce: bytes) -> bool:
     return reply.get("probe") == nonce.hex()
 
 
-def _check_workers(
-    cluster: ClusterConfig, blocks: shm.Blocks
-) -> tuple[list[str], dict[str, str | None]]:
-    """HEALTH every worker once, with a probe; returns the workers that share
-    memory with the client, and each worker's crop catalog key (None: its
-    detector holds no catalog). Raises WorkerError for a worker that does
-    not answer, and WorkerMismatch for one whose detector takes tiles of
-    another size than MODEL_SIDE."""
+def _check_workers(cluster: ClusterConfig, session: _Session) -> dict[str, str | None]:
+    """HEALTH every worker once on the session, with a probe, which leaves it
+    one connection to each. Sets session.same_host to the workers that
+    share memory with the client, and returns each worker's crop catalog
+    key (None: its detector holds no catalog). Raises WorkerError for a
+    worker that does not answer, and WorkerMismatch for one whose detector
+    takes tiles of another size than MODEL_SIDE."""
     nonce = secrets.token_bytes(shm.PROBE_BYTES)
     try:
-        probe = blocks.take(shm.PROBE_BYTES)
+        probe = session.blocks.take(shm.PROBE_BYTES)
     except OSError:  # no shared memory on this host: every worker gets TCP
         probe = name = None
     else:
         probe.buf[: shm.PROBE_BYTES] = nonce
         name = probe.name
     try:
-        shared = []
+        same_host = set()
         catalogs = {}
         for endpoint in dict.fromkeys(cluster.attention_workers + cluster.final_workers):
-            reply = check_health(endpoint, cluster.request_timeout_s, probe=name)
+            reply = _health(session, endpoint, name)
             if reply.get("input_side") != MODEL_SIDE:
                 raise WorkerMismatch(
                     endpoint,
@@ -308,12 +407,13 @@ def _check_workers(
                     f"tiles are {MODEL_SIDE}x{MODEL_SIDE}",
                 )
             if _echoes_probe(reply, nonce):
-                shared.append(endpoint)
+                same_host.add(endpoint)
             catalogs[endpoint] = reply.get("catalog")
     finally:
         if probe is not None:
-            blocks.give_back(probe)
-    return shared, catalogs
+            session.blocks.give_back(probe)
+    session.same_host = frozenset(same_host)
+    return catalogs
 
 
 def _check_catalogs(catalogs: Mapping[str, str | None], plan: GridPlan) -> None:
@@ -361,31 +461,37 @@ def run_stream(
     Without them every frame runs both stages sequentially.
 
     Before the first frame is pulled, every worker gets a HEALTH probe
-    (_check_workers). A worker that does not answer, or whose detector takes
-    tiles of another size, aborts the stream at cursor 0. So does one whose
-    detector resolves crop ids against another catalog than the plan built
-    from the first frame, before any crop is sent. Requests to the
-    workers that read the probe back carry their tiles in shared-memory
-    blocks; all of them are unlinked when the stream ends, however it ends.
+    (_check_workers), which opens the stream's one connection to it. A
+    worker that does not answer, or whose detector takes tiles of another
+    size, aborts the stream at cursor 0. So does one whose detector
+    resolves crop ids against another catalog than the plan built from the
+    first frame, before any crop is sent. Requests to the workers that read
+    the probe back carry their tiles in shared-memory blocks.
 
     The first frame's size fixes the grid. On any failure, StreamAborted
     carries as cursor the index of the first frame without a result, and
     the results before it. A bad pull (the iterator raised, or the frame
     has another size) aborts at that frame's index once frame t is done.
+    However the stream ends, its connections are closed first, which fails
+    a pending attention request at once; the attention thread and the
+    request threads are joined and the blocks unlinked before run_stream
+    returns or raises.
     """
     pipelined = len(cluster.attention_workers) >= 1
     keep = settings.temporal_window - 1
 
     results: list[FrameResult] = []
     history: list[AttentionModel] = []
-    blocks = shm.Blocks()
-    pool = ThreadPoolExecutor(max_workers=1)
+    session = _Session(
+        cluster.request_timeout_s,
+        len(cluster.attention_workers) + len(cluster.final_workers),
+    )
+    attention = ThreadPoolExecutor(max_workers=1, thread_name_prefix="tilepipe-attention")
     pending = None
     t = 0
     try:
         try:
-            same_host, catalogs = _check_workers(cluster, blocks)
-            shared = dict.fromkeys(same_host, blocks)
+            catalogs = _check_workers(cluster, session)
             frames = timed_pulls(frames)
             frame, io_ms, error = _pull(frames, None)
             plan = None
@@ -404,14 +510,14 @@ def run_stream(
                 if pending is not None:
                     att, _ = pending.result()
                 else:
-                    att, _ = _attention_remote(frame, plan, settings, cluster, shared)
+                    att, _ = _attention_remote(frame, plan, settings, cluster, session)
                 wait_ms = (time.perf_counter() - waited) * 1000
 
                 pending = None
                 upcoming, upcoming_io_ms, error = _pull(frames, plan)
                 if pipelined and upcoming is not None:
-                    pending = pool.submit(
-                        _attention_remote, upcoming, plan, settings, cluster, shared
+                    pending = attention.submit(
+                        _attention_remote, upcoming, plan, settings, cluster, session
                     )
 
                 c0 = time.perf_counter()
@@ -423,7 +529,7 @@ def run_stream(
                 crops = active.crops
                 by_crop, final_ms, per_worker = evaluate_remote(
                     frame, crops, cluster.final_workers, cluster.request_timeout_s,
-                    shared,
+                    session,
                 )
                 tagged = tag_global(frame, crops, by_crop)
                 p0 = time.perf_counter()
@@ -456,17 +562,20 @@ def run_stream(
             frame, io_ms = upcoming, upcoming_io_ms
             t += 1
     finally:
-        pool.shutdown(wait=False, cancel_futures=True)
-        blocks.close()
+        session.close()
+        attention.shutdown(cancel_futures=True)
+
+
+def _health(session: _Session, endpoint: str, probe: str | None = None) -> dict:
+    header = {"type": "HEALTH"} if probe is None else {"type": "HEALTH", "probe": probe}
+    return session.exchange(endpoint, header, expect="HEALTH_OK")
 
 
 def check_health(
     endpoint: str, timeout_s: float = 30.0, probe: str | None = None
 ) -> dict:
-    """HEALTH round trip; returns the worker's HEALTH_OK reply, which with
-    ``probe``, the name of a block, holds what the worker read from it."""
-    header = {"type": "HEALTH"} if probe is None else {"type": "HEALTH", "probe": probe}
-    reply = _exchange(endpoint, timeout_s, header)
-    if reply.get("type") != "HEALTH_OK":
-        raise RemoteFault(endpoint, f"unexpected reply {reply.get('type')!r}")
-    return reply
+    """HEALTH round trip on a connection of its own; returns the worker's
+    HEALTH_OK reply, which with ``probe``, the name of a block, holds what
+    the worker read from it."""
+    with _Session(timeout_s) as session:
+        return _health(session, endpoint, probe)

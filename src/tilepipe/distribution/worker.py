@@ -1,6 +1,11 @@
 """Worker side: a threaded TCP server that runs a detector on request.
 
-Workers are stateless between requests and never talk to each other. Each
+Workers are stateless between requests and never talk to each other. A
+client keeps one connection to a worker for a whole stream, and one
+handler thread serves each connection. Between messages the handler waits
+for the next message's first byte, checking every POLL_INTERVAL_S whether
+the server is shutting down, and only then reads the message; so an idle
+connection neither blocks shutdown nor counts as time spent receiving. Each
 EVAL_REQUEST is answered with the crop-local detections for every listed
 crop, from one detector call on a view of all its tiles; a malformed
 message gets an ERROR response and the connection stays open for the next
@@ -19,6 +24,7 @@ The worker maps it for that one request and unmaps it before replying.
 from __future__ import annotations
 
 import math
+import selectors
 import socketserver
 import threading
 
@@ -27,8 +33,12 @@ import numpy as np
 from ..detector import Detector, detection_row
 from . import shm, wire
 
-# How often serve_forever checks for shutdown; shutdown() waits up to this long.
+# How often serve_forever and each handler waiting for a message check for
+# shutdown; shutdown() waits up to this long, and an idle handler exits
+# within as long again.
 POLL_INTERVAL_S = 0.05
+
+_Selector = getattr(selectors, "PollSelector", selectors.SelectSelector)
 
 
 def _is_int(value) -> bool:
@@ -143,23 +153,36 @@ def _respond(det: Detector, header: dict, payload: bytes | bytearray) -> bytes:
 class _Handler(socketserver.BaseRequestHandler):
     def handle(self):
         det = self.server.detector
-        while True:
-            try:
-                header, payload = wire.recv_message(self.request)
-            except OSError:
-                return
-            except wire.ProtocolError as exc:
-                # Framed-but-invalid input is answerable; a broken frame
-                # boundary is not recoverable, so close after reporting.
+        with _Selector() as selector:
+            selector.register(self.request, selectors.EVENT_READ)
+            while self._message_waiting(selector):
                 try:
-                    self.request.sendall(wire.error_message("malformed", str(exc)))
+                    header, payload = wire.recv_message(self.request)
                 except OSError:
-                    pass
-                return
-            try:
-                self.request.sendall(_respond(det, header, payload))
-            except OSError:
-                return
+                    return
+                except wire.ProtocolError as exc:
+                    # Framed-but-invalid input is answerable; a broken frame
+                    # boundary is not recoverable, so close after reporting.
+                    try:
+                        self.request.sendall(wire.error_message("malformed", str(exc)))
+                    except OSError:
+                        pass
+                    return
+                try:
+                    self.request.sendall(_respond(det, header, payload))
+                except OSError:
+                    return
+
+    def _message_waiting(self, selector) -> bool:
+        """Wait until the connection has a byte to read (a message, or the
+        client closing it); False once the server is shutting down, even if
+        one has come in since."""
+        while True:
+            ready = selector.select(POLL_INTERVAL_S)
+            if self.server.stopping.is_set():
+                return False
+            if ready:
+                return True
 
 
 class _Server(socketserver.ThreadingTCPServer):
@@ -169,6 +192,7 @@ class _Server(socketserver.ThreadingTCPServer):
     def __init__(self, address, detector):
         super().__init__(address, _Handler)
         self.detector = detector
+        self.stopping = threading.Event()
 
 
 class DetectorServer:
@@ -196,6 +220,10 @@ class DetectorServer:
         self._server.serve_forever(poll_interval=POLL_INTERVAL_S)
 
     def shutdown(self) -> None:
+        """Stop accepting connections. Each handler closes its connection
+        once it has answered the message it is reading, and an idle one
+        within POLL_INTERVAL_S."""
+        self._server.stopping.set()
         self._server.shutdown()
         self._server.server_close()
         if self._thread is not None:

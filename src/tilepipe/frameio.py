@@ -380,7 +380,9 @@ class RunConfig:
 
     def __post_init__(self):
         if self.detector not in ("oracle", "remote"):
-            raise ValueError(f"detector must be oracle or remote, got {self.detector!r}")
+            raise ValueError(
+                f"[detector] kind: must be oracle or remote, got {self.detector!r}"
+            )
         if self.detector == "remote" and self.cluster is None:
             raise ValueError("remote detector needs a [cluster] section")
         if self.detector == "oracle" and self.cluster is not None:
@@ -500,7 +502,10 @@ def _run_config(parser: configparser.ConfigParser, path: Path) -> RunConfig:
         raise ValueError("[pipeline] needs preset")
     numbers = {"attention_margin_px": int, "temporal_window": int, "min_confidence": float}
     tuning = {k: value("pipeline", k, f) for k, f in numbers.items() if k in pipeline}
-    settings = PipelineSettings.from_preset(pipeline["preset"], **tuning)
+    try:
+        settings = PipelineSettings.from_preset(pipeline["preset"], **tuning)
+    except ValueError as exc:
+        raise ValueError(f"[pipeline] {exc}") from exc
 
     paths = parser["paths"]
     if "ground_truth" not in paths or "results" not in paths:

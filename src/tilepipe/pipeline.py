@@ -61,26 +61,33 @@ class PipelineSettings:
                 f"({self.attention.rows})"
             )
         if self.attention_margin_px < 0:
-            raise ValueError("attention_margin_px must be >= 0")
+            raise ValueError(
+                f"attention_margin_px: must be >= 0, got {self.attention_margin_px}"
+            )
         if self.temporal_window < 1:
-            raise ValueError("temporal_window must be >= 1")
+            raise ValueError(f"temporal_window: must be >= 1, got {self.temporal_window}")
         if not 0.0 <= self.min_confidence <= 1.0:
-            raise ValueError("min_confidence must be in [0, 1]")
+            raise ValueError(f"min_confidence: must be in [0, 1], got {self.min_confidence}")
 
     @classmethod
     def from_preset(cls, text: str, **overrides) -> "PipelineSettings":
-        """Build settings from a preset string like "1 att, 3 fin, 50 over"."""
-        m = PRESET_RE.match(text)
-        if m is None:
-            raise ValueError(
-                f"bad preset {text!r}, expected like '1 att, 3 fin, 50 over'"
+        """Build settings from a preset string like "1 att, 3 fin, 50 over"
+        and overrides of the other fields. A ValueError starts with the name
+        of what it refuses: preset, or the field of an override."""
+        try:
+            m = PRESET_RE.match(text)
+            if m is None:
+                raise ValueError(
+                    f"bad preset {text!r}, expected like '1 att, 3 fin, 50 over'"
+                )
+            att_rows, fin_rows, overlap = (int(g) for g in m.groups())
+            grid = cls(
+                attention=CropSettings(att_rows, overlap),
+                final=CropSettings(fin_rows, overlap),
             )
-        att_rows, fin_rows, overlap = (int(g) for g in m.groups())
-        return cls(
-            attention=CropSettings(att_rows, overlap),
-            final=CropSettings(fin_rows, overlap),
-            **overrides,
-        )
+        except ValueError as exc:
+            raise ValueError(f"preset: {exc}") from exc
+        return replace(grid, **overrides)
 
 
 @dataclass(frozen=True)

@@ -314,6 +314,11 @@ BAD_VALUES = {
     "nan-timeout": ("[cluster]", "request_timeout_s", "nan"),
     "inf-timeout": ("[cluster]", "request_timeout_s", "inf"),
     "word-window": ("[pipeline]", "temporal_window", "two"),
+    "zero-window": ("[pipeline]", "temporal_window", "0"),
+    "negative-margin": ("[pipeline]", "attention_margin_px", "-1"),
+    "confidence-over-1": ("[pipeline]", "min_confidence", "1.5"),
+    "fewer-final-rows": ("[pipeline]", "preset", "2 att, 1 fin, 50 over"),
+    "unknown-kind": ("[detector]", "kind", "banana"),
 }
 
 
@@ -327,6 +332,8 @@ def test_bad_config_value_exits_2_naming_it(scene_dir, tmp_path, capsys, case):
     text = config.read_text()
     if section == "[frame]":  # raster-free, so that only the config sizes frames
         text = text.replace(f"frames = {scene_dir}\n", "") + "[frame]\nheight = 720\n"
+    lines = [line for line in text.splitlines() if not line.startswith(f"{key} = ")]
+    text = "\n".join(lines) + "\n"  # without the key, if write_config set it
     config.write_text(text.replace(f"{section}\n", f"{section}\n{key} = {value}\n", 1))
     assert main(["run", "--config", str(config)]) == 2
     assert f"{config}: {section} {key}: " in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Worker/client integration over localhost sockets."""
 
+import gc
 import os
 import random
 import socket
@@ -32,7 +33,8 @@ from tilepipe.distribution import (
     evaluate_remote,
     run_stream,
 )
-from tilepipe.distribution import client, shm, wire, worker
+from tilepipe.distribution import client, parse_endpoint, shm, wire, worker
+from tilepipe.frameio import result_line
 from tilepipe.geometry import Rect
 from tilepipe.pipeline import (
     Frame,
@@ -87,6 +89,88 @@ class FailOnFrame(Detector):
         if frame_id == self.bad_frame_id:
             raise RuntimeError("refusing this frame")
         return self.base.detect(frame_id, crop_ids, tiles)
+
+
+class SleepOnFrame(Detector):
+    def __init__(self, base, slow_frame_id, seconds):
+        self.base = base
+        self.slow_frame_id = slow_frame_id
+        self.seconds = seconds
+
+    def detect(self, frame_id, crop_ids, tiles=None):
+        if frame_id == self.slow_frame_id:
+            time.sleep(self.seconds)
+        return self.base.detect(frame_id, crop_ids, tiles)
+
+
+# Name prefixes of the threads a stream starts (see client.run_stream)
+STREAM_THREADS = ("tilepipe-attention", "tilepipe-request")
+
+
+@pytest.fixture(autouse=True)
+def no_stream_threads_left():
+    yield
+    left = [t.name for t in threading.enumerate() if t.name.startswith(STREAM_THREADS)]
+    assert left == [], f"stream threads still running: {left}"
+
+
+def threads_started_since(before):
+    """Threads started since ``before`` that are not a worker's handlers."""
+    return [
+        t for t in threading.enumerate()
+        if t not in before and "process_request_thread" not in t.name
+    ]
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """(address, socket) of every connection the client opens, in order."""
+    sockets = []
+    real = socket.create_connection
+
+    def create_connection(address, *args, **kwargs):
+        sock = real(address, *args, **kwargs)
+        sockets.append((address, sock))
+        return sock
+
+    monkeypatch.setattr(socket, "create_connection", create_connection)
+    return sockets
+
+
+class ClosesAfterReplies:
+    """A worker that answers its first ``replies`` messages, on however many
+    connections they come, then closes the connection it answered on and
+    stops listening."""
+
+    def __init__(self, det, replies):
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(5)
+        self.endpoint = f"127.0.0.1:{self._listener.getsockname()[1]}"
+        self._thread = threading.Thread(target=self._serve, args=(det, replies))
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self._thread.join(10)
+        assert not self._thread.is_alive()
+
+    def _serve(self, det, replies):
+        with self._listener:
+            while replies:
+                try:
+                    conn, _ = self._listener.accept()
+                except OSError:
+                    return
+                with conn:
+                    while replies:
+                        try:
+                            header, payload = wire.recv_message(conn)
+                        except OSError:
+                            break
+                        conn.sendall(worker._respond(det, header, payload))
+                        replies -= 1
 
 
 class TestDispatch:
@@ -259,6 +343,25 @@ class TestWorker:
         assert reply["code"] == "malformed"
         assert "payload" in reply["message"]
 
+    def test_shutdown_closes_an_idle_connection(self):
+        server = DetectorServer(make_oracle()).start()
+        before = set(threading.enumerate())
+        with socket.create_connection(parse_endpoint(server.endpoint), timeout=5) as sock:
+            wire.send_message(sock, {"type": "HEALTH"})
+            reply, _ = wire.recv_message(sock)
+            handlers = [t for t in threading.enumerate() if t not in before]
+            started = time.perf_counter()
+            server.shutdown()
+            for handler in handlers:
+                handler.join(1)
+            took = time.perf_counter() - started
+            assert sock.recv(1) == b""  # the worker closed the connection
+        assert reply["type"] == "HEALTH_OK"
+        assert len(handlers) == 1
+        assert not handlers[0].is_alive()
+        # about 2 poll intervals: serve_forever's and the handler's
+        assert took < 2 * worker.POLL_INTERVAL_S + 0.25
+
 
 class RecordingDetector(Detector):
     """Records every crop id it is asked for, and each call's crop ids and
@@ -302,7 +405,11 @@ def socketpair_exchange(det, header, payload):
     client, server = socket.socketpair()
     handler = threading.Thread(
         target=worker._Handler,
-        args=(server, "socketpair", SimpleNamespace(detector=det)),
+        args=(
+            server,
+            "socketpair",
+            SimpleNamespace(detector=det, stopping=threading.Event()),
+        ),
     )
     handler.start()
     try:
@@ -706,6 +813,22 @@ class TestEvaluateRemote:
                 )
         assert err.value.endpoint == server.endpoint
 
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_leaves_no_open_socket(self, fails, opened):
+        det = FailOnFrame(make_oracle(), 0) if fails else make_oracle()
+        crops = make_plan().final_grid.crops
+        with DetectorServer(make_oracle()) as w1, DetectorServer(det) as w2:
+            endpoints = [w1.endpoint, w2.endpoint]
+            if fails:
+                with pytest.raises(RemoteFault):
+                    evaluate_remote(Frame(0, 1280, 720), crops, endpoints, 5.0)
+            else:
+                by_crop, _, _ = evaluate_remote(Frame(0, 1280, 720), crops, endpoints, 5.0)
+                assert sorted(by_crop) == [c.crop_id for c in crops]
+        gc.collect()  # a socket left open warns here, and warnings are errors
+        assert sorted(a for a, _ in opened) == sorted(map(parse_endpoint, endpoints))
+        assert all(sock.fileno() == -1 for _, sock in opened)
+
     def test_no_crops_no_requests(self):
         by_crop, stage_ms, per_worker = evaluate_remote(
             Frame(0, 1280, 720), [], ["127.0.0.1:1"], 0.5
@@ -783,6 +906,105 @@ class TestRunStream:
                 run_stream(frames(4), SETTINGS_720, cluster)
         assert err.value.cursor == 2
         assert [r.frame_id for r in err.value.completed] == [0, 1]
+
+    def test_one_connection_per_worker_for_the_whole_stream(self, opened):
+        local = self.local_reference(16)
+        senders = set()
+        send = wire.send_message
+
+        def send_message(sock, header, payload=b""):
+            senders.add(threading.current_thread().name)
+            return send(sock, header, payload)
+
+        with DetectorServer(make_oracle()) as att, DetectorServer(make_oracle()) as fin:
+            cluster = ClusterConfig(
+                final_workers=(fin.endpoint,), attention_workers=(att.endpoint,)
+            )
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(wire, "send_message", send_message)
+                remote = run_stream(frames(16), SETTINGS_720, cluster)
+        assert [address for address, _ in opened] == [
+            parse_endpoint(att.endpoint), parse_endpoint(fin.endpoint)
+        ]
+        assert all(sock.fileno() == -1 for _, sock in opened)
+        assert senders == {"MainThread", "tilepipe-attention_0"}
+        assert [result_line(r) for r in remote] == [result_line(r) for r in local]
+
+    def test_one_worker_serving_both_stages_matches_local_bytes(self, opened):
+        det = TileHashDetector(make_oracle())
+        local = list(run_sequence(pixel_frames(6), SETTINGS_720, det))
+        with DetectorServer(det) as both:
+            cluster = ClusterConfig(
+                final_workers=(both.endpoint,), attention_workers=(both.endpoint,)
+            )
+            remote = run_stream(pixel_frames(6), SETTINGS_720, cluster)
+        assert [result_line(r) for r in remote] == [result_line(r) for r in local]
+        # one per stage at most: attention and final requests overlap
+        assert 1 <= len(opened) <= 2
+        assert all(sock.fileno() == -1 for _, sock in opened)
+
+    def test_shared_workers_under_thread_switching_stress(self, opened):
+        """Two endpoints serve both stages, beside a third final worker, with
+        the interpreter switching threads every 10 us: no endpoint gets more
+        connections than requests it can have in flight, and the bytes hold."""
+        local = self.local_reference(12)
+        with DetectorServer(make_oracle()) as a, DetectorServer(
+            make_oracle()
+        ) as b, DetectorServer(make_oracle()) as c:
+            cluster = ClusterConfig(
+                final_workers=(a.endpoint, b.endpoint, c.endpoint),
+                attention_workers=(a.endpoint, b.endpoint),
+            )
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                remote = run_stream(frames(12), SETTINGS_720, cluster)
+            finally:
+                sys.setswitchinterval(interval)
+        assert [result_line(r) for r in remote] == [result_line(r) for r in local]
+        per_endpoint = [address for address, _ in opened]
+        for server, most in ((a, 2), (b, 2), (c, 1)):
+            assert 1 <= per_endpoint.count(parse_endpoint(server.endpoint)) <= most
+        assert all(sock.fileno() == -1 for _, sock in opened)
+
+    def test_worker_that_closes_its_connection_aborts_the_stream(self):
+        # HEALTH, then frame 0's final pass: frame 1's final pass finds the
+        # connection closed, as a client connecting anew finds no listener
+        with DetectorServer(make_oracle()) as att, ClosesAfterReplies(
+            make_oracle(), replies=2
+        ) as fin:
+            cluster = ClusterConfig(
+                final_workers=(fin.endpoint,), attention_workers=(att.endpoint,)
+            )
+            with pytest.raises(StreamAborted) as err:
+                run_stream(frames(4), SETTINGS_720, cluster)
+        assert err.value.cursor == 1
+        assert [r.frame_id for r in err.value.completed] == [0]
+        assert err.value.completed[0].detections == self.local_reference(1)[0].detections
+        assert isinstance(err.value.__cause__, WorkerUnavailable)
+        assert fin.endpoint in str(err.value)
+
+    def test_abort_leaves_no_thread_running(self):
+        # frame 1's attention is pending on a slow worker when frame 0's
+        # final pass fails
+        slow = SleepOnFrame(make_oracle(), slow_frame_id=1, seconds=1.0)
+        with DetectorServer(slow) as att, DetectorServer(
+            FailOnFrame(make_oracle(), bad_frame_id=0)
+        ) as fin:
+            cluster = ClusterConfig(
+                final_workers=(fin.endpoint,), attention_workers=(att.endpoint,)
+            )
+            before = set(threading.enumerate())
+            started = time.perf_counter()
+            with pytest.raises(StreamAborted) as err:
+                run_stream(frames(4), SETTINGS_720, cluster)
+            took = time.perf_counter() - started
+            left = threads_started_since(before)
+        assert took < 0.5
+        assert left == []
+        assert err.value.cursor == 0
+        assert err.value.completed == ()
+        assert isinstance(err.value.__cause__, RemoteFault)
 
     def test_holds_at_most_two_frames(self):
         refs = []
