@@ -8,7 +8,7 @@ for a results file), gen-synthetic (test scenes with ground truth).
 A run's grid and oracle settings come only from its config file (see
 frameio.read_run_config); no flag overrides them. The flags of run and
 serve name only what differs between runs of one config: run's mode and
-output paths, serve's listen address and ground-truth path.
+output paths, serve's listen address and detector.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error
 (a worker whose detector takes tiles of another size counts as one).
@@ -86,11 +86,11 @@ def _open_frames(directory) -> FrameSource:
         raise UsageError(str(exc)) from exc
 
 
-def _scene_inputs(config: RunConfig, gt_path: Path):
+def _scene_inputs(config: RunConfig):
     """Ground truth, frame dimensions, and the frame iterable for a run
     (run) or a worker (serve)."""
     try:
-        gt_by_frame = read_ground_truth(gt_path)
+        gt_by_frame = read_ground_truth(config.ground_truth_path)
     except (OSError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
     if config.frames_dir is not None:
@@ -142,9 +142,7 @@ def cmd_run(args) -> int:
     config = _load_config(args.config)
     mode = args.mode
     settings = config.settings
-    gt_by_frame, width, height, frames = _scene_inputs(
-        config, config.ground_truth_path
-    )
+    gt_by_frame, width, height, frames = _scene_inputs(config)
 
     results_path = Path(args.results) if args.results else config.results_path
     if args.timing:
@@ -184,13 +182,11 @@ def cmd_serve(args) -> int:
         host, port = parse_endpoint(args.listen)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    kind, _, gt_override = args.detector.partition(":")
-    if kind != "oracle":
-        raise UsageError(f"unknown detector {args.detector!r}, expected oracle[:gt]")
+    if args.detector != "oracle":
+        raise UsageError(f"unknown detector {args.detector!r}, expected oracle")
 
     config = _load_config(args.config)
-    gt_path = Path(gt_override) if gt_override else config.ground_truth_path
-    gt_by_frame, width, height, _ = _scene_inputs(config, gt_path)
+    gt_by_frame, width, height, _ = _scene_inputs(config)
     oracle = _oracle(config, gt_by_frame, width, height)
 
     server = DetectorServer(oracle, host, port)
@@ -313,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--detector",
         default="oracle",
-        help="oracle (default) or oracle:<gt path override>",
+        help="oracle (the default and only one)",
     )
     serve.set_defaults(func=cmd_serve)
 

@@ -3,22 +3,26 @@ run_stream, the one loop that runs both stages of every frame on workers
 with the next frame's attention precomputed. Every step between the
 network calls is a helper shared with the in-process pipeline.
 
-A stream keeps one session (_Session) from start to end. It holds one TCP
-connection per worker, opened by the stream-start HEALTH message and used
-by every request after it; a second one is opened only while one worker
-serves both stages at once. It also holds the threads that run a stage's
-requests beside the calling thread, and the stream's shared-memory blocks.
+A stream keeps one session (_Session) per stage from start to end, or a
+single one when the final workers run both stages one after the other. A
+session holds one TCP connection per worker of its stage, opened by the
+stream-start HEALTH message and used by every request after it, and the
+threads that run the stage's requests beside the calling thread. A stage
+sends each of its workers one request at a time, so a connection never
+carries two at once; that needs each worker listed at most once per stage,
+which ClusterConfig and evaluate_remote check.
 
 The HEALTH message carries a probe: the name of a shared-memory block
 holding a random nonce. A worker that reads the nonce back shares memory
 with the client. For the rest of the stream, each request to it with pixels
-has its tiles cut straight into one of the session's blocks and names that
-block instead of carrying them (see shm.py). Requests to every other worker
-carry their tiles as the payload over TCP.
+has its tiles cut straight into the session's block for that worker and
+names that block instead of carrying them (see shm.py). Requests to every
+other worker carry their tiles as the payload over TCP.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import secrets
 import socket
@@ -62,12 +66,20 @@ def parse_endpoint(endpoint: str) -> tuple[str, int]:
     return host or "127.0.0.1", int(port)
 
 
+def _check_unique(workers: Sequence[str], what: str) -> None:
+    """Raise ValueError for an endpoint listed twice in one stage's list."""
+    for i, endpoint in enumerate(workers):
+        if endpoint in workers[:i]:
+            raise ValueError(f"{what}: {endpoint!r} listed twice")
+
+
 @dataclass(frozen=True)
 class ClusterConfig:
     """Which workers serve each stage, and how long to wait for them.
 
     No attention workers means the attention stage runs on the final
-    workers, sequentially, with no precompute overlap.
+    workers, sequentially, with no precompute overlap. Each list names an
+    endpoint at most once; one endpoint may serve both stages.
     """
 
     final_workers: tuple[str, ...]
@@ -81,6 +93,8 @@ class ClusterConfig:
             raise ValueError("at least one final worker is required")
         for endpoint in self.final_workers + self.attention_workers:
             parse_endpoint(endpoint)
+        _check_unique(self.final_workers, "final_workers")
+        _check_unique(self.attention_workers, "attention_workers")
         timeout_s = self.request_timeout_s
         if not 0 < timeout_s < math.inf:
             raise ValueError(f"request_timeout_s: must be finite and > 0, got {timeout_s}")
@@ -155,28 +169,31 @@ def _crop_entries(
 
 
 class _Session:
-    """What a stream holds for its workers until it ends: one connection to
-    each, the result of the stream-start probe, the shared-memory blocks and
-    the threads that run a stage's requests beside the calling one.
+    """One stage's hold on its workers until its stream ends: one connection
+    to each, opened by the stream-start HEALTH probe or, without one, by
+    the worker's first request; at most one shared-memory block for each
+    worker that read the probe back; and the threads that run the stage's
+    requests beside the calling one.
 
-    A request takes an idle connection to its worker and gives it back once
-    answered. Only when every connection to that worker is busy does it open
-    another, so a worker never has more connections than requests in
-    flight. Any failure of a request closes its connection. close() shuts
-    every connection down first, so a request still waiting for a reply
-    fails at once and closes its own; then it joins the request threads and
-    unlinks the blocks.
+    A stage sends each of its workers one request at a time (see
+    run_stream), so a worker's connection and block serve one request at a
+    time by construction. A block is replaced by a larger one only when a
+    request needs more bytes than it holds. Any failure of a request closes
+    its connection. stop() shuts every connection down, so that a request
+    still waiting for a reply fails at once; close() then joins the request
+    threads, closes the connections and unlinks the blocks.
     """
 
     def __init__(self, timeout_s: float, threads: int = 1):
         self.timeout_s = timeout_s
-        self.blocks = shm.Blocks()
         # workers that read the probe back: their requests' tiles go in blocks
         self.same_host: frozenset[str] = frozenset()
         self._lock = threading.Lock()
-        self._open: set[socket.socket] = set()
-        self._idle: dict[str, list[socket.socket]] = {}
-        self._closed = False
+        self._connections: dict[str, socket.socket] = {}
+        self._blocks: dict[str, shm.SharedMemory] = {}
+        self._prefix = shm.PREFIX + secrets.token_hex(4)
+        self._serial = itertools.count()
+        self._stopped = False
         self._pool = ThreadPoolExecutor(
             max_workers=threads, thread_name_prefix="tilepipe-request"
         )
@@ -204,7 +221,7 @@ class _Session:
                 wire.send_message(sock, header, payload)
                 reply, _ = wire.recv_message(sock)
             except BaseException:
-                self._discard(sock)
+                self._drop(endpoint)
                 raise
         except TimeoutError as exc:
             raise WorkerTimeout(endpoint, f"no reply within {self.timeout_s}s") from exc
@@ -213,11 +230,10 @@ class _Session:
         except OSError as exc:
             raise WorkerUnavailable(endpoint, str(exc)) from exc
         if reply.get("type") != expect:
-            self._discard(sock)
+            self._drop(endpoint)
             if reply.get("type") == "ERROR":
                 raise RemoteFault(endpoint, f"{reply.get('code')}: {reply.get('message')}")
             raise RemoteFault(endpoint, f"unexpected reply {reply.get('type')!r}")
-        self._give_back(endpoint, sock)
         return reply
 
     def run_all(self, fn: Callable, calls: Sequence[tuple]) -> list:
@@ -232,49 +248,65 @@ class _Session:
             wait(futures)
         return [first, *(future.result() for future in futures)]
 
+    def block_name(self) -> str:
+        """A new block name: PREFIX, the session's token and a serial number."""
+        with self._lock:
+            return f"{self._prefix}{next(self._serial):x}"
+
+    def block(self, endpoint: str, nbytes: int) -> shm.SharedMemory:
+        """endpoint's block, first replaced by a new one of nbytes if it
+        holds fewer. Raises OSError when the host cannot hold the new one."""
+        block = self._blocks.get(endpoint)
+        if block is None or block.size < nbytes:
+            if block is not None:
+                shm.destroy(self._blocks.pop(endpoint))
+            block = self._blocks[endpoint] = shm.create(self.block_name(), nbytes)
+        return block
+
     def _connection(self, endpoint: str) -> socket.socket:
         with self._lock:
-            if self._closed:
+            if self._stopped:
                 raise ConnectionAbortedError("the stream has ended")
-            idle = self._idle.get(endpoint)
-            if idle:
-                return idle.pop()
-        sock = socket.create_connection(parse_endpoint(endpoint), timeout=self.timeout_s)
-        with self._lock:
-            if not self._closed:
-                self._open.add(sock)
-                return sock
-        sock.close()
-        raise ConnectionAbortedError("the stream has ended")
+            sock = self._connections.get(endpoint)
+        if sock is None:
+            sock = socket.create_connection(
+                parse_endpoint(endpoint), timeout=self.timeout_s
+            )
+            with self._lock:
+                if self._stopped:
+                    sock.close()
+                    raise ConnectionAbortedError("the stream has ended")
+                self._connections[endpoint] = sock
+        return sock
 
-    def _give_back(self, endpoint: str, sock: socket.socket) -> None:
+    def _drop(self, endpoint: str) -> None:
+        # under the lock, so that stop() never shuts down a closed socket
         with self._lock:
-            if not self._closed:
-                self._idle.setdefault(endpoint, []).append(sock)
-                return
-        self._discard(sock)
+            self._connections.pop(endpoint).close()
 
-    def _discard(self, sock: socket.socket) -> None:
-        # under the lock, so that close() never shuts down a closed socket
+    def stop(self) -> None:
+        """Shut every connection down: a request waiting for a reply fails
+        at once, and no request starts after it."""
         with self._lock:
-            self._open.discard(sock)
-            sock.close()
-
-    def close(self) -> None:
-        with self._lock:
-            self._closed = True
-            idle = {sock for socks in self._idle.values() for sock in socks}
-            self._idle.clear()
-            for sock in self._open - idle:  # a request is waiting on it
+            self._stopped = True
+            for sock in self._connections.values():
                 try:
                     sock.shutdown(socket.SHUT_RDWR)
                 except OSError:  # the worker closed it first
                     pass
-            for sock in idle:
-                sock.close()
-            self._open -= idle
+
+    def close(self) -> None:
+        """stop(), join the request threads, close the connections and
+        unlink the blocks. A request running on any other thread must have
+        returned first."""
+        self.stop()
         self._pool.shutdown(cancel_futures=True)
-        self.blocks.close()
+        for sock in self._connections.values():
+            sock.close()
+        for block in self._blocks.values():
+            shm.destroy(block)
+        self._connections.clear()
+        self._blocks.clear()
 
 
 def _request_worker(
@@ -286,30 +318,23 @@ def _request_worker(
     """One EVAL_REQUEST round trip; returns detections by crop id + busy ms.
 
     To a worker that shares memory with the client, with pixels, the tiles
-    go in a block taken from the session's, given back once the request has
-    a reply or has failed, and the request has no payload. If no block can
-    be had, they go as the payload.
+    go in the session's block for that worker and the request has no
+    payload. If no block can be had, they go as the payload.
     """
     block = None
     if endpoint in session.same_host and frame.pixels is not None:
         try:
-            block = session.blocks.take(len(crops) * TILE_BYTES)
+            block = session.block(endpoint, len(crops) * TILE_BYTES)
         except OSError:  # shared memory is full: this request goes over TCP
             pass
-    try:
-        entries, tiles = _crop_entries(
-            frame, crops, None if block is None else block.buf
-        )
-        header = {"type": "EVAL_REQUEST", "frame_id": frame.frame_id, "crops": entries}
-        if block is not None:
-            header["shm"] = block.name
-            tiles = b""  # drops the view into the block
-        started = time.perf_counter()
-        reply = session.exchange(endpoint, header, tiles, expect="EVAL_RESPONSE")
-        busy_ms = (time.perf_counter() - started) * 1000
-    finally:
-        if block is not None:
-            session.blocks.give_back(block)
+    entries, tiles = _crop_entries(frame, crops, None if block is None else block.buf)
+    header = {"type": "EVAL_REQUEST", "frame_id": frame.frame_id, "crops": entries}
+    if block is not None:
+        header["shm"] = block.name
+        tiles = b""  # drops the view into the block
+    started = time.perf_counter()
+    reply = session.exchange(endpoint, header, tiles, expect="EVAL_RESPONSE")
+    busy_ms = (time.perf_counter() - started) * 1000
 
     if reply.get("frame_id") != frame.frame_id:
         raise RemoteFault(endpoint, f"reply for frame {reply.get('frame_id')!r}")
@@ -335,12 +360,14 @@ def evaluate_remote(
 ) -> tuple[dict[int, list[Detection]], float, tuple[tuple[str, float], ...]]:
     """Evaluate crops across workers; one concurrent request per worker.
 
-    The requests run on ``session``, the stream's; without one, the call
+    The requests run on ``session``, the stage's; without one, the call
     opens a session with ``timeout_s`` for its own requests and closes it
     on return. Returns (crop-local detections by crop id, stage ms under the
     slowest-worker rule, per-worker (endpoint, busy_ms)). Any worker
-    failure raises; partial results are never returned.
+    failure raises; partial results are never returned. A worker listed
+    twice raises ValueError: its two requests would share a connection.
     """
+    _check_unique(workers, "workers")
     assignments = [(w, part) for w, part in dispatch(crops, workers) if part]
     if not assignments:
         return {}, 0.0, ()
@@ -366,13 +393,13 @@ def _attention_remote(
     settings: PipelineSettings,
     cluster: ClusterConfig,
     session: _Session,
-) -> tuple[AttentionModel, float]:
+) -> AttentionModel:
     crops = plan.attention_grid.crops
     workers = cluster.attention_workers or cluster.final_workers
-    by_crop, stage_ms, _ = evaluate_remote(
+    by_crop, _, _ = evaluate_remote(
         frame, crops, workers, cluster.request_timeout_s, session
     )
-    return attention_model(frame, crops, by_crop, settings.min_confidence), stage_ms
+    return attention_model(frame, crops, by_crop, settings.min_confidence)
 
 
 def _echoes_probe(reply: dict, nonce: bytes) -> bool:
@@ -380,16 +407,16 @@ def _echoes_probe(reply: dict, nonce: bytes) -> bool:
     return reply.get("probe") == nonce.hex()
 
 
-def _check_workers(cluster: ClusterConfig, session: _Session) -> dict[str, str | None]:
-    """HEALTH every worker once on the session, with a probe, which leaves it
-    one connection to each. Sets session.same_host to the workers that
-    share memory with the client, and returns each worker's crop catalog
-    key (None: its detector holds no catalog). Raises WorkerError for a
-    worker that does not answer, and WorkerMismatch for one whose detector
-    takes tiles of another size than MODEL_SIDE."""
+def _check_workers(session: _Session, workers: Sequence[str]) -> dict[str, str | None]:
+    """HEALTH every worker on the session, with a probe, which leaves the
+    session one connection to each. Sets session.same_host to the workers
+    that share memory with the client, and returns each worker's crop
+    catalog key (None: its detector holds no catalog). Raises WorkerError
+    for a worker that does not answer, and WorkerMismatch for one whose
+    detector takes tiles of another size than MODEL_SIDE."""
     nonce = secrets.token_bytes(shm.PROBE_BYTES)
     try:
-        probe = session.blocks.take(shm.PROBE_BYTES)
+        probe = shm.create(session.block_name(), shm.PROBE_BYTES)
     except OSError:  # no shared memory on this host: every worker gets TCP
         probe = name = None
     else:
@@ -398,7 +425,7 @@ def _check_workers(cluster: ClusterConfig, session: _Session) -> dict[str, str |
     try:
         same_host = set()
         catalogs = {}
-        for endpoint in dict.fromkeys(cluster.attention_workers + cluster.final_workers):
+        for endpoint in workers:
             reply = _health(session, endpoint, name)
             if reply.get("input_side") != MODEL_SIDE:
                 raise WorkerMismatch(
@@ -411,7 +438,7 @@ def _check_workers(cluster: ClusterConfig, session: _Session) -> dict[str, str |
             catalogs[endpoint] = reply.get("catalog")
     finally:
         if probe is not None:
-            session.blocks.give_back(probe)
+            shm.destroy(probe)
     session.same_host = frozenset(same_host)
     return catalogs
 
@@ -460,38 +487,45 @@ def run_stream(
     pass runs, and attention_wait_ms records only the part not hidden.
     Without them every frame runs both stages sequentially.
 
+    The stream holds one session per stage, or one for both when there are
+    no attention workers. Each stage sends each of its workers one request
+    per frame: the final pass of frame t returns before frame t+1's starts,
+    and frame t+2's attention is submitted only once frame t+1's has been
+    taken. So no session ever has two requests to one worker in flight.
+
     Before the first frame is pulled, every worker gets a HEALTH probe
-    (_check_workers), which opens the stream's one connection to it. A
-    worker that does not answer, or whose detector takes tiles of another
-    size, aborts the stream at cursor 0. So does one whose detector
-    resolves crop ids against another catalog than the plan built from the
-    first frame, before any crop is sent. Requests to the workers that read
-    the probe back carry their tiles in shared-memory blocks.
+    from each stage it serves (_check_workers), which opens that stage's
+    connection to it. A worker that does not answer, or whose detector
+    takes tiles of another size, aborts the stream at cursor 0. So does one
+    whose detector resolves crop ids against another catalog than the plan
+    built from the first frame, before any crop is sent. Requests to the
+    workers that read the probe back carry their tiles in shared-memory
+    blocks.
 
     The first frame's size fixes the grid. On any failure, StreamAborted
     carries as cursor the index of the first frame without a result, and
     the results before it. A bad pull (the iterator raised, or the frame
     has another size) aborts at that frame's index once frame t is done.
-    However the stream ends, its connections are closed first, which fails
-    a pending attention request at once; the attention thread and the
-    request threads are joined and the blocks unlinked before run_stream
-    returns or raises.
+    However the stream ends, the attention session's connections are shut
+    down first, which fails a pending attention request at once; the
+    attention thread and the request threads are joined, the connections
+    closed and the blocks unlinked before run_stream returns or raises.
     """
     pipelined = len(cluster.attention_workers) >= 1
     keep = settings.temporal_window - 1
 
     results: list[FrameResult] = []
     history: list[AttentionModel] = []
-    session = _Session(
-        cluster.request_timeout_s,
-        len(cluster.attention_workers) + len(cluster.final_workers),
-    )
+    timeout_s = cluster.request_timeout_s
+    final = _Session(timeout_s, len(cluster.final_workers))
+    ahead = _Session(timeout_s, len(cluster.attention_workers)) if pipelined else final
     attention = ThreadPoolExecutor(max_workers=1, thread_name_prefix="tilepipe-attention")
     pending = None
     t = 0
     try:
         try:
-            catalogs = _check_workers(cluster, session)
+            catalogs = _check_workers(ahead, cluster.attention_workers) if pipelined else {}
+            catalogs |= _check_workers(final, cluster.final_workers)
             frames = timed_pulls(frames)
             frame, io_ms, error = _pull(frames, None)
             plan = None
@@ -508,16 +542,16 @@ def run_stream(
             try:
                 waited = time.perf_counter()
                 if pending is not None:
-                    att, _ = pending.result()
+                    att = pending.result()
                 else:
-                    att, _ = _attention_remote(frame, plan, settings, cluster, session)
+                    att = _attention_remote(frame, plan, settings, cluster, ahead)
                 wait_ms = (time.perf_counter() - waited) * 1000
 
                 pending = None
                 upcoming, upcoming_io_ms, error = _pull(frames, plan)
                 if pipelined and upcoming is not None:
                     pending = attention.submit(
-                        _attention_remote, upcoming, plan, settings, cluster, session
+                        _attention_remote, upcoming, plan, settings, cluster, ahead
                     )
 
                 c0 = time.perf_counter()
@@ -528,8 +562,7 @@ def run_stream(
                 c1 = time.perf_counter()
                 crops = active.crops
                 by_crop, final_ms, per_worker = evaluate_remote(
-                    frame, crops, cluster.final_workers, cluster.request_timeout_s,
-                    session,
+                    frame, crops, cluster.final_workers, timeout_s, final
                 )
                 tagged = tag_global(frame, crops, by_crop)
                 p0 = time.perf_counter()
@@ -562,8 +595,10 @@ def run_stream(
             frame, io_ms = upcoming, upcoming_io_ms
             t += 1
     finally:
-        session.close()
+        ahead.stop()  # a pending attention request fails now, not at its reply
         attention.shutdown(cancel_futures=True)
+        ahead.close()
+        final.close()
 
 
 def _health(session: _Session, endpoint: str, probe: str | None = None) -> dict:

@@ -1,9 +1,12 @@
 """Shared-memory blocks that carry a request's tiles to a worker on the
 same host.
 
-The client creates every block with multiprocessing.shared_memory, so that
-its resource tracker removes the blocks should the client die, and it
-unlinks each one itself when its stream ends. A worker maps a block by name,
+The client creates every block with multiprocessing.shared_memory (create),
+so that its resource tracker removes the blocks should the client die, and
+unlinks each one itself (destroy) when a request needs a larger one or its
+stream ends. A stream holds at most one block per stage and same-host
+worker, and sends that worker one request at a time on it, so a block is
+never written while a worker reads it. A worker maps a block by name,
 read-only, for one request and unmaps it before it replies. The worker
 registers the mapping with no resource tracker: a worker spawned by the
 client shares the client's tracker, so registering there would have the
@@ -13,12 +16,9 @@ client's own registration.
 
 from __future__ import annotations
 
-import itertools
 import mmap
 import os
 import re
-import secrets
-import threading
 from multiprocessing.shared_memory import SharedMemory
 
 try:
@@ -72,71 +72,23 @@ def _reserve(name: str, nbytes: int) -> None:
         os.close(fd)
 
 
-def _unmap(block: SharedMemory) -> None:
+def create(name: str, nbytes: int) -> SharedMemory:
+    """Create the named block of nbytes with its memory allocated. Raises
+    OSError, and leaves no block behind, when the host cannot hold it."""
+    block = SharedMemory(name, create=True, size=nbytes)
+    try:
+        _reserve(name, nbytes)
+    except OSError:
+        destroy(block)
+        raise
+    return block
+
+
+def destroy(block: SharedMemory) -> None:
+    """Unlink a block and unmap it. If a view of it is still alive (as in a
+    failed cut's traceback), the mapping goes with the last view instead."""
+    block.unlink()
     try:
         block.close()
-    except BufferError:  # a view outlives its request, as in a failed cut's traceback
+    except BufferError:
         pass
-
-
-class Blocks:
-    """One stream's blocks, named PREFIX + a random stream token + a serial
-    number, and kept on a free list between requests.
-
-    take() hands out the smallest free block that holds the bytes asked for.
-    When none does, it replaces a free block with a larger one, or adds a
-    block if none is free, so there are never more blocks than requests that
-    ran at once. take() raises OSError when the host cannot hold a new
-    block. close() unlinks every block; one still out on a request is
-    unmapped when it is given back.
-    """
-
-    def __init__(self):
-        self.prefix = PREFIX + secrets.token_hex(4)
-        self._serial = itertools.count()
-        self._lock = threading.Lock()
-        self._free: list[SharedMemory] = []
-        self._live: list[SharedMemory] = []
-        self._closed = False
-
-    def take(self, nbytes: int) -> SharedMemory:
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("the stream's blocks are closed")
-            fits = [block for block in self._free if block.size >= nbytes]
-            if fits:
-                block = min(fits, key=lambda b: b.size)
-                self._free.remove(block)
-                return block
-            if self._free:
-                small = self._free.pop()
-                self._live.remove(small)
-                small.unlink()
-                _unmap(small)
-            name = f"{self.prefix}{next(self._serial):x}"
-            block = SharedMemory(name, create=True, size=nbytes)
-            try:
-                _reserve(name, nbytes)
-            except OSError:
-                block.close()
-                block.unlink()
-                raise
-            self._live.append(block)
-            return block
-
-    def give_back(self, block: SharedMemory) -> None:
-        """Return a block once its request has a reply or has failed."""
-        with self._lock:
-            if self._closed:
-                _unmap(block)
-            else:
-                self._free.append(block)
-
-    def close(self) -> None:
-        with self._lock:
-            self._closed = True
-            for block in self._live:
-                block.unlink()
-            for block in self._free:
-                _unmap(block)
-            self._live, self._free = [], []

@@ -1,24 +1,26 @@
 """Worker side: a threaded TCP server that runs a detector on request.
 
 Workers are stateless between requests and never talk to each other. A
-client keeps one connection to a worker for a whole stream, and one
-handler thread serves each connection. Between messages the handler waits
-for the next message's first byte, checking every POLL_INTERVAL_S whether
-the server is shutting down, and only then reads the message; so an idle
-connection neither blocks shutdown nor counts as time spent receiving. Each
-EVAL_REQUEST is answered with the crop-local detections for every listed
-crop, from one detector call on a view of all its tiles; a malformed
-message gets an ERROR response and the connection stays open for the next
-message. A request is checked before any tile is read from it: frame and
-crop ids must be ints, all tiles squares of the detector's input side (or
-all 0x0, for raster-free runs), and their bytes must fill the payload
-exactly.
+client keeps one connection to a worker per stage it serves for a whole
+stream, and sends one request at a time on it; one handler thread serves
+each connection. Between messages the handler waits for the next message's
+first byte, checking every POLL_INTERVAL_S whether the server is shutting
+down, and only then reads the message; so an idle connection neither blocks
+shutdown nor counts as time spent receiving. Each EVAL_REQUEST is answered
+with the crop-local detections for every listed crop, from one detector
+call on a view of all its tiles; a malformed message gets an ERROR response
+and the connection stays open for the next message. A request is checked
+before any tile is read from it: frame and crop ids must be ints, all tiles
+squares of the detector's input side (or all 0x0, for raster-free runs),
+and their bytes must fill the payload exactly.
 
 A request reads its tiles from a shared-memory block instead when its
 header names one (shm): the client does so for every worker that read back
 the nonce of its HEALTH probe, that is, a worker on the client's host. The
 block must exist, hold at least the tiles' bytes, and come with no payload.
-The worker maps it for that one request and unmaps it before replying.
+The worker maps it for that one request and unmaps it before replying. The
+client keeps one block per stage and worker, under one name until a request
+needs more bytes, and writes it only between that worker's requests.
 """
 
 from __future__ import annotations

@@ -434,7 +434,8 @@ def read_run_config(path) -> RunConfig:
       [frame]     width and height, required without frames; with frames,
                   they must match the frames' size.
       [cluster]   final_workers and attention_workers (host:port lists,
-                  comma- or space-separated) and request_timeout_s (30).
+                  comma- or space-separated, each naming an endpoint at
+                  most once) and request_timeout_s (30).
 
     A file that does not parse as INI, has a section or key not listed
     here ([DEFAULT] keys included), or a value its key's type or range

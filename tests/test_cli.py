@@ -118,6 +118,26 @@ def test_serve_bad_listen_exits_2(scene_dir, tmp_path, capsys, listen):
     assert "expected host:port" in capsys.readouterr().err
 
 
+def test_serve_unknown_detector_exits_2_naming_oracle(scene_dir, tmp_path, capsys):
+    """serve's one detector is oracle; no suffix overrides its ground truth."""
+    config = write_config(tmp_path / "serve.ini", scene_dir)
+    argv = ["serve", "--config", str(config), "--listen", "127.0.0.1:0",
+            "--detector", "oracle:x.jsonl"]
+    assert main(argv) == 2
+    assert "'oracle:x.jsonl', expected oracle" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["final_workers", "attention_workers"])
+def test_cluster_endpoint_listed_twice_exits_2(scene_dir, tmp_path, capsys, key):
+    cluster = {"final_workers": "127.0.0.1:1", key: "127.0.0.1:2, 127.0.0.1:2"}
+    config = write_config(
+        tmp_path / "remote.ini", scene_dir, detector="remote", cluster=cluster
+    )
+    assert main(["run", "--config", str(config)]) == 2
+    assert f"[cluster] {key}: '127.0.0.1:2' listed twice" in capsys.readouterr().err
+    assert not (tmp_path / "remote.jsonl").exists()
+
+
 def test_cluster_bad_endpoint_exits_2(scene_dir, tmp_path, capsys):
     config = write_config(
         tmp_path / "remote.ini",

@@ -2,6 +2,7 @@
 pool, while detection stays serial on the calling thread, in crop order."""
 
 import os
+import secrets
 import signal
 import subprocess
 import sys
@@ -121,9 +122,10 @@ def test_request_payload_is_the_reference_tiles(case, buffer):
     height, width, crops, seed = case
     frame = Frame(0, width, height, random_pixels(height, width, seed))
     want = b"".join(reference.cut_tile(frame.pixels, c).tobytes() for c in crops)
-    blocks = shm.Blocks()
+    block = None
+    if buffer == "block":
+        block = shm.create(shm.PREFIX + secrets.token_hex(4), len(want) + TILE_BYTES)
     try:
-        block = blocks.take(len(want) + TILE_BYTES) if buffer == "block" else None
         out = None if block is None else block.buf
         entries, payload = _crop_entries(frame, crops, out)
         assert bytes(payload) == want
@@ -131,7 +133,8 @@ def test_request_payload_is_the_reference_tiles(case, buffer):
             assert block.buf[: len(want)] == want
         del payload
     finally:
-        blocks.close()
+        if block is not None:
+            shm.destroy(block)
     assert [e["crop_id"] for e in entries] == [c.crop_id for c in crops]
     assert all(e["width"] == e["height"] == MODEL_SIDE for e in entries)
 

@@ -3,6 +3,7 @@
 import gc
 import os
 import random
+import secrets
 import socket
 import struct
 import subprocess
@@ -60,8 +61,12 @@ SCENE = {
 }
 
 
-def make_oracle():
-    return oracle_for_scene(1280, 720, SETTINGS_720, SCENE)
+def make_oracle(scene=SCENE):
+    return oracle_for_scene(1280, 720, SETTINGS_720, scene)
+
+
+# SCENE's four frames over and over, so that a long stream keeps finding objects
+LOOPED_SCENE = {i: SCENE[i % 4] for i in range(16)}
 
 
 def make_plan():
@@ -112,6 +117,18 @@ def no_stream_threads_left():
     yield
     left = [t.name for t in threading.enumerate() if t.name.startswith(STREAM_THREADS)]
     assert left == [], f"stream threads still running: {left}"
+
+
+def shm_entries():
+    return {name for name in os.listdir("/dev/shm") if name.startswith(shm.PREFIX)}
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_blocks():
+    """Every test, a failed one included, leaves /dev/shm as it found it."""
+    before = shm_entries()
+    yield
+    assert shm_entries() == before
 
 
 def threads_started_since(before):
@@ -224,6 +241,12 @@ class TestClusterConfig:
     def test_rejects_bad_timeout(self):
         with pytest.raises(ValueError):
             ClusterConfig(final_workers=("h:1",), request_timeout_s=0)
+
+    @pytest.mark.parametrize("key", ["final_workers", "attention_workers"])
+    def test_rejects_an_endpoint_listed_twice_in_one_stage(self, key):
+        lists = {"final_workers": ("h:1",), key: ("h:2", "h:3", "h:2")}
+        with pytest.raises(ValueError, match=f"{key}: 'h:2' listed twice"):
+            ClusterConfig(**lists)
 
 
 def raw_exchange(endpoint, messages):
@@ -522,9 +545,18 @@ class TestEvalRequestChecks:
 
     @pytest.fixture
     def blocks(self):
-        blocks = shm.Blocks()
-        yield blocks
-        blocks.close()
+        """take(nbytes) makes a block named prefix and a serial number; every
+        block is destroyed after the test."""
+        prefix = shm.PREFIX + secrets.token_hex(4)
+        made = []
+
+        def take(nbytes):
+            made.append(shm.create(f"{prefix}{len(made):x}", nbytes))
+            return made[-1]
+
+        yield SimpleNamespace(prefix=prefix, take=take)
+        for block in made:
+            shm.destroy(block)
 
     def bad_shm_requests(self, blocks):
         """Headers that name a bad block, by case. A header naming a block
@@ -627,14 +659,13 @@ def block_mappings(name):
 
 class TestHealthProbe:
     def test_worker_echoes_the_nonce(self):
-        blocks = shm.Blocks()
+        probe = shm.create(shm.PREFIX + secrets.token_hex(4), shm.PROBE_BYTES)
         try:
-            probe = blocks.take(shm.PROBE_BYTES)
             probe.buf[: shm.PROBE_BYTES] = b"0123456789abcdef"
             with DetectorServer(make_oracle()) as server:
                 reply = check_health(server.endpoint, probe=probe.name)
         finally:
-            blocks.close()
+            shm.destroy(probe)
         assert reply["probe"] == b"0123456789abcdef".hex()
         assert reply["input_side"] == 608
 
@@ -647,71 +678,6 @@ class TestHealthProbe:
         assert "probe" not in reply
         assert b'"probe":null' in probed
         assert b'"HEALTH_OK"' in probed
-
-
-class TestBlocks:
-    def test_take_reuses_the_smallest_free_block_that_fits(self):
-        blocks = shm.Blocks()
-        try:
-            small, large = blocks.take(100), blocks.take(1000)
-            blocks.give_back(small)
-            blocks.give_back(large)
-            assert blocks.take(50) is small
-            assert blocks.take(500) is large
-            blocks.give_back(small)
-            grown = blocks.take(2000)  # replaces the free block that is too small
-            assert grown.size == 2000
-            assert shm_entries() >= {large.name, grown.name}
-            assert small.name not in shm_entries()
-        finally:
-            blocks.close()
-        assert not shm_entries() & {small.name, large.name, grown.name}
-
-    def test_close_unlinks_blocks_still_out(self):
-        blocks = shm.Blocks()
-        out = blocks.take(100)
-        blocks.close()
-        assert out.name not in shm_entries()
-        blocks.give_back(out)  # unmaps it
-        with pytest.raises(RuntimeError):
-            blocks.take(100)
-
-    def test_threads_never_share_a_block(self):
-        """More threads than cores take and give back blocks of random
-        sizes; each fills its block with its own id and checks it is intact
-        before giving the block back."""
-        blocks = shm.Blocks()
-        threads = 8
-        start = threading.Barrier(threads)
-        clashes = []
-
-        def worker_thread(ident):
-            rng = random.Random(ident)
-            start.wait()
-            for _ in range(200):
-                block = blocks.take(rng.randrange(1, 4096))
-                block.buf[:] = bytes([ident]) * block.size
-                time.sleep(0)
-                if block.buf.tobytes() != bytes([ident]) * block.size:
-                    clashes.append(block.name)
-                blocks.give_back(block)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            pool = [threading.Thread(target=worker_thread, args=(i,)) for i in range(threads)]
-            for thread in pool:
-                thread.start()
-            for thread in pool:
-                thread.join(30)
-        finally:
-            sys.setswitchinterval(interval)
-            live = {name for name in shm_entries() if name.startswith(blocks.prefix)}
-            blocks.close()
-        assert not any(thread.is_alive() for thread in pool)
-        assert clashes == []
-        assert len(live) <= threads
-        assert not any(name.startswith(blocks.prefix) for name in shm_entries())
 
 
 class TestEvaluateRemote:
@@ -829,6 +795,15 @@ class TestEvaluateRemote:
         assert sorted(a for a, _ in opened) == sorted(map(parse_endpoint, endpoints))
         assert all(sock.fileno() == -1 for _, sock in opened)
 
+    def test_worker_listed_twice_is_rejected_before_any_request(self, opened):
+        crops = make_plan().final_grid.crops
+        with DetectorServer(make_oracle()) as server:
+            with pytest.raises(ValueError, match="listed twice"):
+                evaluate_remote(
+                    Frame(0, 1280, 720), crops, [server.endpoint] * 2, 5.0
+                )
+        assert opened == []
+
     def test_no_crops_no_requests(self):
         by_crop, stage_ms, per_worker = evaluate_remote(
             Frame(0, 1280, 720), [], ["127.0.0.1:1"], 0.5
@@ -943,14 +918,16 @@ class TestRunStream:
         assert 1 <= len(opened) <= 2
         assert all(sock.fileno() == -1 for _, sock in opened)
 
-    def test_shared_workers_under_thread_switching_stress(self, opened):
+    def test_shared_workers_under_thread_switching_stress(self, opened, sent_blocks):
         """Two endpoints serve both stages, beside a third final worker, with
         the interpreter switching threads every 10 us: no endpoint gets more
-        connections than requests it can have in flight, and the bytes hold."""
-        local = self.local_reference(12)
-        with DetectorServer(make_oracle()) as a, DetectorServer(
-            make_oracle()
-        ) as b, DetectorServer(make_oracle()) as c:
+        connections than requests it can have in flight, and the bytes hold.
+        Every request's tiles go in a block and every tile's hash sets its
+        detections' confidences, so two requests in flight on one block
+        would change the bytes."""
+        det = TileHashDetector(make_oracle(LOOPED_SCENE))
+        local = list(run_sequence(pixel_frames(12), SETTINGS_720, det))
+        with DetectorServer(det) as a, DetectorServer(det) as b, DetectorServer(det) as c:
             cluster = ClusterConfig(
                 final_workers=(a.endpoint, b.endpoint, c.endpoint),
                 attention_workers=(a.endpoint, b.endpoint),
@@ -958,10 +935,12 @@ class TestRunStream:
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-5)
             try:
-                remote = run_stream(frames(12), SETTINGS_720, cluster)
+                remote = run_stream(pixel_frames(12), SETTINGS_720, cluster)
             finally:
                 sys.setswitchinterval(interval)
+        assert sent_blocks and all(sent_blocks)
         assert [result_line(r) for r in remote] == [result_line(r) for r in local]
+        assert any(r.detections for r in remote)
         per_endpoint = [address for address, _ in opened]
         for server, most in ((a, 2), (b, 2), (c, 1)):
             assert 1 <= per_endpoint.count(parse_endpoint(server.endpoint)) <= most
@@ -1068,17 +1047,6 @@ class TestRunStream:
         assert err.value.cursor == 1
 
 
-def shm_entries():
-    return {name for name in os.listdir("/dev/shm") if name.startswith(shm.PREFIX)}
-
-
-@pytest.fixture
-def no_leaked_blocks():
-    before = shm_entries()
-    yield
-    assert shm_entries() == before
-
-
 def pixel_frames(count=4):
     rng = np.random.default_rng(count)
     return [
@@ -1097,7 +1065,6 @@ def mismatched_oracle():
     return Mismatched()
 
 
-@pytest.mark.usefixtures("no_leaked_blocks")
 class TestSharedMemoryStream:
     @pytest.mark.parametrize("pipelined", [True, False])
     def test_same_host_workers_read_blocks_and_match_tcp(
@@ -1144,6 +1111,50 @@ class TestSharedMemoryStream:
         # one attention and one final request at a time: two blocks
         assert max(live) - before <= 2
         assert len(set(sent_blocks)) < len(sent_blocks)
+
+    def test_one_block_per_stage_and_worker(self, monkeypatch):
+        """One endpoint serves both stages, beside a second final worker. Each
+        (stage, worker) holds at most one live block at a time, and gets a
+        new one, the old one unlinked, only for a request that needs more
+        bytes than the last one held."""
+        attention_ids = {c.crop_id for c in make_plan().attention_grid.crops}
+        sent = []  # ((stage, worker), block, tile bytes, live blocks) per request
+        real = wire.send_message
+
+        def send_message(sock, header, payload=b""):
+            if header.get("type") == "EVAL_REQUEST":
+                crops = header["crops"]
+                stage = "attention" if crops[0]["crop_id"] in attention_ids else "final"
+                sent.append((
+                    (stage, sock.getpeername()), header.get("shm"),
+                    len(crops) * TILE_BYTES, shm_entries(),
+                ))
+            return real(sock, header, payload)
+
+        monkeypatch.setattr(wire, "send_message", send_message)
+        det = make_oracle(LOOPED_SCENE)
+        with DetectorServer(det) as a, DetectorServer(det) as b:
+            cluster = ClusterConfig(
+                final_workers=(a.endpoint, b.endpoint), attention_workers=(a.endpoint,)
+            )
+            run_stream(pixel_frames(12), SETTINGS_720, cluster)
+        assert len({key for key, *_ in sent}) == 3
+        held = {}  # (stage, worker) -> (its block, the bytes that block holds)
+        had = {}  # (stage, worker) -> every block it has named
+        replaced = reused = 0
+        for key, name, nbytes, live in sent:
+            assert name is not None
+            last, size = held.get(key, (None, 0))
+            if name == last:
+                assert nbytes <= size
+                reused += 1
+            else:
+                assert nbytes > size
+                replaced += last is not None
+                held[key] = (name, nbytes)
+            had.setdefault(key, set()).add(name)
+            assert had[key] & live == {name}
+        assert replaced and reused
 
     @pytest.mark.parametrize("full", ["every_block", "tile_blocks"])
     def test_requests_go_over_tcp_when_shared_memory_is_full(
