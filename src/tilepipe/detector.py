@@ -11,10 +11,12 @@ run identical code paths.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from abc import ABC, abstractmethod
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -201,6 +203,44 @@ class SceneOracle(Detector):
         return [mock_detect(self._crops[i], gt, v, min_tile_px=px) for i in crop_ids]
 
 
+class _CutPlan(NamedTuple):
+    """How cut_tile gathers one crop of one frame size; every array is
+    read-only, since one plan serves all threads."""
+
+    rows: np.ndarray  # frame row of each tile row, clipped to the frame
+    cols: slice  # frame columns of the crop's window
+    byte_index: np.ndarray  # channel item of a window row for each of a tile row
+    row_fill: np.ndarray | None  # tile rows outside the frame, if any
+    col_fill: np.ndarray | None  # tile columns outside the frame, if any
+
+
+# enough plans for the crops of several grids and frame sizes, at about
+# 20 KB each for 608-px tiles
+@functools.lru_cache(maxsize=128)
+def _cut_plan(
+    frame_h: int, frame_w: int, x0: int, y0: int, side: int, input_side: int
+) -> _CutPlan:
+    src = (np.arange(input_side, dtype=np.intp) * side) // input_side
+    xs = x0 + src
+    ys = y0 + src
+    # the sampled positions ascend, so the clipped ones span one window
+    xc = np.clip(xs, 0, frame_w - 1)
+    rows = np.clip(ys, 0, frame_h - 1)
+    byte_index = (3 * (xc - xc[0])[:, None] + np.arange(3)).ravel()
+    row_fill = (ys < 0) | (ys >= frame_h)
+    col_fill = (xs < 0) | (xs >= frame_w)
+    plan = _CutPlan(
+        rows,
+        slice(int(xc[0]), int(xc[-1]) + 1),
+        byte_index,
+        row_fill if row_fill.any() else None,
+        col_fill if col_fill.any() else None,
+    )
+    for array in (rows, byte_index, row_fill, col_fill):
+        array.flags.writeable = False
+    return plan
+
+
 def cut_tile(
     pixels: np.ndarray,
     crop: CropSpec,
@@ -213,34 +253,54 @@ def cut_tile(
     for output pixel u; the choice is fixed so tiles are bit-reproducible.
     Crop area outside the frame is zero-filled.
 
-    ``out``, when given, is a C-contiguous input_side x input_side x 3 array
-    of the pixels' dtype, such as one tile of a request buffer; every pixel
-    of it is overwritten and it is returned. Otherwise a new array is.
+    ``out``, when given, must be a C-contiguous input_side x input_side x 3
+    array of the pixels' dtype, such as one tile of a request buffer; any
+    other raises ValueError before anything is written. Every pixel of it
+    is overwritten and it is returned. Otherwise a new array is.
 
-    Only the sampled rows of the crop's window are copied, once, however
-    the pixels are strided. The pixels are only read, so concurrent calls
-    into distinct ``out`` arrays are safe.
+    The sampled rows of the crop's window, and only those, are copied once
+    into a temporary, however the pixels are strided. Its columns are then
+    gathered channel by channel: each tile row is one take of
+    3 * input_side single-byte items (for uint8) from a window row, which
+    numpy copies in a fixed-size loop where 3-byte pixels would cost one
+    memmove each. The row indices, the window's columns, that byte index
+    and the zero-fill masks depend only on the frame size, the crop and
+    input_side; they are computed once per such key and cached, read-only.
+
+    The pixels are only read, so concurrent calls into distinct ``out``
+    arrays are safe.
     """
     if pixels.ndim != 3 or pixels.shape[2] != 3:
         raise ValueError(f"pixels must be HxWx3, got shape {pixels.shape}")
+    shape = (input_side, input_side, 3)
     if out is None:
-        out = np.empty((input_side, input_side, 3), dtype=pixels.dtype)
+        out = np.empty(shape, dtype=pixels.dtype)
+    elif not (
+        isinstance(out, np.ndarray)
+        and (out.shape, out.dtype) == (shape, pixels.dtype)
+        and out.flags.c_contiguous
+    ):
+        got = out
+        if isinstance(out, np.ndarray):
+            got = f"{out.dtype} {out.shape} with strides {out.strides}"
+        raise ValueError(
+            f"out must be a C-contiguous {shape} array of {pixels.dtype}, got {got}"
+        )
+    r = crop.global_rect
     frame_h, frame_w = pixels.shape[:2]
-    side = int(crop.global_rect.w)
-    x0 = int(crop.global_rect.x)
-    y0 = int(crop.global_rect.y)
-    src = (np.arange(input_side, dtype=np.int64) * side) // input_side
-    xs = x0 + src
-    ys = y0 + src
-    # the sampled positions ascend, so the clipped ones span one window of
-    # the frame; gather rows, then columns, from that window alone. Indexing
-    # reads the strided window in place, where np.take would first copy it
-    # whole into a contiguous temporary.
-    xc = np.clip(xs, 0, frame_w - 1)
-    yc = np.clip(ys, 0, frame_h - 1)
-    window = pixels[yc[0] : yc[-1] + 1, xc[0] : xc[-1] + 1]
-    rows = window[yc - yc[0]]
-    np.take(rows, xc - xc[0], axis=1, out=out, mode="clip")
-    out[(ys < 0) | (ys >= frame_h)] = 0
-    out[:, (xs < 0) | (xs >= frame_w)] = 0
+    plan = _cut_plan(frame_h, frame_w, int(r.x), int(r.y), int(r.w), input_side)
+    # indexing reads the strided window in place, where np.take would first
+    # copy it whole into a contiguous temporary
+    rows = pixels[:, plan.cols][plan.rows]
+    np.take(
+        rows.reshape(input_side, -1),
+        plan.byte_index,
+        axis=1,
+        out=out.reshape(input_side, -1),
+        mode="wrap",  # in range by construction; skips the checked loop
+    )
+    if plan.row_fill is not None:
+        out[plan.row_fill] = 0
+    if plan.col_fill is not None:
+        out[:, plan.col_fill] = 0
     return out

@@ -105,7 +105,8 @@ def send_message(
 
 
 def recv_message(sock: socket.socket) -> tuple[dict, bytearray | bytes]:
-    """Read one framed message; raises ProtocolError on malformed bytes,
+    """Read one framed message; raises ProtocolError on malformed bytes
+    (a header that does not parse, or whose payload size cannot be computed)
     and on a declared payload over MAX_PAYLOAD_BYTES before reading it."""
     (head_len,) = struct.unpack(">I", _recv_exact(sock, 4))
     if head_len > MAX_HEADER_BYTES:
@@ -113,13 +114,15 @@ def recv_message(sock: socket.socket) -> tuple[dict, bytearray | bytes]:
     raw = _recv_exact(sock, head_len)
     try:
         header = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and ints of too many digits;
+        # RecursionError, arrays or objects nested too deep to parse
         raise ProtocolError(f"header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict) or "type" not in header:
         raise ProtocolError("header must be an object with a 'type' field")
     try:
         size = payload_size(header)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"malformed crop list: {exc}") from exc
     if not 0 <= size <= MAX_PAYLOAD_BYTES:
         raise ProtocolError(

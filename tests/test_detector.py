@@ -333,3 +333,21 @@ class TestCutTile:
         assert peak <= 1.1 * MODEL_SIDE * 2160 * 3
         src = (np.arange(MODEL_SIDE) * 2160) // MODEL_SIDE
         assert np.array_equal(out, pixels[src][:, 840 + src])
+
+    @pytest.mark.parametrize(
+        "make_out",
+        [
+            lambda: np.empty((MODEL_SIDE, 2 * MODEL_SIDE, 3), np.uint8)[:, ::2],
+            lambda: np.empty((MODEL_SIDE, MODEL_SIDE, 3), np.uint16),
+            lambda: np.empty((MODEL_SIDE, MODEL_SIDE + 1, 3), np.uint8),
+            lambda: np.empty((2 * MODEL_SIDE, MODEL_SIDE, 3), np.uint8)[::2],
+        ],
+        ids=["strided_columns", "dtype", "shape", "strided_rows"],
+    )
+    def test_out_that_is_not_a_contiguous_tile_is_rejected_unwritten(self, make_out):
+        pixels = self._frame(700, 900)
+        out = make_out()
+        out[...] = 0xAB
+        with pytest.raises(ValueError, match="C-contiguous"):
+            cut_tile(pixels, make_crop(0, 120, 30, 608), out=out)
+        assert (out == 0xAB).all()

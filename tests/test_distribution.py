@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import tilepipe
 from test_cut_pool import TileHashDetector
+from test_wire import UNSIZABLE_HEADERS, framed
 from tilepipe.detector import Detector, GroundTruthObject, crop_catalog_key
 from tilepipe.distribution import (
     ClusterConfig,
@@ -365,6 +366,25 @@ class TestWorker:
         assert reply["type"] == "ERROR"
         assert reply["code"] == "malformed"
         assert "payload" in reply["message"]
+
+    @pytest.mark.parametrize("case", sorted(UNSIZABLE_HEADERS))
+    def test_header_that_cannot_be_sized_is_malformed_and_closes(
+        self, case, monkeypatch
+    ):
+        failed = []  # a handler that raises ends here, its connection closed
+        monkeypatch.setattr(
+            worker._Server, "handle_error", lambda server, *args: failed.append(args)
+        )
+        with DetectorServer(make_oracle()) as server:
+            with socket.create_connection(parse_endpoint(server.endpoint), timeout=5) as sock:
+                sock.settimeout(5)
+                sock.sendall(framed(UNSIZABLE_HEADERS[case]))
+                reply, _ = wire.recv_message(sock)
+                assert sock.recv(1) == b""  # the worker closed the connection
+            health = check_health(server.endpoint)
+        assert (reply["type"], reply["code"]) == ("ERROR", "malformed")
+        assert health["type"] == "HEALTH_OK"
+        assert failed == []
 
     def test_shutdown_closes_an_idle_connection(self):
         server = DetectorServer(make_oracle()).start()

@@ -1,17 +1,24 @@
 """cut_tile and read_ppm against the versions they replaced, which copied
 every pixel several times; the results must be equal, pixel for pixel,
-also when the frame pixels are a strided view of a larger array."""
+also when the frame pixels are a strided view of a larger array, and
+whatever cut_tile's cached gather plans held before."""
 
+import sys
 import tempfile
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_pipeline as reference
+from tilepipe import detector
 from tilepipe.detector import cut_tile
 from tilepipe.frameio import read_ppm
 from tilepipe.geometry import MODEL_SIDE, CropSpec, Rect
+from tilepipe.pipeline import GridPlan, PipelineSettings
 
 PLACEMENTS = ("inside", "flush", "partly_outside", "outside")
 LAYOUTS = ("contiguous", "subslice", "reversed", "strided")
@@ -83,6 +90,66 @@ def test_cut_tile_matches_reference(case, prefill, layout):
         got = cut_tile(pixels, crop)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
+
+
+def square_crop(x, y, side):
+    return CropSpec(0, 0, 0, Rect(x, y, side, side), side / MODEL_SIDE)
+
+
+class TestCutPlan:
+    def test_a_plan_is_never_reused_for_another_frame_size_or_side(self):
+        # overhangs the right and bottom edges of 1280x720, fits 1300x800
+        # exactly: a plan kept from the first frame would zero real pixels
+        crop = square_crop(900, 400, 400)
+        for (height, width), side in [((720, 1280), MODEL_SIDE),
+                                      ((800, 1300), MODEL_SIDE),
+                                      ((800, 1300), 416)]:
+            pixels = random_pixels(height, width, width)
+            got = cut_tile(pixels, crop, side)
+            assert np.array_equal(got, reference.cut_tile(pixels, crop, side))
+
+    def test_threads_cut_two_frames_at_once(self):
+        # the 4K bench scene's grid, on a frame of its size and on a smaller
+        # one that its edge crops overhang; plans are built while threads
+        # race for them
+        settings_4k = PipelineSettings.from_preset("1 att, 2 fin, 20 over")
+        plan = GridPlan.build(3840, 2160, settings_4k)
+        crops = [*plan.attention_grid.crops, *plan.final_grid.crops]
+        frames = [random_pixels(2160, 3840, 1), random_pixels(2000, 3600, 2)]
+        jobs = [(f, c) for f in range(len(frames)) for c in range(len(crops))]
+        want = {(f, c): reference.cut_tile(frames[f], crops[c]) for f, c in jobs}
+        detector._cut_plan.cache_clear()
+        start = threading.Barrier(8)
+
+        def cut_all(thread):
+            out = np.empty((MODEL_SIDE, MODEL_SIDE, 3), np.uint8)
+            start.wait(timeout=30)
+            wrong = []
+            for _ in range(2):
+                for f, c in jobs[thread:] + jobs[:thread]:
+                    cut_tile(frames[f], crops[c], out=out)
+                    if not np.array_equal(out, want[f, c]):
+                        wrong.append((f, c))
+            return wrong
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                futures = [pool.submit(cut_all, t) for t in range(8)]
+                wrong = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == [[]] * 8
+
+    def test_plan_arrays_are_read_only(self):
+        # overhangs every edge, so the plan holds both fill masks
+        plan = detector._cut_plan(720, 1280, -50, -60, 1400, MODEL_SIDE)
+        arrays = [plan.rows, plan.byte_index, plan.row_fill, plan.col_fill]
+        assert all(isinstance(a, np.ndarray) for a in arrays)
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
 
 SEPARATORS = (b" ", b"\n", b"\t", b"\r\n", b"  \n ")

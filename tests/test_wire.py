@@ -1,15 +1,56 @@
 import json
+import math
 import socket
 import struct
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tilepipe.distribution import wire
 
 
 def framed(header_bytes: bytes, payload: bytes = b"") -> bytes:
     return struct.pack(">I", len(header_bytes)) + header_bytes + payload
+
+
+def eval_request_bytes(crops: bytes, frame_id: bytes = b"0") -> bytes:
+    return b'{"crops":%s,"frame_id":%s,"type":"EVAL_REQUEST"}' % (crops, frame_id)
+
+
+# EVAL_REQUEST headers that json cannot parse (nested too deep, an int of
+# too many digits) or whose payload size cannot be computed (infinite width)
+UNSIZABLE_HEADERS = {
+    "infinite_width": eval_request_bytes(b'[{"crop_id":0,"height":1,"width":Infinity}]'),
+    "overflowing_width": eval_request_bytes(b'[{"crop_id":0,"height":1,"width":1e999}]'),
+    "nested_200000_deep": eval_request_bytes(b"[" * 200_000 + b"]" * 200_000),
+    "int_of_5000_digits": eval_request_bytes(b"[]", frame_id=b"7" * 5000),
+}
+
+
+def recv_sent(raw: bytes):
+    """recv_message on one end of a socketpair, while a thread sends raw
+    bytes on the other end and then shuts its write side."""
+    a, b = socket.socketpair()
+
+    def send():
+        try:
+            a.sendall(raw)
+            a.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass  # the reader stopped before taking every byte
+
+    sender = threading.Thread(target=send)
+    sender.start()
+    try:
+        b.settimeout(5)
+        return wire.recv_message(b)
+    finally:
+        b.close()
+        sender.join(5)
+        a.close()
+        assert not sender.is_alive()
 
 
 class TestEncoding:
@@ -169,3 +210,78 @@ class TestSocketFraming:
         ).encode()
         with pytest.raises(wire.ProtocolError):
             self.recv_raw(framed(header))
+
+    @pytest.mark.parametrize("case", sorted(UNSIZABLE_HEADERS))
+    def test_header_that_cannot_be_sized_is_a_protocol_error(self, case):
+        with pytest.raises(wire.ProtocolError):
+            recv_sent(framed(UNSIZABLE_HEADERS[case]))
+
+
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.floats()  # nan and both infinities included
+    | st.text(max_size=8)
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+SIZES = (
+    st.integers()
+    | st.integers(0, 700)
+    | st.sampled_from([math.inf, -math.inf, math.nan])
+    | st.floats()
+    | st.booleans()
+    | JSON_VALUES
+)
+CROP_ENTRIES = st.fixed_dictionaries(
+    {"width": SIZES, "height": SIZES}, optional={"crop_id": JSON_VALUES}
+) | st.fixed_dictionaries(
+    {}, optional={"crop_id": JSON_VALUES, "width": SIZES, "height": SIZES}
+)
+CROPS = (
+    st.lists(CROP_ENTRIES, max_size=4)
+    | st.lists(CROP_ENTRIES | JSON_VALUES, max_size=4)
+    | JSON_VALUES
+)
+TYPES = st.sampled_from(["EVAL_REQUEST", "HEALTH", "ERROR", "EVAL_RESPONSE"]) | JSON_VALUES
+
+
+@st.composite
+def headers(draw):
+    """A JSON object, mostly an EVAL_REQUEST (the one type with a payload)
+    naming no block, whose crop list holds crop entries; any field may
+    hold any JSON value."""
+    header = draw(st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=2))
+    for key, values, in_tenths in (
+        ("type", st.just("EVAL_REQUEST") | TYPES, 9),
+        ("crops", CROPS, 9),
+        ("frame_id", JSON_VALUES, 5),
+        ("shm", JSON_VALUES, 2),
+    ):
+        if draw(st.sampled_from(range(10))) < in_tenths:
+            header[key] = draw(values)
+    return header
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(header=headers(), payload=st.binary(max_size=64))
+def test_recv_message_returns_a_message_or_raises_a_protocol_or_connection_error(
+    header, payload
+):
+    # a declared payload is allocated before it is read; the lower bound
+    # keeps that small here and is checked on the same path as the real one
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wire, "MAX_PAYLOAD_BYTES", 1 << 20)
+        try:
+            got, body = recv_sent(framed(json.dumps(header).encode(), payload))
+        except (wire.ProtocolError, ConnectionError):
+            return
+    assert isinstance(got, dict) and "type" in got
+    assert isinstance(body, (bytes, bytearray))
+    assert len(body) == wire.payload_size(got)
