@@ -3,6 +3,12 @@ run_stream, the one loop that runs both stages of every frame on workers
 with the next frame's attention precomputed. Every step between the
 network calls is a helper shared with the in-process pipeline.
 
+A stage's evaluation is two steps: cut_requests cuts every tile of the
+stage into its requests' buffers, and evaluate_remote sends them and waits
+for the replies. run_stream cuts frame t's final tiles before it pulls
+frame t+1, and keeps frame t only without its pixels after that, so a
+stream holds the pixels of one frame at a time.
+
 A stream keeps one session (_Session) per stage from start to end, or a
 single one when the final workers run both stages one after the other. A
 session holds one TCP connection per worker of its stage, opened by the
@@ -152,20 +158,65 @@ def dispatch(
     return out
 
 
-def _crop_entries(
-    frame: Frame, crops: Sequence[CropSpec], out=None
-) -> tuple[list[dict], memoryview | bytes]:
-    """The crop list of an EVAL_REQUEST and a flat byte view of its tiles,
-    every tile cut straight into one buffer, in parallel on the cut pool.
-    The buffer is ``out`` when given (a writable buffer of at least the
-    tiles' bytes, such as a shared-memory block), else a fresh array."""
+@dataclass(frozen=True)
+class _Request:
+    """One worker's EVAL_REQUEST in a stage, its tiles already cut: the
+    crops it carries, its header and its payload (empty when the header
+    names a block)."""
+
+    endpoint: str
+    crops: Sequence[CropSpec]
+    header: dict
+    payload: memoryview | bytes
+
+
+def cut_requests(
+    frame: Frame,
+    crops: Sequence[CropSpec],
+    workers: Sequence[str],
+    session: _Session,
+) -> list[_Request]:
+    """The EVAL_REQUEST of each worker that dispatch gives a share of crops,
+    with every tile of the stage cut in one in_parallel on the cut pool.
+
+    A worker that shares memory with the client (session.same_host) gets
+    its tiles in the session's block for it, and a request that names the
+    block. If no block can be had, and for every other worker, the tiles
+    are cut into a fresh array that is the request's payload. A raster-free
+    frame's requests carry 0x0 tiles and nothing is cut. Once this returns,
+    the requests need nothing of frame's pixels.
+    """
+    _check_unique(workers, "workers")
     side = 0 if frame.pixels is None else MODEL_SIDE
-    entries = [{"crop_id": c.crop_id, "width": side, "height": side} for c in crops]
-    if frame.pixels is None:
-        return entries, b""
-    tiles = np.ndarray((len(crops), side, side, 3), np.uint8, buffer=out)
-    in_parallel(lambda i: cut_tile(frame.pixels, crops[i], out=tiles[i]), len(crops))
-    return entries, memoryview(tiles.reshape(-1))
+    requests = []
+    tiles = []  # the array each crop of the stage is cut into, in order
+    for endpoint, part in dispatch(crops, workers):
+        if not part:
+            continue
+        entries = [{"crop_id": c.crop_id, "width": side, "height": side} for c in part]
+        header = {"type": "EVAL_REQUEST", "frame_id": frame.frame_id, "crops": entries}
+        payload = b""
+        if side:
+            block = None
+            if endpoint in session.same_host:
+                try:
+                    block = session.block(endpoint, len(part) * TILE_BYTES)
+                except OSError:  # shared memory is full: this request goes over TCP
+                    pass
+            out = np.ndarray(
+                (len(part), side, side, 3),
+                np.uint8,
+                buffer=None if block is None else block.buf,
+            )
+            tiles.extend(out)
+            if block is None:
+                payload = memoryview(out.reshape(-1))
+            else:
+                header["shm"] = block.name
+        requests.append(_Request(endpoint, part, header, payload))
+    stage = [crop for request in requests for crop in request.crops]
+    in_parallel(lambda i: cut_tile(frame.pixels, stage[i], out=tiles[i]), len(tiles))
+    return requests
 
 
 class _Session:
@@ -309,34 +360,18 @@ class _Session:
         self._blocks.clear()
 
 
-def _request_worker(
-    session: _Session,
-    endpoint: str,
-    frame: Frame,
-    crops: Sequence[CropSpec],
+def _exchange(
+    session: _Session, request: _Request
 ) -> tuple[dict[int, list[Detection]], float]:
-    """One EVAL_REQUEST round trip; returns detections by crop id + busy ms.
-
-    To a worker that shares memory with the client, with pixels, the tiles
-    go in the session's block for that worker and the request has no
-    payload. If no block can be had, they go as the payload.
-    """
-    block = None
-    if endpoint in session.same_host and frame.pixels is not None:
-        try:
-            block = session.block(endpoint, len(crops) * TILE_BYTES)
-        except OSError:  # shared memory is full: this request goes over TCP
-            pass
-    entries, tiles = _crop_entries(frame, crops, None if block is None else block.buf)
-    header = {"type": "EVAL_REQUEST", "frame_id": frame.frame_id, "crops": entries}
-    if block is not None:
-        header["shm"] = block.name
-        tiles = b""  # drops the view into the block
+    """One EVAL_REQUEST round trip; returns detections by crop id + busy ms."""
+    endpoint, frame_id = request.endpoint, request.header["frame_id"]
     started = time.perf_counter()
-    reply = session.exchange(endpoint, header, tiles, expect="EVAL_RESPONSE")
+    reply = session.exchange(
+        endpoint, request.header, request.payload, expect="EVAL_RESPONSE"
+    )
     busy_ms = (time.perf_counter() - started) * 1000
 
-    if reply.get("frame_id") != frame.frame_id:
+    if reply.get("frame_id") != frame_id:
         raise RemoteFault(endpoint, f"reply for frame {reply.get('frame_id')!r}")
     try:
         by_crop = {
@@ -345,7 +380,7 @@ def _request_worker(
         }
     except (KeyError, TypeError, ValueError) as exc:
         raise RemoteFault(endpoint, f"bad EVAL_RESPONSE: {exc!r}") from exc
-    missing = {c.crop_id for c in crops} - set(by_crop)
+    missing = {c.crop_id for c in request.crops} - set(by_crop)
     if missing:
         raise RemoteFault(endpoint, f"missing results for crops {sorted(missing)}")
     return by_crop, busy_ms
@@ -357,31 +392,33 @@ def evaluate_remote(
     workers: Sequence[str],
     timeout_s: float,
     session: _Session | None = None,
+    requests: Sequence[_Request] | None = None,
 ) -> tuple[dict[int, list[Detection]], float, tuple[tuple[str, float], ...]]:
     """Evaluate crops across workers; one concurrent request per worker.
 
     The requests run on ``session``, the stage's; without one, the call
     opens a session with ``timeout_s`` for its own requests and closes it
-    on return. Returns (crop-local detections by crop id, stage ms under the
-    slowest-worker rule, per-worker (endpoint, busy_ms)). Any worker
-    failure raises; partial results are never returned. A worker listed
-    twice raises ValueError: its two requests would share a connection.
+    on return. They are ``requests`` when given, cut beforehand by
+    cut_requests(frame, crops, workers, session), so that frame need no
+    longer hold its pixels; else the call cuts them first. Returns
+    (crop-local detections by crop id, stage ms under the slowest-worker
+    rule, per-worker (endpoint, busy_ms)). Any worker failure raises;
+    partial results are never returned. A worker listed twice raises
+    ValueError: its two requests would share a connection.
     """
     _check_unique(workers, "workers")
-    assignments = [(w, part) for w, part in dispatch(crops, workers) if part]
-    if not assignments:
+    if not crops:
         return {}, 0.0, ()
-    own = _Session(timeout_s, len(assignments)) if session is None else nullcontext(session)
+    own = _Session(timeout_s, len(workers)) if session is None else nullcontext(session)
     with own as session:
-        replies = session.run_all(
-            _request_worker,
-            [(session, endpoint, frame, part) for endpoint, part in assignments],
-        )
+        if requests is None:
+            requests = cut_requests(frame, crops, workers, session)
+        replies = session.run_all(_exchange, [(session, r) for r in requests])
     detections: dict[int, list[Detection]] = {}
     for by_crop, _ in replies:
         detections.update(by_crop)
     per_worker = tuple(
-        (endpoint, busy_ms) for (endpoint, _), (_, busy_ms) in zip(assignments, replies)
+        (request.endpoint, busy_ms) for request, (_, busy_ms) in zip(requests, replies)
     )
     stage_ms = max(busy for _, busy in per_worker)
     return detections, stage_ms, per_worker
@@ -481,17 +518,25 @@ def run_stream(
 ) -> list[FrameResult]:
     """Evaluate a frame stream against a cluster, in input order.
 
-    Frames are pulled one ahead: frame t+1 is taken once frame t's attention
-    is in, so at most two decoded frames are held at once. With attention
-    workers, frame t+1's attention then runs on them while frame t's final
-    pass runs, and attention_wait_ms records only the part not hidden.
-    Without them every frame runs both stages sequentially.
+    Frames are pulled one ahead, but their pixels are held one frame at a
+    time. Once frame t's attention is in and its active crops chosen, every
+    final tile of frame t is cut into the final stage's blocks or payload
+    buffers, and the stream keeps frame t only without its pixels. Then it
+    pulls frame t+1, and only then sends frame t's final requests and waits
+    for their replies. So no tile is ever cut while a second pulled frame is
+    alive here. With attention workers, frame t+1's attention is submitted
+    as soon as it is pulled, and runs on them while frame t's final
+    requests are in flight; attention_wait_ms records only the part not
+    hidden. Without them every frame runs both stages sequentially.
 
     The stream holds one session per stage, or one for both when there are
     no attention workers. Each stage sends each of its workers one request
-    per frame: the final pass of frame t returns before frame t+1's starts,
-    and frame t+2's attention is submitted only once frame t+1's has been
-    taken. So no session ever has two requests to one worker in flight.
+    per frame: the final replies of frame t are in before frame t+1's final
+    tiles are cut, and frame t+2's attention is submitted only once frame
+    t+1's has been taken; the one session of a stream without attention
+    workers cuts frame t+1's attention tiles only after frame t's final
+    replies. So no session ever has two requests to one worker in flight,
+    and no block is written while a worker reads it.
 
     Before the first frame is pulled, every worker gets a HEALTH probe
     from each stage it serves (_check_workers), which opens that stage's
@@ -504,8 +549,9 @@ def run_stream(
 
     The first frame's size fixes the grid. On any failure, StreamAborted
     carries as cursor the index of the first frame without a result, and
-    the results before it. A bad pull (the iterator raised, or the frame
-    has another size) aborts at that frame's index once frame t is done.
+    the results before it. A failed cut of frame t aborts at t before frame
+    t+1 is pulled. A bad pull (the iterator raised, or the frame has
+    another size) aborts at that frame's index once frame t is done.
     However the stream ends, the attention session's connections are shut
     down first, which fails a pending attention request at once; the
     attention thread and the request threads are joined, the connections
@@ -546,13 +592,7 @@ def run_stream(
                 else:
                     att = _attention_remote(frame, plan, settings, cluster, ahead)
                 wait_ms = (time.perf_counter() - waited) * 1000
-
                 pending = None
-                upcoming, upcoming_io_ms, error = _pull(frames, plan)
-                if pipelined and upcoming is not None:
-                    pending = attention.submit(
-                        _attention_remote, upcoming, plan, settings, cluster, ahead
-                    )
 
                 c0 = time.perf_counter()
                 merged = merge_temporal([*history, att], settings.temporal_window)
@@ -561,9 +601,20 @@ def run_stream(
                 )
                 c1 = time.perf_counter()
                 crops = active.crops
+                requests = cut_requests(frame, crops, cluster.final_workers, final)
+                # the pulled frame is not needed past its cut: keep it pixel-less
+                frame = Frame(frame.frame_id, frame.width, frame.height)
+
+                upcoming, upcoming_io_ms, error = _pull(frames, plan)
+                if pipelined and upcoming is not None:
+                    pending = attention.submit(
+                        _attention_remote, upcoming, plan, settings, cluster, ahead
+                    )
+
                 by_crop, final_ms, per_worker = evaluate_remote(
-                    frame, crops, cluster.final_workers, timeout_s, final
+                    frame, crops, cluster.final_workers, timeout_s, final, requests
                 )
+                del requests  # a request's payload holds frame t's tiles
                 tagged = tag_global(frame, crops, by_crop)
                 p0 = time.perf_counter()
                 dets = finish_detections(
@@ -593,6 +644,7 @@ def run_stream(
             history.append(att)
             del history[: max(0, len(history) - keep)]
             frame, io_ms = upcoming, upcoming_io_ms
+            del upcoming  # frame is the one reference to the next frame's pixels
             t += 1
     finally:
         ahead.stop()  # a pending attention request fails now, not at its reply

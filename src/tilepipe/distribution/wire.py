@@ -42,6 +42,12 @@ MAX_HEADER_BYTES = 16 * 1024 * 1024
 # Bound on the payload a header may declare, checked before anything is
 # allocated for it; a 4K frame's tiles come to about 10 MB.
 MAX_PAYLOAD_BYTES = 512 * 1024 * 1024
+# What a read allocates before its first byte arrives; the buffer then grows
+# with the bytes received (see _recv_exact).
+FIRST_READ_BYTES = 64 * 1024
+# Grown buffers are zero-filled from this one block, which stays in cache: a
+# fresh zeroed buffer of the whole growth costs a page fault per page read.
+_ZEROS = bytes(FIRST_READ_BYTES)
 
 
 class ProtocolError(RuntimeError):
@@ -80,11 +86,18 @@ def payload_size(header: dict) -> int:
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytearray:
-    buf = bytearray(n)
-    view = memoryview(buf)
+    """Read exactly n bytes. The buffer starts at FIRST_READ_BYTES and
+    doubles, up to n, each time it fills: a peer that declares n bytes and
+    sends fewer makes the reader hold at most twice what it sent (or
+    FIRST_READ_BYTES), not n."""
+    buf = bytearray(min(n, FIRST_READ_BYTES))
     got = 0
     while got < n:
-        received = sock.recv_into(view[got:])
+        if got == len(buf):  # full: double it, up to n
+            size = min(2 * got, n)
+            while len(buf) < size:
+                buf += memoryview(_ZEROS)[: size - len(buf)]
+        received = sock.recv_into(memoryview(buf)[got:])
         if not received:
             raise ConnectionError(
                 f"connection closed with {n - got} bytes still expected"

@@ -150,10 +150,11 @@ class TimingProfile:
     """Wall-clock milliseconds spent on one frame, split by stage.
 
     io_ms is the time the frame loop spent pulling the frame from its
-    source; a remote stream pulls frame t+1 while frame t is in flight, and
-    charges that pull to frame t+1. A frame read with frameio.read_ppm is
-    mapped, not copied, by its pull: the page faults of reading its pixels
-    are paid by the stage that cuts its tiles, not here.
+    source; a remote stream pulls frame t+1 once frame t's final tiles are
+    cut, before frame t's final requests are sent, and charges that pull to
+    frame t+1. A frame read with frameio.read_ppm is mapped, not copied,
+    by its pull: the page faults of reading its pixels are paid by the
+    stage that cuts its tiles, not here.
 
     The same shape serves local and distributed runs. Locally, transfer_ms
     is zero and per_worker is empty; attention_wait_ms is the full attention

@@ -2,7 +2,6 @@
 pool, while detection stays serial on the calling thread, in crop order."""
 
 import os
-import secrets
 import signal
 import subprocess
 import sys
@@ -21,8 +20,7 @@ import reference_pipeline as reference
 import tilepipe
 from tilepipe import pipeline
 from tilepipe.detector import Detector, GroundTruthObject
-from tilepipe.distribution import shm
-from tilepipe.distribution.client import TILE_BYTES, _crop_entries
+from tilepipe.distribution.client import TILE_BYTES, _Session, cut_requests
 from tilepipe.frameio import result_line
 from tilepipe.geometry import MODEL_SIDE, CropSpec, Rect
 from tilepipe.pipeline import (
@@ -122,19 +120,22 @@ def test_request_payload_is_the_reference_tiles(case, buffer):
     height, width, crops, seed = case
     frame = Frame(0, width, height, random_pixels(height, width, seed))
     want = b"".join(reference.cut_tile(frame.pixels, c).tobytes() for c in crops)
-    block = None
-    if buffer == "block":
-        block = shm.create(shm.PREFIX + secrets.token_hex(4), len(want) + TILE_BYTES)
-    try:
-        out = None if block is None else block.buf
-        entries, payload = _crop_entries(frame, crops, out)
-        assert bytes(payload) == want
-        if block is not None:
+    endpoint = "127.0.0.1:9"
+    with _Session(timeout_s=1.0) as session:
+        block = None
+        if buffer == "block":
+            session.same_host = frozenset([endpoint])
+            block = session.block(endpoint, len(want) + TILE_BYTES)
+        requests = cut_requests(frame, crops, [endpoint], session)
+        entries = [e for r in requests for e in r.header["crops"]]
+        payload = b"".join(bytes(r.payload) for r in requests)
+        if block is None:
+            assert payload == want
+        else:
+            assert payload == b""
+            assert all(r.header["shm"] == block.name for r in requests)
             assert block.buf[: len(want)] == want
-        del payload
-    finally:
-        if block is not None:
-            shm.destroy(block)
+        del requests
     assert [e["crop_id"] for e in entries] == [c.crop_id for c in crops]
     assert all(e["width"] == e["height"] == MODEL_SIDE for e in entries)
 

@@ -1,6 +1,7 @@
 """Worker/client integration over localhost sockets."""
 
 import gc
+import json
 import os
 import random
 import secrets
@@ -20,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import tilepipe
 from test_cut_pool import TileHashDetector
-from test_wire import UNSIZABLE_HEADERS, framed
+from test_wire import UNSIZABLE_HEADERS, framed, headers as wire_headers
 from tilepipe.detector import Detector, GroundTruthObject, crop_catalog_key
 from tilepipe.distribution import (
     ClusterConfig,
@@ -36,7 +37,7 @@ from tilepipe.distribution import (
     run_stream,
 )
 from tilepipe.distribution import client, parse_endpoint, shm, wire, worker
-from tilepipe.frameio import result_line
+from tilepipe.frameio import frame_file_name, read_ppm, result_line, write_ppm
 from tilepipe.geometry import Rect
 from tilepipe.pipeline import (
     Frame,
@@ -72,6 +73,10 @@ LOOPED_SCENE = {i: SCENE[i % 4] for i in range(16)}
 
 def make_plan():
     return GridPlan.build(1280, 720, SETTINGS_720)
+
+
+# crop ids of the attention stage; every other crop id is the final stage's
+ATTENTION_IDS = frozenset(c.crop_id for c in make_plan().attention_grid.crops)
 
 
 class DelayDetector(Detector):
@@ -677,6 +682,81 @@ def block_mappings(name):
         return sum(1 for line in maps if line.rstrip().endswith("/" + name))
 
 
+# EVAL_REQUESTs that pass the framing and reach the checks or the detector:
+# 0x0 tiles (no payload) or a few bytes, with crop ids in and out of the grid
+EVAL_REQUESTS = st.fixed_dictionaries(
+    {
+        "type": st.just("EVAL_REQUEST"),
+        "frame_id": st.integers(-2, 5) | st.text(max_size=3),
+        "crops": st.lists(
+            st.fixed_dictionaries(
+                {
+                    "crop_id": st.integers(-2, 40) | st.booleans(),
+                    "width": st.sampled_from([0, 1, 608]),
+                    "height": st.sampled_from([0, 1, 608]),
+                }
+            ),
+            max_size=4,
+        ),
+    }
+)
+WORKER_INPUTS = (
+    st.tuples(wire_headers() | EVAL_REQUESTS, st.binary(max_size=64)).map(
+        lambda case: framed(json.dumps(case[0]).encode(), case[1])
+    )
+    | st.binary(max_size=64)  # no framing at all
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=WORKER_INPUTS, health=st.booleans())
+def test_worker_answers_or_closes_on_any_input(raw, health):
+    """Random bytes, framed headers and payloads into a worker handler over
+    a socketpair, maybe followed by a HEALTH, then the write side shut: the
+    handler replies with whole messages or closes, ends within the timeout,
+    and never dies of an exception."""
+    client, server = socket.socketpair()
+    died = []
+
+    def handle():
+        try:
+            worker._Handler(
+                server,
+                "socketpair",
+                SimpleNamespace(detector=make_oracle(), stopping=threading.Event()),
+            )
+        except BaseException as exc:
+            died.append(exc)
+
+    handler = threading.Thread(target=handle)
+    handler.start()
+    replies = []
+    try:
+        with client:
+            client.settimeout(5)
+            try:
+                client.sendall(raw + (framed(b'{"type":"HEALTH"}') if health else b""))
+                client.shutdown(socket.SHUT_WR)
+            except OSError:
+                pass  # the handler closed before taking every byte
+            handler.join(5)
+            server.close()  # what the server does once its handler returns
+            while True:
+                try:
+                    reply, payload = wire.recv_message(client)
+                except ConnectionError:
+                    break
+                replies.append(reply["type"])
+                assert payload == b""
+    finally:
+        handler.join(5)
+        server.close()
+    assert not handler.is_alive()
+    assert died == []
+    assert len(replies) <= 2
+    assert set(replies) <= {"EVAL_RESPONSE", "HEALTH_OK", "ERROR"}
+
+
 class TestHealthProbe:
     def test_worker_echoes_the_nonce(self):
         probe = shm.create(shm.PREFIX + secrets.token_hex(4), shm.PROBE_BYTES)
@@ -1024,6 +1104,125 @@ class TestRunStream:
             remote = run_stream(pixel_frames(), SETTINGS_720, cluster)
         assert [r.frame_id for r in remote] == list(range(6))
         assert max(alive_at_pull) <= 2
+
+    @pytest.mark.parametrize("tcp", [False, True], ids=["blocks", "tcp"])
+    @pytest.mark.parametrize("finals", [1, 2])
+    @pytest.mark.parametrize("pipelined", [True, False], ids=["pipelined", "sequential"])
+    def test_cuts_with_one_pulled_frame_alive(
+        self, pipelined, finals, tcp, tmp_path, monkeypatch
+    ):
+        """Frames mapped from files: whenever a tile is cut, of either stage,
+        only one frame the stream pulled is still alive, and the result
+        bytes are those of run_sequence."""
+        for frame in pixel_frames(6):
+            write_ppm(tmp_path / frame_file_name(frame.frame_id), frame.pixels)
+
+        refs = []
+
+        def pulled():
+            for i in range(6):
+                frame = Frame(i, 1280, 720, read_ppm(tmp_path / frame_file_name(i)))
+                refs.append(weakref.ref(frame))
+                yield frame
+
+        det = TileHashDetector(make_oracle(LOOPED_SCENE))
+        local = [result_line(r) for r in run_sequence(pulled(), SETTINGS_720, det)]
+        refs.clear()
+        alive = []  # pulled frames alive at each cut
+        real = client.cut_tile
+
+        def cut_tile(pixels, crop, *args, **kwargs):
+            alive.append(sum(ref() is not None for ref in refs))
+            return real(pixels, crop, *args, **kwargs)
+
+        monkeypatch.setattr(client, "cut_tile", cut_tile)
+        if tcp:
+            monkeypatch.setattr(client, "_echoes_probe", lambda reply, nonce: False)
+        with DetectorServer(det) as att, DetectorServer(det) as a, DetectorServer(det) as b:
+            cluster = ClusterConfig(
+                final_workers=(a.endpoint, b.endpoint)[:finals],
+                attention_workers=(att.endpoint,) if pipelined else (),
+            )
+            remote = run_stream(pulled(), SETTINGS_720, cluster)
+        assert [result_line(r) for r in remote] == local
+        assert len(refs) == 6 and alive
+        assert max(alive) == 1
+
+    @pytest.mark.parametrize("pipelined", [True, False], ids=["pipelined", "sequential"])
+    def test_pull_failing_once_the_final_tiles_are_cut(self, pipelined, monkeypatch):
+        """Frame 2's pull fails after every final tile of frame 1 is cut and
+        before any final request of frame 1 is answered. Frame 1 still
+        completes, and the stream aborts at frame 2."""
+        source = pixel_frames(2)
+        det = TileHashDetector(make_oracle())
+        local = list(run_sequence(source, SETTINGS_720, det))
+        final_cuts = []  # frame id of each final tile cut
+        answered = []  # frame id of each final request detected
+        real = client.cut_tile
+
+        def cut_tile(pixels, crop, *args, **kwargs):
+            if crop.crop_id not in ATTENTION_IDS:
+                final_cuts.append(next(f.frame_id for f in source if f.pixels is pixels))
+            return real(pixels, crop, *args, **kwargs)
+
+        class Recording(Detector):
+            def detect(self, frame_id, crop_ids, tiles=None):
+                if crop_ids[0] not in ATTENTION_IDS:
+                    answered.append(frame_id)
+                return det.detect(frame_id, crop_ids, tiles)
+
+        at_failure = {}
+
+        def failing():
+            yield from source
+            at_failure.update(cut=list(final_cuts), answered=list(answered))
+            raise OSError("frame 2 unreadable")
+
+        monkeypatch.setattr(client, "cut_tile", cut_tile)
+        with DetectorServer(Recording()) as att, DetectorServer(Recording()) as fin:
+            cluster = ClusterConfig(
+                final_workers=(fin.endpoint,),
+                attention_workers=(att.endpoint,) if pipelined else (),
+            )
+            with pytest.raises(StreamAborted) as err:
+                run_stream(failing(), SETTINGS_720, cluster)
+        assert err.value.cursor == 2
+        assert isinstance(err.value.__cause__, OSError)
+        assert [result_line(r) for r in err.value.completed] == [
+            result_line(r) for r in local
+        ]
+        assert 1 in at_failure["cut"] and at_failure["cut"] == final_cuts
+        assert 1 not in at_failure["answered"] and 1 in answered
+
+    @pytest.mark.parametrize("pipelined", [True, False], ids=["pipelined", "sequential"])
+    def test_failed_final_cut_aborts_before_the_next_pull(self, pipelined, monkeypatch):
+        source = pixel_frames(4)
+        pulls = []
+
+        def pulling():
+            for frame in source:
+                pulls.append(frame.frame_id)
+                yield frame
+
+        real = client.cut_tile
+
+        def cut_tile(pixels, crop, *args, **kwargs):
+            if pixels is source[1].pixels and crop.crop_id not in ATTENTION_IDS:
+                raise RuntimeError("cannot cut")
+            return real(pixels, crop, *args, **kwargs)
+
+        monkeypatch.setattr(client, "cut_tile", cut_tile)
+        with DetectorServer(make_oracle()) as att, DetectorServer(make_oracle()) as fin:
+            cluster = ClusterConfig(
+                final_workers=(fin.endpoint,),
+                attention_workers=(att.endpoint,) if pipelined else (),
+            )
+            with pytest.raises(StreamAborted) as err:
+                run_stream(pulling(), SETTINGS_720, cluster)
+        assert err.value.cursor == 1
+        assert [r.frame_id for r in err.value.completed] == [0]
+        assert "cannot cut" in str(err.value)
+        assert pulls == [0, 1]
 
     @pytest.mark.parametrize("fail_at", [0, 2])
     def test_iterator_error_aborts_at_the_missing_frame(self, fail_at):

@@ -3,6 +3,7 @@ import math
 import socket
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,6 +205,35 @@ class TestSocketFraming:
             a.close()
             b.close()
 
+    def test_payload_over_many_buffer_doublings_arrives_whole(self):
+        side = 301  # 3 tiles: 815,409 bytes, about 12 times the first read
+        crops = [{"crop_id": i, "width": side, "height": side} for i in range(3)]
+        header = {"type": "EVAL_REQUEST", "frame_id": 1, "crops": crops}
+        sent = np.random.default_rng(0).bytes(wire.payload_size(header))
+        assert len(sent) > 8 * wire.FIRST_READ_BYTES
+        got, payload = recv_sent(wire.encode_message(header, sent))
+        assert got == header
+        assert payload == sent
+
+    def test_declared_payload_is_allocated_as_it_arrives(self):
+        """A header declaring one 4096x4096 tile (50 MB), then 10 bytes and
+        a closed write side: the reader allocates for what arrived."""
+        header = json.dumps(
+            {
+                "type": "EVAL_REQUEST",
+                "frame_id": 0,
+                "crops": [{"crop_id": 0, "width": 4096, "height": 4096}],
+            }
+        ).encode()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConnectionError):
+                recv_sent(framed(header, b"0123456789"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024
+
     def test_malformed_crop_list(self):
         header = json.dumps(
             {"type": "EVAL_REQUEST", "frame_id": 0, "crops": [{"crop_id": 0}]}
@@ -274,14 +304,10 @@ def headers(draw):
 def test_recv_message_returns_a_message_or_raises_a_protocol_or_connection_error(
     header, payload
 ):
-    # a declared payload is allocated before it is read; the lower bound
-    # keeps that small here and is checked on the same path as the real one
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(wire, "MAX_PAYLOAD_BYTES", 1 << 20)
-        try:
-            got, body = recv_sent(framed(json.dumps(header).encode(), payload))
-        except (wire.ProtocolError, ConnectionError):
-            return
+    try:
+        got, body = recv_sent(framed(json.dumps(header).encode(), payload))
+    except (wire.ProtocolError, ConnectionError):
+        return
     assert isinstance(got, dict) and "type" in got
     assert isinstance(body, (bytes, bytearray))
     assert len(body) == wire.payload_size(got)
