@@ -6,9 +6,10 @@ workers through run_stream), serve (a worker process), eval (AP metrics
 for a results file), gen-synthetic (test scenes with ground truth).
 
 A run's grid and oracle settings come only from its config file (see
-frameio.read_run_config); no flag overrides them. The flags of run and
-serve name only what differs between runs of one config: run's mode and
-output paths, serve's listen address and detector.
+frameio.read_run_config); no flag overrides them. A config with a
+[cluster] section runs on those workers, one without it in process. The
+flags of run and serve name only what differs between runs of one config:
+run's mode and output paths, serve's listen address.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error
 (a worker whose detector takes tiles of another size counts as one).
@@ -153,9 +154,9 @@ def cmd_run(args) -> int:
         timing_path = results_path.with_name(results_path.stem + "_timing.csv")
 
     started = time.perf_counter()
-    if config.detector == "remote":
+    if config.cluster is not None:
         if mode != "pipeline":
-            raise UsageError("baseline modes run locally; use detector kind oracle")
+            raise UsageError("baseline modes run locally; remove [cluster]")
         try:
             results = run_stream(frames, settings, config.cluster)
         except StreamAborted as exc:
@@ -182,8 +183,6 @@ def cmd_serve(args) -> int:
         host, port = parse_endpoint(args.listen)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if args.detector != "oracle":
-        raise UsageError(f"unknown detector {args.detector!r}, expected oracle")
 
     config = _load_config(args.config)
     gt_by_frame, width, height, _ = _scene_inputs(config)
@@ -306,11 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser("serve", help="run a worker server")
     serve.add_argument("--config", required=True, help="run config file")
     serve.add_argument("--listen", help="host:port to bind")
-    serve.add_argument(
-        "--detector",
-        default="oracle",
-        help="oracle (the default and only one)",
-    )
     serve.set_defaults(func=cmd_serve)
 
     ev = sub.add_parser("eval", help="score a results file against ground truth")

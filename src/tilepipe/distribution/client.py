@@ -9,8 +9,7 @@ for the replies. run_stream cuts frame t's final tiles before it pulls
 frame t+1, and keeps frame t only without its pixels after that, so a
 stream holds the pixels of one frame at a time.
 
-A stream keeps one session (_Session) per stage from start to end, or a
-single one when the final workers run both stages one after the other. A
+A stream keeps one session (_Session) per stage from start to end. A
 session holds one TCP connection per worker of its stage, opened by the
 stream-start HEALTH message and used by every request after it, and the
 threads that run the stage's requests beside the calling thread. A stage
@@ -84,8 +83,8 @@ class ClusterConfig:
     """Which workers serve each stage, and how long to wait for them.
 
     No attention workers means the attention stage runs on the final
-    workers, sequentially, with no precompute overlap. Each list names an
-    endpoint at most once; one endpoint may serve both stages.
+    workers. Each list names an endpoint at most once; one endpoint may
+    serve both stages.
     """
 
     final_workers: tuple[str, ...]
@@ -428,13 +427,13 @@ def _attention_remote(
     frame: Frame,
     plan: GridPlan,
     settings: PipelineSettings,
-    cluster: ClusterConfig,
+    workers: Sequence[str],
     session: _Session,
 ) -> AttentionModel:
     crops = plan.attention_grid.crops
-    workers = cluster.attention_workers or cluster.final_workers
+    requests = cut_requests(frame, crops, workers, session)
     by_crop, _, _ = evaluate_remote(
-        frame, crops, workers, cluster.request_timeout_s, session
+        frame, crops, workers, session.timeout_s, session, requests
     )
     return attention_model(frame, crops, by_crop, settings.min_confidence)
 
@@ -518,25 +517,25 @@ def run_stream(
 ) -> list[FrameResult]:
     """Evaluate a frame stream against a cluster, in input order.
 
-    Frames are pulled one ahead, but their pixels are held one frame at a
-    time. Once frame t's attention is in and its active crops chosen, every
-    final tile of frame t is cut into the final stage's blocks or payload
+    The attention stage runs on the attention workers, or on the final
+    workers when there are none, on a thread of its own: each frame's
+    attention is submitted as soon as the frame is pulled. Frames are
+    pulled one ahead, but their pixels are held one frame at a time. Once
+    frame t's attention is in and its active crops chosen, every final
+    tile of frame t is cut into the final stage's blocks or payload
     buffers, and the stream keeps frame t only without its pixels. Then it
-    pulls frame t+1, and only then sends frame t's final requests and waits
-    for their replies. So no tile is ever cut while a second pulled frame is
-    alive here. With attention workers, frame t+1's attention is submitted
-    as soon as it is pulled, and runs on them while frame t's final
-    requests are in flight; attention_wait_ms records only the part not
-    hidden. Without them every frame runs both stages sequentially.
+    pulls frame t+1 and submits its attention, which runs while frame t's
+    final requests are in flight; attention_wait_ms records only the part
+    not hidden. So no tile is ever cut while a second pulled frame is alive
+    here.
 
-    The stream holds one session per stage, or one for both when there are
-    no attention workers. Each stage sends each of its workers one request
-    per frame: the final replies of frame t are in before frame t+1's final
-    tiles are cut, and frame t+2's attention is submitted only once frame
-    t+1's has been taken; the one session of a stream without attention
-    workers cuts frame t+1's attention tiles only after frame t's final
-    replies. So no session ever has two requests to one worker in flight,
-    and no block is written while a worker reads it.
+    The stream holds one session per stage, so a worker that serves both
+    stages has one connection and at most one block for each. Each stage
+    sends each of its workers one request per frame: the final replies of
+    frame t are in before frame t+1's final tiles are cut, and frame t+2's
+    attention is submitted only once frame t+1's has been taken. So no
+    session ever has two requests to one worker in flight, and no block is
+    written while a worker reads it.
 
     Before the first frame is pulled, every worker gets a HEALTH probe
     from each stage it serves (_check_workers), which opens that stage's
@@ -557,27 +556,32 @@ def run_stream(
     attention thread and the request threads are joined, the connections
     closed and the blocks unlinked before run_stream returns or raises.
     """
-    pipelined = len(cluster.attention_workers) >= 1
     keep = settings.temporal_window - 1
 
     results: list[FrameResult] = []
     history: list[AttentionModel] = []
     timeout_s = cluster.request_timeout_s
+    attention_workers = cluster.attention_workers or cluster.final_workers
     final = _Session(timeout_s, len(cluster.final_workers))
-    ahead = _Session(timeout_s, len(cluster.attention_workers)) if pipelined else final
+    ahead = _Session(timeout_s, len(attention_workers))
     attention = ThreadPoolExecutor(max_workers=1, thread_name_prefix="tilepipe-attention")
-    pending = None
+
+    def submit(frame: Frame):
+        return attention.submit(
+            _attention_remote, frame, plan, settings, attention_workers, ahead
+        )
+
     t = 0
     try:
         try:
-            catalogs = _check_workers(ahead, cluster.attention_workers) if pipelined else {}
+            catalogs = _check_workers(ahead, attention_workers)
             catalogs |= _check_workers(final, cluster.final_workers)
             frames = timed_pulls(frames)
             frame, io_ms, error = _pull(frames, None)
-            plan = None
             if frame is not None:
                 plan = GridPlan.build(frame.width, frame.height, settings)
                 _check_catalogs(catalogs, plan)
+                pending = submit(frame)
         except WorkerError as exc:
             raise StreamAborted(t, results, str(exc)) from exc
         while True:
@@ -587,12 +591,8 @@ def run_stream(
                 return results
             try:
                 waited = time.perf_counter()
-                if pending is not None:
-                    att = pending.result()
-                else:
-                    att = _attention_remote(frame, plan, settings, cluster, ahead)
+                att = pending.result()
                 wait_ms = (time.perf_counter() - waited) * 1000
-                pending = None
 
                 c0 = time.perf_counter()
                 merged = merge_temporal([*history, att], settings.temporal_window)
@@ -606,10 +606,8 @@ def run_stream(
                 frame = Frame(frame.frame_id, frame.width, frame.height)
 
                 upcoming, upcoming_io_ms, error = _pull(frames, plan)
-                if pipelined and upcoming is not None:
-                    pending = attention.submit(
-                        _attention_remote, upcoming, plan, settings, cluster, ahead
-                    )
+                if upcoming is not None:
+                    pending = submit(upcoming)
 
                 by_crop, final_ms, per_worker = evaluate_remote(
                     frame, crops, cluster.final_workers, timeout_s, final, requests

@@ -363,11 +363,11 @@ def write_timing_csv(results: Sequence[FrameResult], path) -> None:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a run needs: pipeline settings, detector choice, where the
-    data lives, and (for remote runs) the cluster."""
+    """Everything a run needs: pipeline settings, where the data lives, the
+    oracle's settings, and the cluster of a run on workers. A run is remote
+    if and only if it has a cluster."""
 
     settings: PipelineSettings
-    detector: str  # "oracle" | "remote"
     ground_truth_path: Path
     results_path: Path
     cluster: ClusterConfig | None = None
@@ -379,14 +379,6 @@ class RunConfig:
     min_tile_px: int = 8
 
     def __post_init__(self):
-        if self.detector not in ("oracle", "remote"):
-            raise ValueError(
-                f"[detector] kind: must be oracle or remote, got {self.detector!r}"
-            )
-        if self.detector == "remote" and self.cluster is None:
-            raise ValueError("remote detector needs a [cluster] section")
-        if self.detector == "oracle" and self.cluster is not None:
-            raise ValueError("local oracle run must not configure a cluster")
         if self.frames_dir is None and (
             self.frame_width is None or self.frame_height is None
         ):
@@ -407,7 +399,7 @@ def _split_endpoints(raw: str) -> tuple[str, ...]:
 # Every section of a run config and the keys each may hold.
 _CONFIG_KEYS = {
     "pipeline": ("preset", "attention_margin_px", "temporal_window", "min_confidence"),
-    "detector": ("kind", "visibility_threshold", "min_tile_px"),
+    "detector": ("visibility_threshold", "min_tile_px"),
     "paths": ("ground_truth", "results", "frames", "timing"),
     "frame": ("width", "height"),
     "cluster": ("final_workers", "attention_workers", "request_timeout_s"),
@@ -424,10 +416,8 @@ def read_run_config(path) -> RunConfig:
       [pipeline]  preset (required): the grid, like "1 att, 3 fin, 20 over";
                   attention_margin_px (20), temporal_window (2) and
                   min_confidence (0.3): see PipelineSettings.
-      [detector]  kind (oracle): oracle, the ground-truth oracle in process,
-                  or remote, workers listed in [cluster]. The oracle's
-                  visibility_threshold (0.3) and min_tile_px (8): see
-                  detector.mock_detect.
+      [detector]  the oracle's visibility_threshold (0.3) and min_tile_px
+                  (8): see detector.mock_detect.
       [paths]     ground_truth and results (required), frames (a directory
                   of frame_%06d.ppm files) and timing (results' name with
                   _timing.csv).
@@ -435,7 +425,9 @@ def read_run_config(path) -> RunConfig:
                   they must match the frames' size.
       [cluster]   final_workers and attention_workers (host:port lists,
                   comma- or space-separated, each naming an endpoint at
-                  most once) and request_timeout_s (30).
+                  most once) and request_timeout_s (30). A run with this
+                  section runs on those workers; one without it runs the
+                  oracle in process.
 
     A file that does not parse as INI, has a section or key not listed
     here ([DEFAULT] keys included), or a value its key's type or range
@@ -494,7 +486,7 @@ def _run_config(parser: configparser.ConfigParser, path: Path) -> RunConfig:
         except ValueError as exc:
             raise ValueError(f"[{section}] {key}: {exc}") from exc
 
-    for section in ("pipeline", "detector", "paths"):
+    for section in ("pipeline", "paths"):
         if section not in parser:
             raise ValueError(f"missing [{section}] section")
 
@@ -539,7 +531,6 @@ def _run_config(parser: configparser.ConfigParser, path: Path) -> RunConfig:
 
     return RunConfig(
         settings=settings,
-        detector=parser["detector"].get("kind", "oracle"),
         ground_truth_path=gt_path,
         results_path=results_path,
         cluster=cluster,

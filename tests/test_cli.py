@@ -29,12 +29,13 @@ PRESET = "1 att, 3 fin, 50 over"
 SETTINGS = PipelineSettings.from_preset(PRESET)
 
 
-def write_config(path, scene_dir, detector="oracle", cluster=None):
+def write_config(path, scene_dir, cluster=None):
+    """A run config for scene_dir; with cluster, a run on those workers."""
     lines = [
         "[pipeline]",
         f"preset = {PRESET}",
         "[detector]",
-        f"kind = {detector}",
+        "visibility_threshold = 0.3",
         "[paths]",
         f"ground_truth = {scene_dir / 'gt.jsonl'}",
         f"frames = {scene_dir}",
@@ -118,21 +119,10 @@ def test_serve_bad_listen_exits_2(scene_dir, tmp_path, capsys, listen):
     assert "expected host:port" in capsys.readouterr().err
 
 
-def test_serve_unknown_detector_exits_2_naming_oracle(scene_dir, tmp_path, capsys):
-    """serve's one detector is oracle; no suffix overrides its ground truth."""
-    config = write_config(tmp_path / "serve.ini", scene_dir)
-    argv = ["serve", "--config", str(config), "--listen", "127.0.0.1:0",
-            "--detector", "oracle:x.jsonl"]
-    assert main(argv) == 2
-    assert "'oracle:x.jsonl', expected oracle" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("key", ["final_workers", "attention_workers"])
 def test_cluster_endpoint_listed_twice_exits_2(scene_dir, tmp_path, capsys, key):
     cluster = {"final_workers": "127.0.0.1:1", key: "127.0.0.1:2, 127.0.0.1:2"}
-    config = write_config(
-        tmp_path / "remote.ini", scene_dir, detector="remote", cluster=cluster
-    )
+    config = write_config(tmp_path / "remote.ini", scene_dir, cluster=cluster)
     assert main(["run", "--config", str(config)]) == 2
     assert f"[cluster] {key}: '127.0.0.1:2' listed twice" in capsys.readouterr().err
     assert not (tmp_path / "remote.jsonl").exists()
@@ -140,13 +130,19 @@ def test_cluster_endpoint_listed_twice_exits_2(scene_dir, tmp_path, capsys, key)
 
 def test_cluster_bad_endpoint_exits_2(scene_dir, tmp_path, capsys):
     config = write_config(
-        tmp_path / "remote.ini",
-        scene_dir,
-        detector="remote",
-        cluster={"final_workers": "127.0.0.1:abc"},
+        tmp_path / "remote.ini", scene_dir, cluster={"final_workers": "127.0.0.1:abc"}
     )
     assert main(["run", "--config", str(config)]) == 2
     assert "'127.0.0.1:abc'" in capsys.readouterr().err
+
+
+def test_baseline_mode_with_a_cluster_exits_2_naming_it(scene_dir, tmp_path, capsys):
+    config = write_config(
+        tmp_path / "remote.ini", scene_dir, cluster={"final_workers": "127.0.0.1:1"}
+    )
+    assert main(["run", "--config", str(config), "--mode", "downscale"]) == 2
+    assert "baseline modes run locally; remove [cluster]" in capsys.readouterr().err
+    assert not (tmp_path / "remote.jsonl").exists()
 
 
 def run_on_in_process_workers(scene_dir, tmp_path) -> bytes:
@@ -156,7 +152,6 @@ def run_on_in_process_workers(scene_dir, tmp_path) -> bytes:
         config = write_config(
             tmp_path / "remote.ini",
             scene_dir,
-            detector="remote",
             cluster={"final_workers": fin.endpoint, "attention_workers": att.endpoint},
         )
         assert main(["run", "--config", str(config)]) == 0
@@ -178,8 +173,8 @@ def test_remote_run_over_tcp_matches_local_bytes(
 
 
 def test_run_on_serve_workers_matches_local_bytes(scene_dir, tmp_path, sent_blocks):
-    """Two `tilepipe serve` processes, each with its own resource tracker,
-    pipelined (attention + final) and sequential (two final workers)."""
+    """Two `tilepipe serve` processes, each with its own resource tracker:
+    one per stage, then both as final workers that also run attention."""
     serve_config = write_config(tmp_path / "serve.ini", scene_dir)
     argv = [sys.executable, "-m", "tilepipe.cli", "serve", "--config",
             str(serve_config), "--listen", "127.0.0.1:0"]
@@ -197,9 +192,7 @@ def test_run_on_serve_workers_matches_local_bytes(scene_dir, tmp_path, sent_bloc
             {"attention_workers": first, "final_workers": second},
             {"final_workers": f"{first}, {second}"},
         ):
-            config = write_config(
-                tmp_path / "remote.ini", scene_dir, detector="remote", cluster=cluster
-            )
+            config = write_config(tmp_path / "remote.ini", scene_dir, cluster=cluster)
             assert main(["run", "--config", str(config)]) == 0
             assert (tmp_path / "remote.jsonl").read_bytes() == reference_bytes(scene_dir)
     finally:
@@ -222,8 +215,7 @@ def test_mismatched_worker_exits_2(scene_dir, tmp_path, capsys):
 
     with DetectorServer(Mismatched()) as fin:
         config = write_config(
-            tmp_path / "remote.ini", scene_dir, detector="remote",
-            cluster={"final_workers": fin.endpoint},
+            tmp_path / "remote.ini", scene_dir, cluster={"final_workers": fin.endpoint}
         )
         assert main(["run", "--config", str(config)]) == 2
     err = capsys.readouterr().err
@@ -238,7 +230,8 @@ def test_worker_on_another_grid_exits_2(scene_dir, tmp_path, capsys):
     oracle = oracle_for_scene(1280, 720, SETTINGS, gt)
     with DetectorServer(oracle) as att, DetectorServer(oracle) as fin:
         config = write_config(
-            tmp_path / "remote.ini", scene_dir, detector="remote",
+            tmp_path / "remote.ini",
+            scene_dir,
             cluster={"final_workers": fin.endpoint, "attention_workers": att.endpoint},
         )
         config.write_text(
@@ -338,6 +331,7 @@ BAD_VALUES = {
     "negative-margin": ("[pipeline]", "attention_margin_px", "-1"),
     "confidence-over-1": ("[pipeline]", "min_confidence", "1.5"),
     "fewer-final-rows": ("[pipeline]", "preset", "2 att, 1 fin, 50 over"),
+    # not a key: [cluster] alone says whether a run is remote
     "unknown-kind": ("[detector]", "kind", "banana"),
 }
 
@@ -346,9 +340,7 @@ BAD_VALUES = {
 def test_bad_config_value_exits_2_naming_it(scene_dir, tmp_path, capsys, case):
     section, key, value = BAD_VALUES[case]
     cluster = {"final_workers": "127.0.0.1:1"} if section == "[cluster]" else None
-    config = write_config(
-        tmp_path / "local.ini", scene_dir, "remote" if cluster else "oracle", cluster
-    )
+    config = write_config(tmp_path / "local.ini", scene_dir, cluster)
     text = config.read_text()
     if section == "[frame]":  # raster-free, so that only the config sizes frames
         text = text.replace(f"frames = {scene_dir}\n", "") + "[frame]\nheight = 720\n"
@@ -446,7 +438,7 @@ def test_run_and_serve_take_no_settings_flags():
         } - {"-h", "--help"}
 
     assert options("run") == {"--config", "--mode", "--results", "--timing"}
-    assert options("serve") == {"--config", "--listen", "--detector"}
+    assert options("serve") == {"--config", "--listen"}
 
 
 @pytest.mark.parametrize("command", ["run", "serve"])

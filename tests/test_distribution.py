@@ -12,6 +12,7 @@ import sys
 import threading
 import time
 import weakref
+from contextlib import ExitStack
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 import tilepipe
 from test_cut_pool import TileHashDetector
+from test_reference_pipeline import runs, scene_frames
 from test_wire import UNSIZABLE_HEADERS, framed, headers as wire_headers
 from tilepipe.detector import Detector, GroundTruthObject, crop_catalog_key
 from tilepipe.distribution import (
@@ -973,6 +975,19 @@ class TestRunStream:
         for result in remote[1:]:
             assert result.timing.attention_wait_ms < cold / 2
 
+    def test_attention_on_the_final_workers_hidden_when_cheaper(self):
+        """Without attention workers, frame t+1's attention runs on the final
+        worker, on a connection of its own, while frame t's final requests
+        are in flight."""
+        delay = 0.02
+        with DetectorServer(DelayDetector(make_oracle(), delay)) as fin:
+            cluster = ClusterConfig(final_workers=(fin.endpoint,))
+            remote = run_stream(frames(4), SETTINGS_720, cluster)
+        cold = remote[0].timing.attention_wait_ms
+        assert cold >= delay * 1000  # nothing hides the first frame
+        for result in remote[1:]:
+            assert result.timing.attention_wait_ms < cold / 2
+
     def test_stream_abort_carries_cursor_and_completed(self):
         bad = FailOnFrame(make_oracle(), bad_frame_id=2)
         with DetectorServer(bad) as fin:
@@ -1107,9 +1122,9 @@ class TestRunStream:
 
     @pytest.mark.parametrize("tcp", [False, True], ids=["blocks", "tcp"])
     @pytest.mark.parametrize("finals", [1, 2])
-    @pytest.mark.parametrize("pipelined", [True, False], ids=["pipelined", "sequential"])
+    @pytest.mark.parametrize("separate", [True, False], ids=["pipelined", "finals-only"])
     def test_cuts_with_one_pulled_frame_alive(
-        self, pipelined, finals, tcp, tmp_path, monkeypatch
+        self, separate, finals, tcp, tmp_path, monkeypatch
     ):
         """Frames mapped from files: whenever a tile is cut, of either stage,
         only one frame the stream pulled is still alive, and the result
@@ -1141,15 +1156,15 @@ class TestRunStream:
         with DetectorServer(det) as att, DetectorServer(det) as a, DetectorServer(det) as b:
             cluster = ClusterConfig(
                 final_workers=(a.endpoint, b.endpoint)[:finals],
-                attention_workers=(att.endpoint,) if pipelined else (),
+                attention_workers=(att.endpoint,) if separate else (),
             )
             remote = run_stream(pulled(), SETTINGS_720, cluster)
         assert [result_line(r) for r in remote] == local
         assert len(refs) == 6 and alive
         assert max(alive) == 1
 
-    @pytest.mark.parametrize("pipelined", [True, False], ids=["pipelined", "sequential"])
-    def test_pull_failing_once_the_final_tiles_are_cut(self, pipelined, monkeypatch):
+    @pytest.mark.parametrize("separate", [True, False], ids=["pipelined", "finals-only"])
+    def test_pull_failing_once_the_final_tiles_are_cut(self, separate, monkeypatch):
         """Frame 2's pull fails after every final tile of frame 1 is cut and
         before any final request of frame 1 is answered. Frame 1 still
         completes, and the stream aborts at frame 2."""
@@ -1182,7 +1197,7 @@ class TestRunStream:
         with DetectorServer(Recording()) as att, DetectorServer(Recording()) as fin:
             cluster = ClusterConfig(
                 final_workers=(fin.endpoint,),
-                attention_workers=(att.endpoint,) if pipelined else (),
+                attention_workers=(att.endpoint,) if separate else (),
             )
             with pytest.raises(StreamAborted) as err:
                 run_stream(failing(), SETTINGS_720, cluster)
@@ -1194,8 +1209,8 @@ class TestRunStream:
         assert 1 in at_failure["cut"] and at_failure["cut"] == final_cuts
         assert 1 not in at_failure["answered"] and 1 in answered
 
-    @pytest.mark.parametrize("pipelined", [True, False], ids=["pipelined", "sequential"])
-    def test_failed_final_cut_aborts_before_the_next_pull(self, pipelined, monkeypatch):
+    @pytest.mark.parametrize("separate", [True, False], ids=["pipelined", "finals-only"])
+    def test_failed_final_cut_aborts_before_the_next_pull(self, separate, monkeypatch):
         source = pixel_frames(4)
         pulls = []
 
@@ -1215,7 +1230,7 @@ class TestRunStream:
         with DetectorServer(make_oracle()) as att, DetectorServer(make_oracle()) as fin:
             cluster = ClusterConfig(
                 final_workers=(fin.endpoint,),
-                attention_workers=(att.endpoint,) if pipelined else (),
+                attention_workers=(att.endpoint,) if separate else (),
             )
             with pytest.raises(StreamAborted) as err:
                 run_stream(pulling(), SETTINGS_720, cluster)
@@ -1240,8 +1255,8 @@ class TestRunStream:
         assert [r.frame_id for r in err.value.completed] == list(range(fail_at))
         assert isinstance(err.value.__cause__, OSError)
 
-    @pytest.mark.parametrize("pipelined", [True, False])
-    def test_frame_pulls_charged_to_io(self, pipelined):
+    @pytest.mark.parametrize("separate", [True, False])
+    def test_frame_pulls_charged_to_io(self, separate):
         def slow_frames():
             for frame in frames(3):
                 time.sleep(0.02)
@@ -1250,7 +1265,7 @@ class TestRunStream:
         with DetectorServer(make_oracle()) as att, DetectorServer(make_oracle()) as fin:
             cluster = ClusterConfig(
                 final_workers=(fin.endpoint,),
-                attention_workers=(att.endpoint,) if pipelined else (),
+                attention_workers=(att.endpoint,) if separate else (),
             )
             remote = run_stream(slow_frames(), SETTINGS_720, cluster)
         assert [r.frame_id for r in remote] == [0, 1, 2]
@@ -1264,6 +1279,39 @@ class TestRunStream:
             with pytest.raises(StreamAborted) as err:
                 run_stream(mixed, SETTINGS_720, cluster)
         assert err.value.cursor == 1
+
+
+@st.composite
+def worker_layouts(draw):
+    """(attention, final): indexes of three servers, 0-2 for attention and
+    1-3 for the final stage, each at most once per stage. A server in both
+    lists serves both stages."""
+    final = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True))
+    return draw(st.lists(st.integers(0, 2), max_size=2, unique=True)), final
+
+
+@settings(max_examples=25, deadline=None)
+@given(run=runs(), layout=worker_layouts())
+def test_run_stream_matches_run_sequence(run, layout):
+    """Any scene, grid, temporal window and worker layout, with pixels or
+    without: run_stream writes the bytes of run_sequence. With pixels,
+    confidences hash each tile, so a tile cut from the wrong frame or place
+    changes them."""
+    spec, stride, run_settings, with_pixels = run
+    scene, source = scene_frames(spec, stride, with_pixels)
+    det = oracle_for_scene(spec.width, spec.height, run_settings, scene)
+    if with_pixels:
+        det = TileHashDetector(det)
+    local = [result_line(r) for r in run_sequence(source, run_settings, det)]
+    attention, final = layout
+    with ExitStack() as stack:
+        servers = [stack.enter_context(DetectorServer(det)) for _ in range(3)]
+        cluster = ClusterConfig(
+            final_workers=tuple(servers[i].endpoint for i in final),
+            attention_workers=tuple(servers[i].endpoint for i in attention),
+        )
+        remote = run_stream(source, run_settings, cluster)
+    assert [result_line(r) for r in remote] == local
 
 
 def pixel_frames(count=4):
@@ -1285,16 +1333,16 @@ def mismatched_oracle():
 
 
 class TestSharedMemoryStream:
-    @pytest.mark.parametrize("pipelined", [True, False])
+    @pytest.mark.parametrize("separate", [True, False])
     def test_same_host_workers_read_blocks_and_match_tcp(
-        self, pipelined, sent_blocks, monkeypatch
+        self, separate, sent_blocks, monkeypatch
     ):
         det = TileHashDetector(make_oracle())
         local = list(run_sequence(pixel_frames(), SETTINGS_720, det))
         with DetectorServer(det) as att, DetectorServer(det) as fin:
             cluster = ClusterConfig(
                 final_workers=(fin.endpoint,),
-                attention_workers=(att.endpoint,) if pipelined else (),
+                attention_workers=(att.endpoint,) if separate else (),
             )
             shared = run_stream(pixel_frames(), SETTINGS_720, cluster)
             by_block = list(sent_blocks)

@@ -537,7 +537,6 @@ class TestRunConfig:
         write_minimal_gt(tmp_path / "gt.jsonl")
         fields = dict(
             settings=PipelineSettings.from_preset("1 att, 3 fin, 20 over"),
-            detector="oracle",
             ground_truth_path=tmp_path / "gt.jsonl",
             results_path=tmp_path / "results.jsonl",
             frame_width=1280,
@@ -551,7 +550,6 @@ class TestRunConfig:
         path = tmp_path / "run.cfg"
         path.write_text(
             "[pipeline]\npreset = 1 att, 3 fin, 20 over\n"
-            "[detector]\nkind = oracle\n"
             "[paths]\nground_truth = gt.jsonl\nresults = results.jsonl\n"
             "timing = timing.csv\n"
             "[frame]\nwidth = 1280\nheight = 720\n"
@@ -564,11 +562,10 @@ class TestRunConfig:
             attention_workers=("127.0.0.1:7600",),
             request_timeout_s=12.5,
         )
-        config = self.oracle_config(tmp_path, detector="remote", cluster=cluster)
+        config = self.oracle_config(tmp_path, cluster=cluster)
         path = tmp_path / "run.cfg"
         path.write_text(
             "[pipeline]\npreset = 1 att, 3 fin, 20 over\n"
-            "[detector]\nkind = remote\n"
             "[paths]\nground_truth = gt.jsonl\nresults = results.jsonl\n"
             "[frame]\nwidth = 1280\nheight = 720\n"
             "[cluster]\nfinal_workers = 127.0.0.1:7601, 127.0.0.1:7602\n"
@@ -585,7 +582,6 @@ class TestRunConfig:
         path = tmp_path / "run.cfg"
         path.write_text(
             "[pipeline]\npreset = 1 att, 3 fin, 20 over\n"
-            "[detector]\nkind = oracle\n"
             "[paths]\nground_truth = gt.jsonl\nresults = results.jsonl\n"
             "frames = frames\n"
         )
@@ -595,7 +591,6 @@ class TestRunConfig:
         write_minimal_gt(tmp_path / "gt.jsonl")
         (tmp_path / "run.cfg").write_text(
             "[pipeline]\npreset = 1 att, 3 fin, 20 over\n"
-            "[detector]\nkind = oracle\n"
             "[frame]\nwidth = 1280\nheight = 720\n"
             "[paths]\nground_truth = gt.jsonl\nresults = results.jsonl\n"
         )
@@ -608,7 +603,7 @@ class TestRunConfig:
     EVERY_KEY = (
         "[pipeline]\npreset = 1 att, 2 fin, 30 over\nattention_margin_px = 12\n"
         "temporal_window = 3\nmin_confidence = 0.4\n"
-        "[detector]\nkind = remote\nvisibility_threshold = 0.25\nmin_tile_px = 4\n"
+        "[detector]\nvisibility_threshold = 0.25\nmin_tile_px = 4\n"
         "[paths]\nground_truth = gt.jsonl\nresults = out.jsonl\nframes = frames\n"
         "timing = t.csv\n"
         "[frame]\nwidth = 16\nheight = 8\n"
@@ -626,7 +621,6 @@ class TestRunConfig:
                 temporal_window=3,
                 min_confidence=0.4,
             ),
-            detector="remote",
             results_path=tmp_path / "out.jsonl",
             cluster=ClusterConfig(
                 final_workers=("127.0.0.1:7601",),
@@ -669,7 +663,6 @@ class TestRunConfig:
         write_minimal_gt(tmp_path / "gt.jsonl")
         path = tmp_path / "run.cfg"
         text = (
-            "[detector]\nkind = oracle\n"
             "[frame]\nwidth = 1280\nheight = 720\n"
             "[paths]\nground_truth = gt.jsonl\nresults = results.jsonl\n"
             "[pipeline]\npreset = 1 att, 3 fin, 20 over\n"
@@ -684,7 +677,6 @@ class TestRunConfig:
         write_minimal_gt(tmp_path / "gt.jsonl")
         (tmp_path / "run.cfg").write_text(
             "[pipeline]\nmin_confidence = 0.4\n"
-            "[detector]\nkind = oracle\n"
             "[frame]\nwidth = 1280\nheight = 720\n"
             "[paths]\nground_truth = gt.jsonl\nresults = results.jsonl\n"
         )
@@ -694,7 +686,6 @@ class TestRunConfig:
     def test_missing_ground_truth_rejected(self, tmp_path):
         (tmp_path / "run.cfg").write_text(
             "[pipeline]\npreset = 1 att, 3 fin, 20 over\n"
-            "[detector]\nkind = oracle\n"
             "[frame]\nwidth = 1280\nheight = 720\n"
             "[paths]\nground_truth = nope.jsonl\nresults = results.jsonl\n"
         )
@@ -705,7 +696,6 @@ class TestRunConfig:
         write_minimal_gt(tmp_path / "gt.jsonl")
         (tmp_path / "run.cfg").write_text(
             "[pipeline]\npreset = 1 att, 3 fin, 20 over\n"
-            "[detector]\nkind = oracle\n"
             "[paths]\nframes = missing/\nground_truth = gt.jsonl\n"
             "results = results.jsonl\n"
         )
@@ -714,7 +704,7 @@ class TestRunConfig:
 
     def test_missing_section_rejected(self, tmp_path):
         (tmp_path / "run.cfg").write_text("[pipeline]\npreset = 1 att, 3 fin, 20 over\n")
-        with pytest.raises(ValueError, match="detector"):
+        with pytest.raises(ValueError, match=r"missing \[paths\] section"):
             read_run_config(tmp_path / "run.cfg")
 
     @pytest.mark.parametrize(
@@ -723,7 +713,6 @@ class TestRunConfig:
             "preset = 1 att, 3 fin, 20 over\n",
             "[pipeline]\npreset = 1 att, 3 fin, 20 over\npreset = 1 att, 2 fin, 20 over\n",
             "[pipeline]\npreset = 1 att, 3 fin, 20 over\n"
-            "[detector]\nkind = oracle\n"
             "[frame]\nwidth = 1280\nheight = 720\n"
             "[paths]\nground_truth = gt.jsonl\nresults = 100%.jsonl\n",
         ],
@@ -737,14 +726,6 @@ class TestRunConfig:
             read_run_config(path)
 
     def test_validation(self, tmp_path):
-        with pytest.raises(ValueError, match="detector"):
-            self.oracle_config(tmp_path, detector="banana")
-        with pytest.raises(ValueError, match="cluster"):
-            self.oracle_config(tmp_path, detector="remote")
-        with pytest.raises(ValueError, match="cluster"):
-            self.oracle_config(
-                tmp_path, cluster=ClusterConfig(final_workers=("h:1",))
-            )
         with pytest.raises(ValueError, match="width"):
             self.oracle_config(tmp_path, frame_width=None, frame_height=None)
 

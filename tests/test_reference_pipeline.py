@@ -41,11 +41,8 @@ def runs(draw):
     return spec, stride, run_settings, draw(st.booleans())
 
 
-@pytest.mark.parametrize("mode", RUN_MODES)
-@settings(max_examples=30, deadline=None)
-@given(run=runs())
-def test_run_sequence_matches_reference(mode, run):
-    spec, stride, run_settings, with_pixels = run
+def scene_frames(spec, stride, with_pixels):
+    """The scene of a drawn run, every stride-th frame of it, and its frames."""
     scene = generate_scene(spec)
     scene = {fid: scene[fid] for fid in range(0, spec.frame_count, stride)}
     frames = [
@@ -57,6 +54,15 @@ def test_run_sequence_matches_reference(mode, run):
         )
         for fid, objects in sorted(scene.items())
     ]
+    return scene, frames
+
+
+@pytest.mark.parametrize("mode", RUN_MODES)
+@settings(max_examples=30, deadline=None)
+@given(run=runs())
+def test_run_sequence_matches_reference(mode, run):
+    spec, stride, run_settings, with_pixels = run
+    scene, frames = scene_frames(spec, stride, with_pixels)
     oracle = oracle_for_scene(spec.width, spec.height, run_settings, scene)
     got = [result_line(r) for r in run_sequence(frames, run_settings, oracle, mode=mode)]
     want = [result_line(r) for r in reference_sequence(frames, run_settings, oracle, mode)]
