@@ -210,8 +210,15 @@ class _CutPlan(NamedTuple):
     rows: np.ndarray  # frame row of each tile row, clipped to the frame
     cols: slice  # frame columns of the crop's window
     byte_index: np.ndarray  # channel item of a window row for each of a tile row
+    bands: tuple[slice, ...]  # tile rows gathered together, in order
     row_fill: np.ndarray | None  # tile rows outside the frame, if any
     col_fill: np.ndarray | None  # tile columns outside the frame, if any
+
+
+# The most bytes of sampled window rows one cut holds at a time: half of a
+# 2 MiB per-core L2 cache, so a band stays in cache between its copy and its
+# gather, and a cut's temporary does not grow with the crop.
+_BAND_BYTES = 1 << 20
 
 
 # enough plans for the crops of several grids and frame sizes, at about
@@ -226,13 +233,16 @@ def _cut_plan(
     # the sampled positions ascend, so the clipped ones span one window
     xc = np.clip(xs, 0, frame_w - 1)
     rows = np.clip(ys, 0, frame_h - 1)
+    cols = slice(int(xc[0]), int(xc[-1]) + 1)
     byte_index = (3 * (xc - xc[0])[:, None] + np.arange(3)).ravel()
+    band = max(1, _BAND_BYTES // (3 * (cols.stop - cols.start)))
     row_fill = (ys < 0) | (ys >= frame_h)
     col_fill = (xs < 0) | (xs >= frame_w)
     plan = _CutPlan(
         rows,
-        slice(int(xc[0]), int(xc[-1]) + 1),
+        cols,
         byte_index,
+        tuple(slice(i, min(i + band, input_side)) for i in range(0, input_side, band)),
         row_fill if row_fill.any() else None,
         col_fill if col_fill.any() else None,
     )
@@ -258,14 +268,18 @@ def cut_tile(
     other raises ValueError before anything is written. Every pixel of it
     is overwritten and it is returned. Otherwise a new array is.
 
-    The sampled rows of the crop's window, and only those, are copied once
-    into a temporary, however the pixels are strided. Its columns are then
+    The tile is cut one band of tile rows at a time. A band's sampled rows
+    of the crop's window, and only those, are copied into a temporary,
+    however the pixels are strided; a band holds as many rows as fit in
+    _BAND_BYTES (1 MiB) of uint8 window, and at least one, so the temporary
+    stays in cache and does not grow with the crop. Its columns are then
     gathered channel by channel: each tile row is one take of
     3 * input_side single-byte items (for uint8) from a window row, which
     numpy copies in a fixed-size loop where 3-byte pixels would cost one
-    memmove each. The row indices, the window's columns, that byte index
-    and the zero-fill masks depend only on the frame size, the crop and
-    input_side; they are computed once per such key and cached, read-only.
+    memmove each. The zero-fill runs once every band is written. The row
+    indices, the window's columns, that byte index, the bands and the
+    zero-fill masks depend only on the frame size, the crop and input_side;
+    they are computed once per such key and cached, read-only.
 
     The pixels are only read, so concurrent calls into distinct ``out``
     arrays are safe.
@@ -289,16 +303,19 @@ def cut_tile(
     r = crop.global_rect
     frame_h, frame_w = pixels.shape[:2]
     plan = _cut_plan(frame_h, frame_w, int(r.x), int(r.y), int(r.w), input_side)
-    # indexing reads the strided window in place, where np.take would first
-    # copy it whole into a contiguous temporary
-    rows = pixels[:, plan.cols][plan.rows]
-    np.take(
-        rows.reshape(input_side, -1),
-        plan.byte_index,
-        axis=1,
-        out=out.reshape(input_side, -1),
-        mode="wrap",  # in range by construction; skips the checked loop
-    )
+    window = pixels[:, plan.cols]
+    tile_rows = out.reshape(input_side, -1)
+    for band in plan.bands:
+        # indexing reads the strided window in place, where np.take would
+        # first copy it whole into a contiguous temporary; that temporary
+        # is freed before the next band's is made
+        np.take(
+            window[plan.rows[band]].reshape(band.stop - band.start, -1),
+            plan.byte_index,
+            axis=1,
+            out=tile_rows[band],
+            mode="wrap",  # in range by construction; skips the checked loop
+        )
     if plan.row_fill is not None:
         out[plan.row_fill] = 0
     if plan.col_fill is not None:

@@ -599,9 +599,9 @@ def run_stream(
                 active = select_active(
                     plan.final_grid, merged, settings.attention_margin_px
                 )
-                c1 = time.perf_counter()
                 crops = active.crops
                 requests = cut_requests(frame, crops, cluster.final_workers, final)
+                c1 = time.perf_counter()
                 # the pulled frame is not needed past its cut: keep it pixel-less
                 frame = Frame(frame.frame_id, frame.width, frame.height)
 

@@ -7,7 +7,8 @@ unlinks each one itself (destroy) when a request needs a larger one or its
 stream ends. A stream holds at most one block per stage and same-host
 worker, and sends that worker one request at a time on it, so a block is
 never written while a worker reads it. A worker maps a block by name,
-read-only, for one request and unmaps it before it replies. The worker
+read-only, when a request on a connection first names it, and unmaps it
+when a request names another block or the connection ends. The worker
 registers the mapping with no resource tracker: a worker spawned by the
 client shares the client's tracker, so registering there would have the
 block unlinked when the worker exits, and unregistering would cancel the

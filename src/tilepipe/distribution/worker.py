@@ -1,34 +1,39 @@
 """Worker side: a threaded TCP server that runs a detector on request.
 
-Workers are stateless between requests and never talk to each other. A
-client keeps one connection to a worker per stage it serves for a whole
-stream, and sends one request at a time on it; one handler thread serves
-each connection. Between messages the handler waits for the next message's
-first byte, checking every POLL_INTERVAL_S whether the server is shutting
-down, and only then reads the message; so an idle connection neither blocks
-shutdown nor counts as time spent receiving. Each EVAL_REQUEST is answered
-with the crop-local detections for every listed crop, from one detector
-call on a view of all its tiles; a malformed message gets an ERROR response
-and the connection stays open for the next message. A request is checked
-before any tile is read from it: frame and crop ids must be ints, all tiles
-squares of the detector's input side (or all 0x0, for raster-free runs),
-and their bytes must fill the payload exactly.
+Workers keep nothing between requests but a connection's block mapping
+(below), and never talk to each other. A client keeps one connection to
+a worker per stage it serves for a whole stream, and sends one request
+at a time on it; one handler thread serves each connection. Between
+messages the handler waits for the next message's first byte, checking
+every POLL_INTERVAL_S whether the server is shutting down, and only then
+reads the message; so an idle connection neither blocks shutdown nor
+counts as time spent receiving. Each EVAL_REQUEST is answered with the
+crop-local detections for every listed crop, from one detector call on a
+view of all its tiles; a malformed message gets an ERROR response and
+the connection stays open for the next message. A request is checked
+before any tile is read from it: frame and crop ids must be ints, all
+tiles squares of the detector's input side (or all 0x0, for raster-free
+runs), and their bytes must fill the payload exactly.
 
 A request reads its tiles from a shared-memory block instead when its
 header names one (shm): the client does so for every worker that read back
 the nonce of its HEALTH probe, that is, a worker on the client's host. The
 block must exist, hold at least the tiles' bytes, and come with no payload.
-The worker maps it for that one request and unmaps it before replying. The
-client keeps one block per stage and worker, under one name until a request
-needs more bytes, and writes it only between that worker's requests.
+The client keeps one block per stage and worker, under one name until a
+request needs more bytes, and writes it only between that worker's
+requests. So a connection's handler keeps the block its last request named
+mapped (_Mapping): it maps a block once, not once per request, and unmaps
+it when a request names another block or the connection ends.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import selectors
 import socketserver
 import threading
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -70,10 +75,40 @@ def _check_request(header: dict, input_side: int) -> int:
     return sides.pop() if sides else 0
 
 
-def _tile_buffer(header: dict, payload: bytes | bytearray, input_side: int):
+class _Mapping:
+    """The block a connection's requests last named, kept mapped until a
+    request names another block or close() is called."""
+
+    def __init__(self):
+        self._name = None
+        self._block: mmap.mmap | None = None
+
+    def __enter__(self) -> "_Mapping":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def attach(self, name) -> mmap.mmap:
+        """The named block, mapped now unless it is the one held; any other
+        block held is unmapped first. Raises as shm.attach does."""
+        if self._block is None or name != self._name:
+            self.close()
+            self._block = shm.attach(name)
+            self._name = name
+        return self._block
+
+    def close(self) -> None:
+        if self._block is not None:
+            shm.detach(self._block)
+        self._name = self._block = None
+
+
+def _tile_buffer(
+    header: dict, payload: bytes | bytearray, input_side: int, mapping: _Mapping
+):
     """The tile side of a checked request and the buffer that holds its
-    tiles: its payload, or a mapping of the block it names, which the
-    caller must detach."""
+    tiles: its payload, or the block it names, mapped by mapping."""
     side = _check_request(header, input_side)
     total = len(header["crops"]) * side * side * 3
     if "shm" not in header:
@@ -82,9 +117,8 @@ def _tile_buffer(header: dict, payload: bytes | bytearray, input_side: int):
         return side, payload
     if payload:
         raise ValueError(f"a request naming a block has {len(payload)} payload bytes")
-    block = shm.attach(header["shm"])
+    block = mapping.attach(header["shm"])
     if total > len(block):
-        shm.detach(block)
         raise ValueError(
             f"tiles declare {total} bytes, block {header['shm']} holds {len(block)}"
         )
@@ -110,16 +144,14 @@ def _detect_tiles(det: Detector, frame_id: int, crops: list, side: int, buffer):
     return wire.eval_response(frame_id, results)
 
 
-def _handle_eval(det: Detector, header: dict, payload: bytes | bytearray) -> bytes:
+def _handle_eval(
+    det: Detector, header: dict, payload: bytes | bytearray, mapping: _Mapping
+) -> bytes:
     try:
-        side, tiles = _tile_buffer(header, payload, det.input_side)
+        side, tiles = _tile_buffer(header, payload, det.input_side, mapping)
     except (ValueError, OSError) as exc:
         return wire.error_message("malformed", f"bad EVAL_REQUEST: {exc}")
-    try:
-        return _detect_tiles(det, header["frame_id"], header["crops"], side, tiles)
-    finally:
-        if tiles is not payload:
-            shm.detach(tiles)
+    return _detect_tiles(det, header["frame_id"], header["crops"], side, tiles)
 
 
 def _read_probe(name) -> str | None:
@@ -135,7 +167,16 @@ def _read_probe(name) -> str | None:
         shm.detach(block)
 
 
-def _respond(det: Detector, header: dict, payload: bytes | bytearray) -> bytes:
+def _respond(
+    det: Detector,
+    header: dict,
+    payload: bytes | bytearray,
+    mapping: _Mapping | None = None,
+) -> bytes:
+    """The reply to one message. A block that an EVAL_REQUEST names is
+    mapped by ``mapping``, a connection's, which keeps it for the next
+    request; without one, it is mapped for this call alone and unmapped
+    before the reply is returned."""
     kind = header.get("type")
     if kind == "HEALTH":
         reply = {"type": "HEALTH_OK", "input_side": det.input_side}
@@ -146,7 +187,8 @@ def _respond(det: Detector, header: dict, payload: bytes | bytearray) -> bytes:
         return wire.encode_message(reply)
     if kind == "EVAL_REQUEST":
         try:
-            return _handle_eval(det, header, payload)
+            with _Mapping() if mapping is None else nullcontext(mapping) as held:
+                return _handle_eval(det, header, payload, held)
         except (KeyError, TypeError) as exc:
             return wire.error_message("malformed", f"bad EVAL_REQUEST: {exc!r}")
     return wire.error_message("unsupported_type", f"unknown message type {kind!r}")
@@ -155,7 +197,7 @@ def _respond(det: Detector, header: dict, payload: bytes | bytearray) -> bytes:
 class _Handler(socketserver.BaseRequestHandler):
     def handle(self):
         det = self.server.detector
-        with _Selector() as selector:
+        with _Selector() as selector, _Mapping() as mapping:
             selector.register(self.request, selectors.EVENT_READ)
             while self._message_waiting(selector):
                 try:
@@ -171,7 +213,7 @@ class _Handler(socketserver.BaseRequestHandler):
                         pass
                     return
                 try:
-                    self.request.sendall(_respond(det, header, payload))
+                    self.request.sendall(_respond(det, header, payload, mapping))
                 except OSError:
                     return
 

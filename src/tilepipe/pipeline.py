@@ -158,11 +158,14 @@ class TimingProfile:
 
     The same shape serves local and distributed runs. Locally, transfer_ms
     is zero and per_worker is empty; attention_wait_ms is the full attention
-    cost because nothing hides it. Remotely, attention_wait_ms is only the
-    part of the attention precompute that was not hidden behind the previous
-    frame's final evaluation, and per_worker records (endpoint, busy_ms) for
-    the final stage so the slowest worker is visible: final_eval_ms equals
-    the largest busy_ms.
+    cost because nothing hides it; client_processing_ms is the choice of
+    active crops, and final_eval_ms the final pass, its tile cut included.
+    Remotely, attention_wait_ms is only the part of the attention
+    precompute that was not hidden behind the previous frame's final
+    evaluation; client_processing_ms is the choice of active crops and the
+    cut of their tiles into the final requests; and per_worker records
+    (endpoint, busy_ms) for the final stage so the slowest worker is
+    visible: final_eval_ms equals the largest busy_ms, round trips only.
     """
 
     COLUMNS = (

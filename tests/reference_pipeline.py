@@ -180,7 +180,9 @@ def cut_tile(
     ys = y0 + src
     x_ok = (xs >= 0) & (xs < frame_w)
     y_ok = (ys >= 0) & (ys < frame_h)
-    tile = pixels[np.clip(ys, 0, frame_h - 1)][:, np.clip(xs, 0, frame_w - 1)]
+    # columns first: a temporary of frame_h x input_side, so that frames
+    # hundreds of thousands of pixels wide and a few rows tall stay cheap
+    tile = pixels[:, np.clip(xs, 0, frame_w - 1)][np.clip(ys, 0, frame_h - 1)]
     tile = np.ascontiguousarray(tile)
     tile[~y_ok, :, :] = 0
     tile[:, ~x_ok, :] = 0

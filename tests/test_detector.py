@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from tilepipe import detector
 from tilepipe.detector import (
     Detection,
     GroundTruthObject,
@@ -319,20 +320,23 @@ class TestCutTile:
             cut_tile(np.zeros((100, 100), np.uint8), make_crop(0, 0, 0, 50))
 
     def test_copies_only_the_sampled_rows(self):
-        # a 2160-px crop of a 4K frame samples 608 rows of a 2160-px wide
-        # window; copying the whole window first would take 14 MB
-        pixels = self._frame(2160, 3840)
-        crop = make_crop(0, 840, 0, 2160)
-        out = np.empty((MODEL_SIDE, MODEL_SIDE, 3), np.uint8)
-        tracemalloc.start()
-        try:
-            cut_tile(pixels, crop, out=out)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * MODEL_SIDE * 2160 * 3
-        src = (np.arange(MODEL_SIDE) * 2160) // MODEL_SIDE
-        assert np.array_equal(out, pixels[src][:, 840 + src])
+        # a crop as tall as a 4K or 8K frame samples 608 rows of a window as
+        # wide as the crop; the cut holds at most one band of them (1 MiB),
+        # where all 608 would take 3.9 or 7.9 MB. Each frame repeats one
+        # random row, so the test allocates nothing large.
+        for height, width, x, side in [(2160, 3840, 840, 2160), (4320, 7680, 1680, 4320)]:
+            pixels = np.broadcast_to(self._frame(1, width), (height, width, 3))
+            crop = make_crop(0, x, 0, side)
+            out = np.empty((MODEL_SIDE, MODEL_SIDE, 3), np.uint8)
+            tracemalloc.start()
+            try:
+                cut_tile(pixels, crop, out=out)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.1 * detector._BAND_BYTES, side
+            src = (np.arange(MODEL_SIDE) * side) // MODEL_SIDE
+            assert np.array_equal(out, pixels[:, x + src][src]), side
 
     @pytest.mark.parametrize(
         "make_out",

@@ -131,6 +131,20 @@ def shm_entries():
     return {name for name in os.listdir("/dev/shm") if name.startswith(shm.PREFIX)}
 
 
+@pytest.fixture
+def attached(monkeypatch):
+    """The name of every block shm.attach maps, in order."""
+    names = []
+    real = shm.attach
+
+    def attach(name):
+        names.append(name)
+        return real(name)
+
+    monkeypatch.setattr(shm, "attach", attach)
+    return names
+
+
 @pytest.fixture(autouse=True)
 def no_leaked_blocks():
     """Every test, a failed one included, leaves /dev/shm as it found it."""
@@ -661,7 +675,7 @@ class TestEvalRequestChecks:
         assert wire.encode_message(reply) == by_payload
         assert health["type"] == "HEALTH_OK"
 
-    def test_worker_unmaps_the_block_before_replying(self, blocks):
+    def test_a_lone_request_unmaps_its_block_before_replying(self, blocks):
         block = blocks.take(TILE_BYTES)
         seen = []
 
@@ -676,6 +690,46 @@ class TestEvalRequestChecks:
         assert b'"EVAL_RESPONSE"' in raw
         assert seen == [before + 1]
         assert block_mappings(block.name) == before
+
+    def test_a_connection_maps_each_block_once(self, blocks, attached):
+        """Requests on one connection that name one block map it once; one
+        that names another unmaps the first, and the last mapping goes when
+        the connection ends. Every reply reads the tiles the block holds."""
+        rng = np.random.default_rng(11)
+        det = TileHashDetector(make_oracle())
+        small, large = blocks.take(2 * TILE_BYTES), blocks.take(3 * TILE_BYTES)
+        base = block_mappings(small.name)
+        steps = [(small, 2), (small, 1), (small, 2), (large, 3), (large, 3)]
+        client, server = socket.socketpair()
+        handler = threading.Thread(
+            target=worker._Handler,
+            args=(
+                server,
+                "socketpair",
+                SimpleNamespace(detector=det, stopping=threading.Event()),
+            ),
+        )
+        handler.start()
+        try:
+            with client:
+                client.settimeout(5)
+                for block, count in steps:
+                    tiles = rng.integers(0, 256, count * TILE_BYTES, dtype=np.uint8)
+                    block.buf[: tiles.size] = tiles.tobytes()
+                    crops = [{**GOOD_CROP, "crop_id": i} for i in range(count)]
+                    want = worker._respond(det, eval_header(crops), tiles.tobytes())
+                    header = {**eval_header(crops), "shm": block.name}
+                    wire.send_message(client, header)
+                    reply, _ = wire.recv_message(client)
+                    assert wire.encode_message(reply) == want
+                    assert block_mappings(block.name) == base + 1
+                assert block_mappings(small.name) == base
+                assert attached == [small.name, large.name]
+        finally:
+            handler.join(5)
+            server.close()
+        assert not handler.is_alive()
+        assert block_mappings(large.name) == base
 
 
 def block_mappings(name):
@@ -987,6 +1041,27 @@ class TestRunStream:
         assert cold >= delay * 1000  # nothing hides the first frame
         for result in remote[1:]:
             assert result.timing.attention_wait_ms < cold / 2
+
+    def test_client_processing_holds_the_final_cut(self, monkeypatch):
+        """A remote frame's client_processing_ms holds the cut of its final
+        tiles: with cuts taking 5 ms each, one at a time, at least 5 ms per
+        final tile."""
+        real = client.cut_tile
+        one_at_a_time = threading.Lock()
+
+        def cut_tile(pixels, crop, *args, **kwargs):
+            with one_at_a_time:
+                time.sleep(0.005)
+            return real(pixels, crop, *args, **kwargs)
+
+        monkeypatch.setattr(client, "cut_tile", cut_tile)
+        with DetectorServer(make_oracle()) as fin:
+            cluster = ClusterConfig(final_workers=(fin.endpoint,))
+            remote = run_stream(pixel_frames(3), SETTINGS_720, cluster)
+        assert len(remote) == 3
+        for result in remote:
+            assert result.active_count
+            assert result.timing.client_processing_ms >= 5 * result.active_count
 
     def test_stream_abort_carries_cursor_and_completed(self):
         bad = FailOnFrame(make_oracle(), bad_frame_id=2)
@@ -1378,6 +1453,24 @@ class TestSharedMemoryStream:
         # one attention and one final request at a time: two blocks
         assert max(live) - before <= 2
         assert len(set(sent_blocks)) < len(sent_blocks)
+
+    def test_a_worker_maps_each_block_once(self, sent_blocks, attached):
+        """Over a stream whose final blocks grow, each block is mapped once
+        by the worker that reads it, however many requests name it, and
+        the tiles still hash as the local run's do."""
+        det = TileHashDetector(make_oracle(LOOPED_SCENE))
+        local = list(run_sequence(pixel_frames(12), SETTINGS_720, det))
+        with DetectorServer(det) as att, DetectorServer(det) as fin:
+            cluster = ClusterConfig(
+                final_workers=(fin.endpoint,), attention_workers=(att.endpoint,)
+            )
+            remote = run_stream(pixel_frames(12), SETTINGS_720, cluster)
+        named = set(sent_blocks)
+        # reused and replaced: more requests than blocks, more blocks than stages
+        assert len(sent_blocks) > len(named) > 2
+        assert sorted(name for name in attached if name in named) == sorted(named)
+        for ours, reference in zip(remote, local, strict=True):
+            assert ours.detections == reference.detections
 
     def test_one_block_per_stage_and_worker(self, monkeypatch):
         """One endpoint serves both stages, beside a second final worker. Each

@@ -76,6 +76,12 @@ def crop_cases(draw):
 @example(case=(1, 1, 700, -300, -300, 2), prefill=False, layout="reversed")
 @example(case=(720, 1280, 608, 672, 112, 3), prefill=True, layout="subslice")
 @example(case=(700, 900, 1100, -100, -50, 4), prefill=True, layout="strided")
+# a 1298-px window in bands of 269, 269 and 70 rows
+@example(case=(1300, 1300, 1300, 0, 0, 5), prefill=True, layout="strided")
+# tile rows 0-303 overhang the top edge, across the band edge at row 269
+@example(case=(1300, 1300, 1300, 0, -650, 6), prefill=True, layout="reversed")
+# one window row is more than a band's budget: 608 bands of one row
+@example(case=(2, 352_000, 352_000, -1000, 0, 7), prefill=True, layout="contiguous")
 def test_cut_tile_matches_reference(case, prefill, layout):
     height, width, side, x, y, seed = case
     pixels = laid_out_pixels(height, width, seed, layout)
@@ -141,6 +147,33 @@ class TestCutPlan:
         finally:
             sys.setswitchinterval(interval)
         assert wrong == [[]] * 8
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            (2160, 3840, 840, 0, 2160, MODEL_SIDE),  # 4K attention crop
+            (2160, 3840, 2742, 1062, 1098, MODEL_SIDE),  # 4K final crop
+            (4320, 7680, 1680, 0, 4320, MODEL_SIDE),  # 8K attention crop
+            (720, 1280, 100, 100, 608, MODEL_SIDE),  # native resolution
+            (720, 1280, -50, -60, 1400, 416),  # overhangs every edge
+            (1, 1, 0, 0, 1, MODEL_SIDE),  # one pixel
+            (2, 352_000, -1000, 0, 352_000, MODEL_SIDE),  # one row over budget
+        ],
+    )
+    def test_bands_cover_the_tile_rows_once_within_the_budget(self, key):
+        input_side = key[-1]
+        plan = detector._cut_plan(*key)
+        row_bytes = 3 * (plan.cols.stop - plan.cols.start)
+        sizes = [band.stop - band.start for band in plan.bands]
+        starts = [band.start for band in plan.bands]
+        assert all(band.step is None for band in plan.bands)
+        assert starts == [0, *np.cumsum(sizes[:-1])]
+        assert sum(sizes) == input_side and min(sizes) >= 1
+        for size in sizes:
+            assert size * row_bytes <= detector._BAND_BYTES or size == 1
+        # no two neighbouring bands would fit in one
+        for a, b in zip(sizes, sizes[1:]):
+            assert (a + b) * row_bytes > detector._BAND_BYTES
 
     def test_plan_arrays_are_read_only(self):
         # overhangs every edge, so the plan holds both fill masks
