@@ -12,7 +12,8 @@ flags of run and serve name only what differs between runs of one config:
 run's mode and output paths, serve's listen address.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error
-(a worker whose detector takes tiles of another size counts as one).
+(a worker whose detector resolves crop ids against another crop catalog
+than the run's counts as one).
 """
 
 from __future__ import annotations

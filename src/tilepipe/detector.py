@@ -80,12 +80,10 @@ class Detector(ABC):
     Implementations must be safe for concurrent calls from multiple dispatch
     threads, or say in their docstring that calls must be serialized.
 
-    input_side is the side of the square tiles a detector takes. catalog_key
-    is the crop_catalog_key of the catalog a detector resolves crop ids
-    against, or None for one that holds no catalog.
+    catalog_key is the crop_catalog_key of the catalog a detector resolves
+    crop ids against, or None for one that holds no catalog.
     """
 
-    input_side: int = MODEL_SIDE
     catalog_key: str | None = None
 
     @abstractmethod
@@ -94,7 +92,7 @@ class Detector(ABC):
     ) -> list[list[Detection]]:
         """Detect objects on a batch of crops of one frame.
 
-        ``tiles``, when given, is one (len(crop_ids), input_side, input_side,
+        ``tiles``, when given, is one (len(crop_ids), MODEL_SIDE, MODEL_SIDE,
         3) uint8 array whose tile i is crop_ids[i]'s (see check_tiles); a
         detector that works from scene configuration alone accepts None.
         Returns one list per crop id, in order, of crop-local detections in
@@ -102,9 +100,10 @@ class Detector(ABC):
         """
 
 
-def check_tiles(tiles, count: int, side: int) -> None:
-    """Raise ValueError unless tiles is a (count, side, side, 3) uint8 array."""
-    want = (count, side, side, 3)
+def check_tiles(tiles, count: int) -> None:
+    """Raise ValueError unless tiles is a (count, MODEL_SIDE, MODEL_SIDE, 3)
+    uint8 array."""
+    want = (count, MODEL_SIDE, MODEL_SIDE, 3)
     if not isinstance(tiles, np.ndarray) or (tiles.dtype, tiles.shape) != (np.uint8, want):
         got = tiles if not isinstance(tiles, np.ndarray) else (tiles.dtype, tiles.shape)
         raise ValueError(f"tiles must be uint8 of shape {want}, got {got!r}")
@@ -194,7 +193,7 @@ class SceneOracle(Detector):
         self, frame_id: int, crop_ids: Sequence[int], tiles: np.ndarray | None = None
     ) -> list[list[Detection]]:
         if tiles is not None:
-            check_tiles(tiles, len(crop_ids), self.input_side)
+            check_tiles(tiles, len(crop_ids))
         unknown = [i for i in crop_ids if i not in self._crops]
         if unknown:
             raise ValueError(f"unknown crop_id: {unknown[0]}")
@@ -224,10 +223,8 @@ _BAND_BYTES = 1 << 20
 # enough plans for the crops of several grids and frame sizes, at about
 # 20 KB each for 608-px tiles
 @functools.lru_cache(maxsize=128)
-def _cut_plan(
-    frame_h: int, frame_w: int, x0: int, y0: int, side: int, input_side: int
-) -> _CutPlan:
-    src = (np.arange(input_side, dtype=np.intp) * side) // input_side
+def _cut_plan(frame_h: int, frame_w: int, x0: int, y0: int, side: int) -> _CutPlan:
+    src = (np.arange(MODEL_SIDE, dtype=np.intp) * side) // MODEL_SIDE
     xs = x0 + src
     ys = y0 + src
     # the sampled positions ascend, so the clipped ones span one window
@@ -242,7 +239,7 @@ def _cut_plan(
         rows,
         cols,
         byte_index,
-        tuple(slice(i, min(i + band, input_side)) for i in range(0, input_side, band)),
+        tuple(slice(i, min(i + band, MODEL_SIDE)) for i in range(0, MODEL_SIDE, band)),
         row_fill if row_fill.any() else None,
         col_fill if col_fill.any() else None,
     )
@@ -252,18 +249,15 @@ def _cut_plan(
 
 
 def cut_tile(
-    pixels: np.ndarray,
-    crop: CropSpec,
-    input_side: int = MODEL_SIDE,
-    out: np.ndarray | None = None,
+    pixels: np.ndarray, crop: CropSpec, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Cut a crop from frame pixels and resample it to input_side squared.
+    """Cut a crop from frame pixels and resample it to MODEL_SIDE squared.
 
-    Nearest-neighbor resampling with source index floor(u * side / input_side)
+    Nearest-neighbor resampling with source index floor(u * side / MODEL_SIDE)
     for output pixel u; the choice is fixed so tiles are bit-reproducible.
     Crop area outside the frame is zero-filled.
 
-    ``out``, when given, must be a C-contiguous input_side x input_side x 3
+    ``out``, when given, must be a C-contiguous MODEL_SIDE x MODEL_SIDE x 3
     array of the pixels' dtype, such as one tile of a request buffer; any
     other raises ValueError before anything is written. Every pixel of it
     is overwritten and it is returned. Otherwise a new array is.
@@ -274,19 +268,19 @@ def cut_tile(
     _BAND_BYTES (1 MiB) of uint8 window, and at least one, so the temporary
     stays in cache and does not grow with the crop. Its columns are then
     gathered channel by channel: each tile row is one take of
-    3 * input_side single-byte items (for uint8) from a window row, which
+    3 * MODEL_SIDE single-byte items (for uint8) from a window row, which
     numpy copies in a fixed-size loop where 3-byte pixels would cost one
     memmove each. The zero-fill runs once every band is written. The row
     indices, the window's columns, that byte index, the bands and the
-    zero-fill masks depend only on the frame size, the crop and input_side;
-    they are computed once per such key and cached, read-only.
+    zero-fill masks depend only on the frame size and the crop; they are
+    computed once per such key and cached, read-only.
 
     The pixels are only read, so concurrent calls into distinct ``out``
     arrays are safe.
     """
     if pixels.ndim != 3 or pixels.shape[2] != 3:
         raise ValueError(f"pixels must be HxWx3, got shape {pixels.shape}")
-    shape = (input_side, input_side, 3)
+    shape = (MODEL_SIDE, MODEL_SIDE, 3)
     if out is None:
         out = np.empty(shape, dtype=pixels.dtype)
     elif not (
@@ -302,9 +296,9 @@ def cut_tile(
         )
     r = crop.global_rect
     frame_h, frame_w = pixels.shape[:2]
-    plan = _cut_plan(frame_h, frame_w, int(r.x), int(r.y), int(r.w), input_side)
+    plan = _cut_plan(frame_h, frame_w, int(r.x), int(r.y), int(r.w))
     window = pixels[:, plan.cols]
-    tile_rows = out.reshape(input_side, -1)
+    tile_rows = out.reshape(MODEL_SIDE, -1)
     for band in plan.bands:
         # indexing reads the strided window in place, where np.take would
         # first copy it whole into a contiguous temporary; that temporary

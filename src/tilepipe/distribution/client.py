@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..detector import Detection, crop_catalog_key, cut_tile, detection_from_row
-from ..geometry import MODEL_SIDE, CropSpec
+from ..geometry import MODEL_SIDE, TILE_BYTES, CropSpec
 from ..pipeline import (
     AttentionModel,
     Frame,
@@ -58,8 +58,6 @@ from ..pipeline import (
     timed_pulls,
 )
 from . import shm, wire
-
-TILE_BYTES = MODEL_SIDE * MODEL_SIDE * 3
 
 
 def parse_endpoint(endpoint: str) -> tuple[str, int]:
@@ -126,8 +124,8 @@ class RemoteFault(WorkerError):
 
 
 class WorkerMismatch(WorkerError):
-    """The worker's detector takes tiles of another size than the client
-    cuts, or resolves crop ids against another crop catalog."""
+    """The worker's detector resolves crop ids against another crop catalog
+    than the stream's."""
 
 
 class StreamAborted(RuntimeError):
@@ -182,20 +180,19 @@ def cut_requests(
     its tiles in the session's block for it, and a request that names the
     block. If no block can be had, and for every other worker, the tiles
     are cut into a fresh array that is the request's payload. A raster-free
-    frame's requests carry 0x0 tiles and nothing is cut. Once this returns,
+    frame's requests carry no tiles and nothing is cut. Once this returns,
     the requests need nothing of frame's pixels.
     """
     _check_unique(workers, "workers")
-    side = 0 if frame.pixels is None else MODEL_SIDE
     requests = []
     tiles = []  # the array each crop of the stage is cut into, in order
     for endpoint, part in dispatch(crops, workers):
         if not part:
             continue
-        entries = [{"crop_id": c.crop_id, "width": side, "height": side} for c in part]
+        entries = [{"crop_id": c.crop_id} for c in part]
         header = {"type": "EVAL_REQUEST", "frame_id": frame.frame_id, "crops": entries}
         payload = b""
-        if side:
+        if frame.pixels is not None:
             block = None
             if endpoint in session.same_host:
                 try:
@@ -203,7 +200,7 @@ def cut_requests(
                 except OSError:  # shared memory is full: this request goes over TCP
                     pass
             out = np.ndarray(
-                (len(part), side, side, 3),
+                (len(part), MODEL_SIDE, MODEL_SIDE, 3),
                 np.uint8,
                 buffer=None if block is None else block.buf,
             )
@@ -448,8 +445,7 @@ def _check_workers(session: _Session, workers: Sequence[str]) -> dict[str, str |
     session one connection to each. Sets session.same_host to the workers
     that share memory with the client, and returns each worker's crop
     catalog key (None: its detector holds no catalog). Raises WorkerError
-    for a worker that does not answer, and WorkerMismatch for one whose
-    detector takes tiles of another size than MODEL_SIDE."""
+    for a worker that does not answer."""
     nonce = secrets.token_bytes(shm.PROBE_BYTES)
     try:
         probe = shm.create(session.block_name(), shm.PROBE_BYTES)
@@ -463,12 +459,6 @@ def _check_workers(session: _Session, workers: Sequence[str]) -> dict[str, str |
         catalogs = {}
         for endpoint in workers:
             reply = _health(session, endpoint, name)
-            if reply.get("input_side") != MODEL_SIDE:
-                raise WorkerMismatch(
-                    endpoint,
-                    f"detector input_side is {reply.get('input_side')!r}, "
-                    f"tiles are {MODEL_SIDE}x{MODEL_SIDE}",
-                )
             if _echoes_probe(reply, nonce):
                 same_host.add(endpoint)
             catalogs[endpoint] = reply.get("catalog")
@@ -539,9 +529,8 @@ def run_stream(
 
     Before the first frame is pulled, every worker gets a HEALTH probe
     from each stage it serves (_check_workers), which opens that stage's
-    connection to it. A worker that does not answer, or whose detector
-    takes tiles of another size, aborts the stream at cursor 0. So does one
-    whose detector resolves crop ids against another catalog than the plan
+    connection to it. A worker that does not answer aborts the stream at
+    cursor 0. So does one whose detector resolves crop ids against another catalog than the plan
     built from the first frame, before any crop is sent. Requests to the
     workers that read the probe back carry their tiles in shared-memory
     blocks.

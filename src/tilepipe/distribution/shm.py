@@ -1,6 +1,10 @@
 """Shared-memory blocks that carry a request's tiles to a worker on the
 same host.
 
+A request for k crops that names a block has its k tiles in the first
+k * geometry.TILE_BYTES bytes of it, and carries no payload; the block may
+be larger, as one kept for an earlier, larger request is.
+
 The client creates every block with multiprocessing.shared_memory (create),
 so that its resource tracker removes the blocks should the client die, and
 unlinks each one itself (destroy) when a request needs a larger one or its

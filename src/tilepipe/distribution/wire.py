@@ -1,27 +1,29 @@
 """Bit-exact framed message protocol spoken between client and workers.
 
-Every message is a 4-byte big-endian unsigned header length, the UTF-8 JSON
-header itself, then a raw payload whose size the header implies, at most
-MAX_PAYLOAD_BYTES. Headers are canonical JSON (sorted keys, no whitespace)
+Every message is an 8-byte prefix of two big-endian unsigned 32-bit
+lengths, the header's and the payload's, then the UTF-8 JSON header, then
+the raw payload. A reader checks both lengths against MAX_HEADER_BYTES and
+MAX_PAYLOAD_BYTES before it reads either, and needs nothing of the header
+to frame a message. Headers are canonical JSON (sorted keys, no whitespace)
 so that equal values always produce equal bytes.
 
 Message types:
-  EVAL_REQUEST   {type, frame_id, crops: [{crop_id, width, height}, ...],
-                  shm (optional)}
-                 tiles: the crops' raw 8-bit RGB tiles concatenated in
-                 listed order, all of one size (width * height * 3 bytes
-                 each; the 0x0 tiles of a raster-free run contribute no
-                 bytes). frame_id and crop_id are ints. Without
-                 shm they are the payload. With shm, the name of a
+  EVAL_REQUEST   {type, frame_id, crops: [{crop_id}, ...], shm (optional)}
+                 frame_id and crop_id are ints. tiles: the crops' raw 8-bit
+                 RGB 608x608 tiles concatenated in listed order,
+                 geometry.TILE_BYTES each. Without shm they are the payload,
+                 exactly k * TILE_BYTES for k crops. With shm, the name of a
                  shared-memory block (see shm.py), they fill the start of
-                 that block and the message has no payload.
+                 that block, which holds at least k * TILE_BYTES, and the
+                 message has no payload. A raster-free request has neither
+                 a payload nor shm.
   EVAL_RESPONSE  {type, frame_id, results: [{crop_id, detections}, ...]}
                  detections are crop-local in model-input space:
                  {x, y, w, h, class, confidence} (detector.detection_row);
                  no payload
   HEALTH         {type, probe (optional)}; no payload. probe names a block
                  whose first shm.PROBE_BYTES bytes are a random nonce.
-  HEALTH_OK      {type, input_side, catalog (when the detector has one),
+  HEALTH_OK      {type, catalog (when the detector has one),
                  probe (when asked)}; no payload. catalog is the
                  detector.crop_catalog_key of the crops its ids resolve to.
                  probe is the hex of the first shm.PROBE_BYTES
@@ -39,7 +41,7 @@ import struct
 
 # Sanity bound on header size; a real header is a few KB at most.
 MAX_HEADER_BYTES = 16 * 1024 * 1024
-# Bound on the payload a header may declare, checked before anything is
+# Bound on the payload a prefix may declare, checked before anything is
 # allocated for it; a 4K frame's tiles come to about 10 MB.
 MAX_PAYLOAD_BYTES = 512 * 1024 * 1024
 # What a read allocates before its first byte arrives; the buffer then grows
@@ -48,6 +50,8 @@ FIRST_READ_BYTES = 64 * 1024
 # Grown buffers are zero-filled from this one block, which stays in cache: a
 # fresh zeroed buffer of the whole growth costs a page fault per page read.
 _ZEROS = bytes(FIRST_READ_BYTES)
+# header length, payload length
+_PREFIX = struct.Struct(">II")
 
 
 class ProtocolError(RuntimeError):
@@ -59,30 +63,15 @@ def canonical_json(header: dict) -> bytes:
 
 
 def _prefix(header: dict, payload: bytes | memoryview) -> bytes:
-    """Length prefix and header of a message, once the payload size is checked."""
+    """Length prefix and header of a message; the payload counts in bytes,
+    whatever the shape of a view of it."""
     head = canonical_json(header)
-    declared = payload_size(header)
-    if declared != len(payload):
-        raise ProtocolError(
-            f"header declares {declared} payload bytes, got {len(payload)}"
-        )
-    return struct.pack(">I", len(head)) + head
+    return _PREFIX.pack(len(head), memoryview(payload).nbytes) + head
 
 
 def encode_message(header: dict, payload: bytes = b"") -> bytes:
     """Frame a header (and optional payload) into wire bytes."""
     return _prefix(header, payload) + payload
-
-
-def payload_size(header: dict) -> int:
-    """Payload bytes implied by a header: the tile rasters of an
-    EVAL_REQUEST that names no shared-memory block."""
-    if header.get("type") != "EVAL_REQUEST" or "shm" in header:
-        return 0
-    total = 0
-    for crop in header.get("crops", ()):
-        total += int(crop["width"]) * int(crop["height"]) * 3
-    return total
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytearray:
@@ -109,21 +98,22 @@ def _recv_exact(sock: socket.socket, n: int) -> bytearray:
 def send_message(
     sock: socket.socket, header: dict, payload: bytes | memoryview = b""
 ) -> None:
-    """Send one message; a payload goes out from the caller's buffer as is.
-
-    ``len(payload)`` must be its size in bytes, as for a flat byte view.
-    """
+    """Send one message; a payload goes out from the caller's buffer as is."""
     sock.sendall(_prefix(header, payload))
     sock.sendall(payload)
 
 
 def recv_message(sock: socket.socket) -> tuple[dict, bytearray | bytes]:
-    """Read one framed message; raises ProtocolError on malformed bytes
-    (a header that does not parse, or whose payload size cannot be computed)
-    and on a declared payload over MAX_PAYLOAD_BYTES before reading it."""
-    (head_len,) = struct.unpack(">I", _recv_exact(sock, 4))
+    """Read one framed message. Raises ProtocolError for a header or payload
+    length over its limit, before reading either, and for a header that is
+    not a JSON object with a 'type' field."""
+    head_len, size = _PREFIX.unpack(_recv_exact(sock, _PREFIX.size))
     if head_len > MAX_HEADER_BYTES:
         raise ProtocolError(f"header length {head_len} exceeds limit")
+    if size > MAX_PAYLOAD_BYTES:
+        raise ProtocolError(
+            f"declared payload of {size} bytes exceeds {MAX_PAYLOAD_BYTES}"
+        )
     raw = _recv_exact(sock, head_len)
     try:
         header = json.loads(raw.decode("utf-8"))
@@ -133,14 +123,6 @@ def recv_message(sock: socket.socket) -> tuple[dict, bytearray | bytes]:
         raise ProtocolError(f"header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict) or "type" not in header:
         raise ProtocolError("header must be an object with a 'type' field")
-    try:
-        size = payload_size(header)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ProtocolError(f"malformed crop list: {exc}") from exc
-    if not 0 <= size <= MAX_PAYLOAD_BYTES:
-        raise ProtocolError(
-            f"declared payload of {size} bytes is outside 0..{MAX_PAYLOAD_BYTES}"
-        )
     payload = _recv_exact(sock, size) if size else b""
     return header, payload
 

@@ -11,9 +11,9 @@ counts as time spent receiving. Each EVAL_REQUEST is answered with the
 crop-local detections for every listed crop, from one detector call on a
 view of all its tiles; a malformed message gets an ERROR response and
 the connection stays open for the next message. A request is checked
-before any tile is read from it: frame and crop ids must be ints, all
-tiles squares of the detector's input side (or all 0x0, for raster-free
-runs), and their bytes must fill the payload exactly.
+before any tile is read from it: frame and crop ids must be ints, and a
+payload must hold exactly one 608x608 tile (geometry.TILE_BYTES) per crop,
+or nothing for a raster-free request.
 
 A request reads its tiles from a shared-memory block instead when its
 header names one (shm): the client does so for every worker that read back
@@ -28,16 +28,15 @@ it when a request names another block or the connection ends.
 
 from __future__ import annotations
 
-import math
 import mmap
 import selectors
 import socketserver
 import threading
-from contextlib import nullcontext
 
 import numpy as np
 
 from ..detector import Detector, detection_row
+from ..geometry import MODEL_SIDE, TILE_BYTES
 from . import shm, wire
 
 # How often serve_forever and each handler waiting for a message check for
@@ -52,27 +51,17 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_request(header: dict, input_side: int) -> int:
-    """The side of every tile of an EVAL_REQUEST: input_side, or 0 for a
-    raster-free one. Raise ValueError unless the frame id and every crop id
-    are ints and every tile is a square of that one side."""
+def _crop_ids(header: dict) -> list:
+    """The crop ids of an EVAL_REQUEST. Raise ValueError unless its frame
+    id and every crop id are ints."""
     frame_id = header["frame_id"]
     if not _is_int(frame_id):
         raise ValueError(f"frame_id must be an int, got {frame_id!r}")
-    sides = set()
-    for crop in header["crops"]:
-        crop_id, width, height = crop["crop_id"], crop["width"], crop["height"]
+    crop_ids = [crop["crop_id"] for crop in header["crops"]]
+    for crop_id in crop_ids:
         if not _is_int(crop_id):
             raise ValueError(f"crop_id must be an int, got {crop_id!r}")
-        if not (_is_int(width) and width == height and width in (0, input_side)):
-            raise ValueError(
-                f"crop_id {crop_id}: tile must be {input_side}x{input_side} "
-                f"or 0x0, got {width!r}x{height!r}"
-            )
-        sides.add(width)
-    if len(sides) > 1:
-        raise ValueError(f"tiles must be all {input_side}x{input_side} or all 0x0")
-    return sides.pop() if sides else 0
+    return crop_ids
 
 
 class _Mapping:
@@ -104,35 +93,37 @@ class _Mapping:
         self._name = self._block = None
 
 
-def _tile_buffer(
-    header: dict, payload: bytes | bytearray, input_side: int, mapping: _Mapping
-):
-    """The tile side of a checked request and the buffer that holds its
-    tiles: its payload, or the block it names, mapped by mapping."""
-    side = _check_request(header, input_side)
-    total = len(header["crops"]) * side * side * 3
+def _tile_buffer(header: dict, payload: bytes | bytearray, mapping: _Mapping):
+    """The crop ids of a checked request and the buffer that holds its
+    tiles: its payload, the block it names, mapped by mapping, or None for
+    a raster-free request."""
+    crop_ids = _crop_ids(header)
+    total = len(crop_ids) * TILE_BYTES
     if "shm" not in header:
-        if total != len(payload):
-            raise ValueError(f"tiles declare {total} payload bytes, got {len(payload)}")
-        return side, payload
+        if len(payload) not in (0, total):
+            raise ValueError(
+                f"{len(crop_ids)} tiles take {total} payload bytes, got {len(payload)}"
+            )
+        return crop_ids, payload or None
     if payload:
         raise ValueError(f"a request naming a block has {len(payload)} payload bytes")
     block = mapping.attach(header["shm"])
     if total > len(block):
         raise ValueError(
-            f"tiles declare {total} bytes, block {header['shm']} holds {len(block)}"
+            f"{len(crop_ids)} tiles take {total} bytes, "
+            f"block {header['shm']} holds {len(block)}"
         )
-    return side, block
+    return crop_ids, block
 
 
-def _detect_tiles(det: Detector, frame_id: int, crops: list, side: int, buffer):
+def _detect_tiles(det: Detector, frame_id: int, crop_ids: list, buffer):
     """The reply to a checked request: one detector call on its tiles, a
-    view of buffer. Any failure of the detector is a detector_failure."""
-    crop_ids = [crop["crop_id"] for crop in crops]
+    view of buffer (None: no tiles). Any failure of the detector is a
+    detector_failure."""
     tiles = None
-    if side:
-        shape = (len(crop_ids), side, side, 3)
-        tiles = np.frombuffer(buffer, np.uint8, math.prod(shape)).reshape(shape)
+    if buffer is not None:
+        tiles = np.frombuffer(buffer, np.uint8, len(crop_ids) * TILE_BYTES)
+        tiles = tiles.reshape(-1, MODEL_SIDE, MODEL_SIDE, 3)
     try:
         found = det.detect(frame_id, crop_ids, tiles)
         results = [
@@ -142,16 +133,6 @@ def _detect_tiles(det: Detector, frame_id: int, crops: list, side: int, buffer):
     except Exception as exc:
         return wire.error_message("detector_failure", f"frame {frame_id}: {exc}")
     return wire.eval_response(frame_id, results)
-
-
-def _handle_eval(
-    det: Detector, header: dict, payload: bytes | bytearray, mapping: _Mapping
-) -> bytes:
-    try:
-        side, tiles = _tile_buffer(header, payload, det.input_side, mapping)
-    except (ValueError, OSError) as exc:
-        return wire.error_message("malformed", f"bad EVAL_REQUEST: {exc}")
-    return _detect_tiles(det, header["frame_id"], header["crops"], side, tiles)
 
 
 def _read_probe(name) -> str | None:
@@ -168,18 +149,14 @@ def _read_probe(name) -> str | None:
 
 
 def _respond(
-    det: Detector,
-    header: dict,
-    payload: bytes | bytearray,
-    mapping: _Mapping | None = None,
+    det: Detector, header: dict, payload: bytes | bytearray, mapping: _Mapping
 ) -> bytes:
-    """The reply to one message. A block that an EVAL_REQUEST names is
-    mapped by ``mapping``, a connection's, which keeps it for the next
-    request; without one, it is mapped for this call alone and unmapped
-    before the reply is returned."""
+    """The reply to one message on a connection. A block that an
+    EVAL_REQUEST names is mapped by ``mapping``, the connection's, which
+    keeps it for the next request."""
     kind = header.get("type")
     if kind == "HEALTH":
-        reply = {"type": "HEALTH_OK", "input_side": det.input_side}
+        reply = {"type": "HEALTH_OK"}
         if det.catalog_key is not None:
             reply["catalog"] = det.catalog_key
         if "probe" in header:
@@ -187,10 +164,12 @@ def _respond(
         return wire.encode_message(reply)
     if kind == "EVAL_REQUEST":
         try:
-            with _Mapping() if mapping is None else nullcontext(mapping) as held:
-                return _handle_eval(det, header, payload, held)
+            crop_ids, tiles = _tile_buffer(header, payload, mapping)
         except (KeyError, TypeError) as exc:
             return wire.error_message("malformed", f"bad EVAL_REQUEST: {exc!r}")
+        except (ValueError, OSError) as exc:
+            return wire.error_message("malformed", f"bad EVAL_REQUEST: {exc}")
+        return _detect_tiles(det, header["frame_id"], crop_ids, tiles)
     return wire.error_message("unsupported_type", f"unknown message type {kind!r}")
 
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 MODEL_SIDE = 608
+# Bytes of one 8-bit RGB tile, as cut, sent and detected.
+TILE_BYTES = MODEL_SIDE * MODEL_SIDE * 3
 
 
 @dataclass(frozen=True)

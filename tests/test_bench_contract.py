@@ -35,7 +35,7 @@ from perfbench.workloads import WORKLOADS  # noqa: E402
 from tilepipe.distribution import ClusterConfig, DetectorServer, run_stream  # noqa: E402
 from tilepipe.distribution import client, shm  # noqa: E402
 from tilepipe.frameio import FrameSource, frame_file_name, write_ppm  # noqa: E402
-from tilepipe.geometry import MODEL_SIDE  # noqa: E402
+from tilepipe.geometry import TILE_BYTES  # noqa: E402
 from tilepipe.pipeline import (  # noqa: E402
     Frame,
     GridPlan,
@@ -46,7 +46,6 @@ from tilepipe.pipeline import (  # noqa: E402
 from tilepipe.synthetic import SceneSpec, generate_scene, render_frame  # noqa: E402
 
 WIDTH, HEIGHT = 1280, 720
-TILE_BYTES = MODEL_SIDE * MODEL_SIDE * 3
 
 
 def counting_tiles(tiles_by_key, sent_by_key, frames, crops_by_id):
@@ -58,7 +57,8 @@ def counting_tiles(tiles_by_key, sent_by_key, frames, crops_by_id):
         def send_message(sock, header, payload=b""):
             if header.get("type") == "EVAL_REQUEST":
                 key = _request_key(header)
-                tiles_by_key[key] = sum(1 for crop in header["crops"] if crop["width"])
+                carries_tiles = len(payload) or "shm" in header
+                tiles_by_key[key] = len(header["crops"]) if carries_tiles else 0
                 if "shm" in header:
                     pixels = frames[header["frame_id"]].pixels
                     want = b"".join(

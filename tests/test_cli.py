@@ -13,7 +13,6 @@ import pytest
 import tilepipe
 from tilepipe import cli
 from tilepipe.cli import build_parser, main
-from tilepipe.detector import Detector
 from tilepipe.distribution import DetectorServer, client
 from tilepipe.frameio import (
     FrameSource,
@@ -24,6 +23,9 @@ from tilepipe.frameio import (
 )
 from tilepipe.metrics import ap_report, count_report
 from tilepipe.pipeline import RUN_MODES, PipelineSettings, oracle_for_scene, run_sequence
+
+# a child writes no bytecode caches when this interpreter does not
+PYTHON = [sys.executable, *(["-B"] if sys.flags.dont_write_bytecode else [])]
 
 PRESET = "1 att, 3 fin, 50 over"
 SETTINGS = PipelineSettings.from_preset(PRESET)
@@ -176,7 +178,7 @@ def test_run_on_serve_workers_matches_local_bytes(scene_dir, tmp_path, sent_bloc
     """Two `tilepipe serve` processes, each with its own resource tracker:
     one per stage, then both as final workers that also run attention."""
     serve_config = write_config(tmp_path / "serve.ini", scene_dir)
-    argv = [sys.executable, "-m", "tilepipe.cli", "serve", "--config",
+    argv = [*PYTHON, "-m", "tilepipe.cli", "serve", "--config",
             str(serve_config), "--listen", "127.0.0.1:0"]
     env = {"PYTHONPATH": str(Path(tilepipe.__file__).parents[1])}
     workers = [
@@ -204,24 +206,6 @@ def test_run_on_serve_workers_matches_local_bytes(scene_dir, tmp_path, sent_bloc
     # tracker would have them unlinked, with a warning, when it exits
     assert errors == ["", ""]
     assert [w.returncode for w in workers] == [0, 0]
-
-
-def test_mismatched_worker_exits_2(scene_dir, tmp_path, capsys):
-    class Mismatched(Detector):
-        input_side = 416
-
-        def detect(self, frame_id, crop_ids, tiles=None):
-            return [[] for _ in crop_ids]
-
-    with DetectorServer(Mismatched()) as fin:
-        config = write_config(
-            tmp_path / "remote.ini", scene_dir, cluster={"final_workers": fin.endpoint}
-        )
-        assert main(["run", "--config", str(config)]) == 2
-    err = capsys.readouterr().err
-    assert fin.endpoint in err
-    assert "input_side" in err
-    assert not (tmp_path / "remote.jsonl").exists()
 
 
 def test_worker_on_another_grid_exits_2(scene_dir, tmp_path, capsys):
@@ -373,7 +357,7 @@ def test_run_into_a_closed_stdout_exits_0(scene_dir, tmp_path):
     """A reader that went away (`tilepipe run … | head -1`) after the run
     wrote its files does not make a finished run fail."""
     config = write_config(tmp_path / "local.ini", scene_dir)
-    argv = [sys.executable, "-m", "tilepipe.cli", "run", "--config", str(config)]
+    argv = [*PYTHON, "-m", "tilepipe.cli", "run", "--config", str(config)]
     env = {"PYTHONPATH": str(Path(tilepipe.__file__).parents[1])}
     read_end, write_end = os.pipe()
     os.close(read_end)
@@ -396,7 +380,7 @@ def test_serve_into_a_closed_stdout_exits_1(scene_dir, tmp_path):
     """serve prints its endpoint before it serves: a worker whose stdout is
     gone never served, and must not read as a clean exit."""
     config = write_config(tmp_path / "serve.ini", scene_dir)
-    argv = [sys.executable, "-m", "tilepipe.cli", "serve", "--config", str(config),
+    argv = [*PYTHON, "-m", "tilepipe.cli", "serve", "--config", str(config),
             "--listen", "127.0.0.1:0"]
     env = {"PYTHONPATH": str(Path(tilepipe.__file__).parents[1])}
     read_end, write_end = os.pipe()

@@ -240,9 +240,6 @@ class TestSceneOracle:
             with pytest.raises(ValueError, match="tiles"):
                 oracle.detect(5, [0, 1], bad)
 
-    def test_input_side_is_the_model_side(self):
-        assert simple_oracle().input_side == MODEL_SIDE
-
     def test_threshold_validated(self):
         with pytest.raises(ValueError):
             simple_oracle(threshold=0.0)
@@ -257,22 +254,22 @@ class TestSceneOracle:
 
 class TestCheckTiles:
     def test_accepts_one_uint8_array_of_the_batch_shape(self):
-        check_tiles(np.zeros((3, 4, 4, 3), np.uint8), 3, 4)
-        check_tiles(np.zeros((0, 4, 4, 3), np.uint8), 0, 4)
+        check_tiles(np.zeros((3, MODEL_SIDE, MODEL_SIDE, 3), np.uint8), 3)
+        check_tiles(np.zeros((0, MODEL_SIDE, MODEL_SIDE, 3), np.uint8), 0)
 
     @pytest.mark.parametrize(
         "tiles",
         [
-            np.zeros((2, 4, 4, 3), np.uint8),
-            np.zeros((3, 4, 5, 3), np.uint8),
-            np.zeros((3, 4, 4, 3)),
-            [np.zeros((4, 4, 3), np.uint8)] * 3,
+            np.zeros((2, MODEL_SIDE, MODEL_SIDE, 3), np.uint8),
+            np.zeros((3, MODEL_SIDE, 416, 3), np.uint8),
+            np.zeros((3, MODEL_SIDE, MODEL_SIDE, 3)),
+            [np.zeros((MODEL_SIDE, MODEL_SIDE, 3), np.uint8)] * 3,
         ],
         ids=["count", "side", "dtype", "list"],
     )
     def test_rejects_anything_else(self, tiles):
-        with pytest.raises(ValueError, match=r"uint8 of shape \(3, 4, 4, 3\)"):
-            check_tiles(tiles, 3, 4)
+        with pytest.raises(ValueError, match=r"uint8 of shape \(3, 608, 608, 3\)"):
+            check_tiles(tiles, 3)
 
 
 class TestCutTile:

@@ -105,14 +105,15 @@ def square_crop(x, y, side):
 class TestCutPlan:
     def test_a_plan_is_never_reused_for_another_frame_size_or_side(self):
         # overhangs the right and bottom edges of 1280x720, fits 1300x800
-        # exactly: a plan kept from the first frame would zero real pixels
-        crop = square_crop(900, 400, 400)
-        for (height, width), side in [((720, 1280), MODEL_SIDE),
-                                      ((800, 1300), MODEL_SIDE),
+        # exactly: a plan kept from the first frame would zero real pixels,
+        # and one kept for the 400-px crop would sample the 416-px one wrong
+        for (height, width), side in [((720, 1280), 400),
+                                      ((800, 1300), 400),
                                       ((800, 1300), 416)]:
+            crop = square_crop(900, 400, side)
             pixels = random_pixels(height, width, width)
-            got = cut_tile(pixels, crop, side)
-            assert np.array_equal(got, reference.cut_tile(pixels, crop, side))
+            got = cut_tile(pixels, crop)
+            assert np.array_equal(got, reference.cut_tile(pixels, crop))
 
     def test_threads_cut_two_frames_at_once(self):
         # the 4K bench scene's grid, on a frame of its size and on a smaller
@@ -151,24 +152,23 @@ class TestCutPlan:
     @pytest.mark.parametrize(
         "key",
         [
-            (2160, 3840, 840, 0, 2160, MODEL_SIDE),  # 4K attention crop
-            (2160, 3840, 2742, 1062, 1098, MODEL_SIDE),  # 4K final crop
-            (4320, 7680, 1680, 0, 4320, MODEL_SIDE),  # 8K attention crop
-            (720, 1280, 100, 100, 608, MODEL_SIDE),  # native resolution
-            (720, 1280, -50, -60, 1400, 416),  # overhangs every edge
-            (1, 1, 0, 0, 1, MODEL_SIDE),  # one pixel
-            (2, 352_000, -1000, 0, 352_000, MODEL_SIDE),  # one row over budget
+            (2160, 3840, 840, 0, 2160),  # 4K attention crop
+            (2160, 3840, 2742, 1062, 1098),  # 4K final crop
+            (4320, 7680, 1680, 0, 4320),  # 8K attention crop
+            (720, 1280, 100, 100, 608),  # native resolution
+            (720, 1280, -50, -60, 1400),  # overhangs every edge
+            (1, 1, 0, 0, 1),  # one pixel
+            (2, 352_000, -1000, 0, 352_000),  # one row over budget
         ],
     )
     def test_bands_cover_the_tile_rows_once_within_the_budget(self, key):
-        input_side = key[-1]
         plan = detector._cut_plan(*key)
         row_bytes = 3 * (plan.cols.stop - plan.cols.start)
         sizes = [band.stop - band.start for band in plan.bands]
         starts = [band.start for band in plan.bands]
         assert all(band.step is None for band in plan.bands)
         assert starts == [0, *np.cumsum(sizes[:-1])]
-        assert sum(sizes) == input_side and min(sizes) >= 1
+        assert sum(sizes) == MODEL_SIDE and min(sizes) >= 1
         for size in sizes:
             assert size * row_bytes <= detector._BAND_BYTES or size == 1
         # no two neighbouring bands would fit in one
@@ -177,7 +177,7 @@ class TestCutPlan:
 
     def test_plan_arrays_are_read_only(self):
         # overhangs every edge, so the plan holds both fill masks
-        plan = detector._cut_plan(720, 1280, -50, -60, 1400, MODEL_SIDE)
+        plan = detector._cut_plan(720, 1280, -50, -60, 1400)
         arrays = [plan.rows, plan.byte_index, plan.row_fill, plan.col_fill]
         assert all(isinstance(a, np.ndarray) for a in arrays)
         for array in arrays:

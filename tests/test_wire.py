@@ -12,19 +12,22 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from tilepipe.distribution import wire
 
 
-def framed(header_bytes: bytes, payload: bytes = b"") -> bytes:
-    return struct.pack(">I", len(header_bytes)) + header_bytes + payload
+def framed(
+    header_bytes: bytes, payload: bytes = b"", declared: int | None = None
+) -> bytes:
+    """A message's bytes; its prefix declares ``declared`` payload bytes,
+    by default as many as it carries."""
+    size = len(payload) if declared is None else declared
+    return struct.pack(">II", len(header_bytes), size) + header_bytes + payload
 
 
 def eval_request_bytes(crops: bytes, frame_id: bytes = b"0") -> bytes:
     return b'{"crops":%s,"frame_id":%s,"type":"EVAL_REQUEST"}' % (crops, frame_id)
 
 
-# EVAL_REQUEST headers that json cannot parse (nested too deep, an int of
-# too many digits) or whose payload size cannot be computed (infinite width)
-UNSIZABLE_HEADERS = {
-    "infinite_width": eval_request_bytes(b'[{"crop_id":0,"height":1,"width":Infinity}]'),
-    "overflowing_width": eval_request_bytes(b'[{"crop_id":0,"height":1,"width":1e999}]'),
+# EVAL_REQUEST headers that json cannot parse: nested too deep, or an int of
+# too many digits
+UNPARSABLE_HEADERS = {
     "nested_200000_deep": eval_request_bytes(b"[" * 200_000 + b"]" * 200_000),
     "int_of_5000_digits": eval_request_bytes(b"[]", frame_id=b"7" * 5000),
 }
@@ -56,8 +59,8 @@ def recv_sent(raw: bytes):
 
 class TestEncoding:
     def test_health_golden_bytes(self):
-        # 17-byte canonical header, length prefix big-endian
-        expected = b'\x00\x00\x00\x11{"type":"HEALTH"}'
+        # 17-byte canonical header, no payload, lengths big-endian
+        expected = b'\x00\x00\x00\x11\x00\x00\x00\x00{"type":"HEALTH"}'
         assert wire.encode_message({"type": "HEALTH"}) == expected
 
     def test_key_order_is_canonical(self):
@@ -73,39 +76,15 @@ class TestEncoding:
         assert b" " not in raw
 
     def test_eval_request_roundtrip_bytes(self):
-        crops = [{"crop_id": 3, "width": 2, "height": 2}]
+        crops = [{"crop_id": 3}]
         payload = bytes(range(12))
         sent = {"type": "EVAL_REQUEST", "frame_id": 7, "crops": crops}
         raw = wire.encode_message(sent, payload)
-        header_len = struct.unpack(">I", raw[:4])[0]
-        header = json.loads(raw[4 : 4 + header_len])
+        header_len, payload_len = struct.unpack(">II", raw[:8])
+        header = json.loads(raw[8 : 8 + header_len])
         assert header == sent
-        assert raw[4 + header_len :] == payload
-
-    def test_payload_size_sums_tiles(self):
-        header = {
-            "type": "EVAL_REQUEST",
-            "frame_id": 0,
-            "crops": [
-                {"crop_id": 0, "width": 2, "height": 3},
-                {"crop_id": 1, "width": 0, "height": 0},
-                {"crop_id": 2, "width": 4, "height": 1},
-            ],
-        }
-        assert wire.payload_size(header) == (6 + 0 + 4) * 3
-
-    def test_payload_size_zero_for_other_types(self):
-        assert wire.payload_size({"type": "HEALTH"}) == 0
-        assert wire.payload_size({"type": "EVAL_RESPONSE", "results": []}) == 0
-
-    def test_encode_rejects_payload_mismatch(self):
-        header = {
-            "type": "EVAL_REQUEST",
-            "frame_id": 0,
-            "crops": [{"crop_id": 0, "width": 1, "height": 1}],
-        }
-        with pytest.raises(wire.ProtocolError):
-            wire.encode_message(header, b"xx")  # needs exactly 3 bytes
+        assert payload_len == len(payload)
+        assert raw[8 + header_len :] == payload
 
 
 class TestSocketFraming:
@@ -124,7 +103,7 @@ class TestSocketFraming:
         assert payload == b""
 
     def test_roundtrip_with_payload(self):
-        crops = [{"crop_id": 0, "width": 2, "height": 2}]
+        crops = [{"crop_id": 0}]
         sent = bytes(range(12))
         header, payload = self.roundtrip(
             {"type": "EVAL_REQUEST", "frame_id": 1, "crops": crops}, sent
@@ -133,24 +112,25 @@ class TestSocketFraming:
 
     def test_roundtrip_with_tile_buffer_view(self):
         tiles = np.arange(2 * 3 * 3 * 3, dtype=np.uint8).reshape(2, 3, 3, 3)
-        crops = [{"crop_id": i, "width": 3, "height": 3} for i in range(2)]
+        crops = [{"crop_id": i} for i in range(2)]
         header, payload = self.roundtrip(
             {"type": "EVAL_REQUEST", "frame_id": 1, "crops": crops},
             memoryview(tiles).cast("B"),
         )
         assert payload == tiles.tobytes()
 
-    def test_send_rejects_payload_counted_in_tiles(self):
-        tiles = np.zeros((2, 3, 3, 3), dtype=np.uint8)
-        crops = [{"crop_id": i, "width": 3, "height": 3} for i in range(2)]
-        header = {"type": "EVAL_REQUEST", "frame_id": 1, "crops": crops}
+    def test_send_frames_a_tile_shaped_view_by_its_bytes(self):
+        tiles = np.arange(2 * 3 * 3 * 3, dtype=np.uint8).reshape(2, 3, 3, 3)
+        header = {"type": "EVAL_REQUEST", "frame_id": 1, "crops": [{"crop_id": 0}]}
         a, b = socket.socketpair()
         try:
-            with pytest.raises(wire.ProtocolError):
-                wire.send_message(a, header, memoryview(tiles))  # len() is 2
+            wire.send_message(a, header, memoryview(tiles))  # len() is 2
+            wire.send_message(a, {"type": "HEALTH"})
+            got = [wire.recv_message(b), wire.recv_message(b)]
         finally:
             a.close()
             b.close()
+        assert got == [(header, tiles.tobytes()), ({"type": "HEALTH"}, b"")]
 
     def recv_raw(self, raw: bytes):
         a, b = socket.socketpair()
@@ -173,32 +153,45 @@ class TestSocketFraming:
 
     def test_oversized_header_length_rejected(self):
         with pytest.raises(wire.ProtocolError):
-            self.recv_raw(struct.pack(">I", 0xFFFFFFFF) + b"xx")
+            self.recv_raw(struct.pack(">II", 0xFFFFFFFF, 0) + b"xx")
 
     def test_truncated_stream_is_connection_error(self):
+        health = b'{"type":"HEALTH"}'
         with pytest.raises(ConnectionError):
-            self.recv_raw(b"\x00\x00")  # length prefix cut short
+            self.recv_raw(b"\x00\x00\x00\x00\x00")  # length prefix cut short
         with pytest.raises(ConnectionError):
-            self.recv_raw(struct.pack(">I", 10) + b"short")
+            self.recv_raw(struct.pack(">II", 10, 0) + b"short")
+        with pytest.raises(ConnectionError):
+            self.recv_raw(framed(health, b"abc", declared=10))
 
+    # over the limit, and -1 as the unsigned length it reads as
     @pytest.mark.parametrize(
-        "width,height", [(20000, 20000), (-1, 1)], ids=["over_limit", "negative"]
+        "size",
+        [wire.MAX_PAYLOAD_BYTES + 1, 2**32 - 1],
+        ids=["over_limit", "negative"],
     )
-    def test_declared_payload_out_of_bounds_rejected_before_reading(
-        self, width, height
-    ):
+    def test_declared_payload_out_of_bounds_rejected_before_reading(self, size):
         header = json.dumps(
-            {
-                "type": "EVAL_REQUEST",
-                "frame_id": 0,
-                "crops": [{"crop_id": 0, "width": width, "height": height}],
-            }
+            {"type": "EVAL_REQUEST", "frame_id": 0, "crops": [{"crop_id": 0}]}
         ).encode()
         a, b = socket.socketpair()
         try:
             # the writer stays open and sends no payload: reading would block
             b.settimeout(5)
-            a.sendall(framed(header))
+            a.sendall(framed(header, declared=size))
+            with pytest.raises(wire.ProtocolError, match="payload"):
+                wire.recv_message(b)
+        finally:
+            a.close()
+            b.close()
+
+    def test_declared_payload_over_the_limit_is_refused_before_the_header(self):
+        a, b = socket.socketpair()
+        try:
+            # the writer stays open and sends the prefix alone, declaring a
+            # header too: reading the header would block
+            b.settimeout(5)
+            a.sendall(struct.pack(">II", 17, wire.MAX_PAYLOAD_BYTES + 1))
             with pytest.raises(wire.ProtocolError, match="payload"):
                 wire.recv_message(b)
         finally:
@@ -206,45 +199,33 @@ class TestSocketFraming:
             b.close()
 
     def test_payload_over_many_buffer_doublings_arrives_whole(self):
-        side = 301  # 3 tiles: 815,409 bytes, about 12 times the first read
-        crops = [{"crop_id": i, "width": side, "height": side} for i in range(3)]
+        crops = [{"crop_id": i} for i in range(3)]
         header = {"type": "EVAL_REQUEST", "frame_id": 1, "crops": crops}
-        sent = np.random.default_rng(0).bytes(wire.payload_size(header))
+        sent = np.random.default_rng(0).bytes(3 * 301 * 301 * 3)  # 815,409 bytes
         assert len(sent) > 8 * wire.FIRST_READ_BYTES
         got, payload = recv_sent(wire.encode_message(header, sent))
         assert got == header
         assert payload == sent
 
     def test_declared_payload_is_allocated_as_it_arrives(self):
-        """A header declaring one 4096x4096 tile (50 MB), then 10 bytes and
-        a closed write side: the reader allocates for what arrived."""
+        """A prefix declaring 50 MB of payload, then 10 bytes and a closed
+        write side: the reader allocates for what arrived."""
         header = json.dumps(
-            {
-                "type": "EVAL_REQUEST",
-                "frame_id": 0,
-                "crops": [{"crop_id": 0, "width": 4096, "height": 4096}],
-            }
+            {"type": "EVAL_REQUEST", "frame_id": 0, "crops": [{"crop_id": 0}]}
         ).encode()
         tracemalloc.start()
         try:
             with pytest.raises(ConnectionError):
-                recv_sent(framed(header, b"0123456789"))
+                recv_sent(framed(header, b"0123456789", declared=4096 * 4096 * 3))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2 * 1024 * 1024
 
-    def test_malformed_crop_list(self):
-        header = json.dumps(
-            {"type": "EVAL_REQUEST", "frame_id": 0, "crops": [{"crop_id": 0}]}
-        ).encode()
+    @pytest.mark.parametrize("case", sorted(UNPARSABLE_HEADERS))
+    def test_header_that_cannot_be_parsed_is_a_protocol_error(self, case):
         with pytest.raises(wire.ProtocolError):
-            self.recv_raw(framed(header))
-
-    @pytest.mark.parametrize("case", sorted(UNSIZABLE_HEADERS))
-    def test_header_that_cannot_be_sized_is_a_protocol_error(self, case):
-        with pytest.raises(wire.ProtocolError):
-            recv_sent(framed(UNSIZABLE_HEADERS[case]))
+            recv_sent(framed(UNPARSABLE_HEADERS[case]))
 
 
 JSON_LEAVES = (
@@ -261,7 +242,7 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=8), inner, max_size=4),
     max_leaves=12,
 )
-SIZES = (
+IDS = (
     st.integers()
     | st.integers(0, 700)
     | st.sampled_from([math.inf, -math.inf, math.nan])
@@ -269,11 +250,7 @@ SIZES = (
     | st.booleans()
     | JSON_VALUES
 )
-CROP_ENTRIES = st.fixed_dictionaries(
-    {"width": SIZES, "height": SIZES}, optional={"crop_id": JSON_VALUES}
-) | st.fixed_dictionaries(
-    {}, optional={"crop_id": JSON_VALUES, "width": SIZES, "height": SIZES}
-)
+CROP_ENTRIES = st.fixed_dictionaries({"crop_id": IDS}) | st.just({})
 CROPS = (
     st.lists(CROP_ENTRIES, max_size=4)
     | st.lists(CROP_ENTRIES | JSON_VALUES, max_size=4)
@@ -284,9 +261,8 @@ TYPES = st.sampled_from(["EVAL_REQUEST", "HEALTH", "ERROR", "EVAL_RESPONSE"]) | 
 
 @st.composite
 def headers(draw):
-    """A JSON object, mostly an EVAL_REQUEST (the one type with a payload)
-    naming no block, whose crop list holds crop entries; any field may
-    hold any JSON value."""
+    """A JSON object, mostly an EVAL_REQUEST naming no block, whose crop
+    list holds crop entries; any field may hold any JSON value."""
     header = draw(st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=2))
     for key, values, in_tenths in (
         ("type", st.just("EVAL_REQUEST") | TYPES, 9),
@@ -300,14 +276,19 @@ def headers(draw):
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(header=headers(), payload=st.binary(max_size=64))
+@given(
+    header=headers(),
+    payload=st.binary(max_size=64),
+    # the payload's own length, or any other the prefix can declare
+    declared=st.none() | st.integers(0, 2**32 - 1) | st.integers(0, 80),
+)
 def test_recv_message_returns_a_message_or_raises_a_protocol_or_connection_error(
-    header, payload
+    header, payload, declared
 ):
     try:
-        got, body = recv_sent(framed(json.dumps(header).encode(), payload))
+        got, body = recv_sent(framed(json.dumps(header).encode(), payload, declared))
     except (wire.ProtocolError, ConnectionError):
         return
     assert isinstance(got, dict) and "type" in got
     assert isinstance(body, (bytes, bytearray))
-    assert len(body) == wire.payload_size(got)
+    assert body == payload[: len(payload) if declared is None else declared]
