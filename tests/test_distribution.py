@@ -528,6 +528,20 @@ class TestEvalRequestChecks:
         assert health["type"] == "HEALTH_OK"
         assert det.calls == []
 
+    @pytest.mark.parametrize("first_side", [608, 0])
+    def test_mixed_tile_sizes_are_malformed(self, first_side):
+        """Crop entries that still declare a 608 and a 0x0 tile are sized
+        by their count alone: one tile for two crops is malformed, in
+        either order."""
+        sides = [first_side, 608 - first_side]
+        crops = [{"crop_id": i, "width": s, "height": s} for i, s in enumerate(sides)]
+        det = RecordingDetector(make_oracle())
+        reply, health = socketpair_exchange(det, eval_header(crops), bytes(TILE_BYTES))
+        assert (reply["type"], reply["code"]) == ("ERROR", "malformed")
+        assert f"take {2 * TILE_BYTES} payload bytes, got {TILE_BYTES}" in reply["message"]
+        assert health["type"] == "HEALTH_OK"
+        assert det.calls == []
+
     def test_payload_without_tiles_is_malformed(self):
         det = RecordingDetector(make_oracle())
         raw = respond(det, eval_header([]), b"\x00")
