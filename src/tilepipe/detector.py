@@ -120,12 +120,17 @@ def crop_catalog_key(crops_by_id: Mapping[int, CropSpec]) -> str:
     return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
 
 
+# The oracle's defaults: see mock_detect.
+VISIBILITY_THRESHOLD = 0.3
+MIN_TILE_PX = 8
+
+
 def mock_detect(
     crop: CropSpec,
     gt: Sequence[GroundTruthObject],
     visibility_threshold: float,
     *,
-    min_tile_px: int = 8,
+    min_tile_px: int = MIN_TILE_PX,
 ) -> list[Detection]:
     """Geometric stand-in for a real detector.
 
@@ -173,9 +178,9 @@ class SceneOracle(Detector):
         self,
         crops_by_id: Mapping[int, CropSpec],
         gt_by_frame: Mapping[int, Sequence[GroundTruthObject]],
-        visibility_threshold: float = 0.3,
+        visibility_threshold: float = VISIBILITY_THRESHOLD,
         *,
-        min_tile_px: int = 8,
+        min_tile_px: int = MIN_TILE_PX,
     ):
         if not 0.0 < visibility_threshold <= 1.0:
             raise ValueError(

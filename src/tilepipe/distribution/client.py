@@ -3,19 +3,19 @@ run_stream, the one loop that runs both stages of every frame on workers
 with the next frame's attention precomputed. Every step between the
 network calls is a helper shared with the in-process pipeline.
 
-A stage's evaluation is two steps: cut_requests cuts every tile of the
-stage into its requests' buffers, and evaluate_remote sends them and waits
-for the replies. run_stream cuts frame t's final tiles before it pulls
-frame t+1, and keeps frame t only without its pixels after that, so a
-stream holds the pixels of one frame at a time.
-
 A stream keeps one session (_Session) per stage from start to end. A
-session holds one TCP connection per worker of its stage, opened by the
-stream-start HEALTH message and used by every request after it, and the
+session holds its stage's workers, one TCP connection to each, opened by
+the stream-start HEALTH message and used by every request after it, and the
 threads that run the stage's requests beside the calling thread. A stage
 sends each of its workers one request at a time, so a connection never
 carries two at once; that needs each worker listed at most once per stage,
-which ClusterConfig and evaluate_remote check.
+which the session checks when it is made.
+
+A stage's evaluation on its session is two steps: cut_requests cuts every
+tile of the stage into its requests' buffers, and evaluate_remote sends
+them and waits for the replies. run_stream cuts frame t's final tiles
+before it pulls frame t+1, and keeps frame t only without its pixels after
+that, so a stream holds the pixels of one frame at a time.
 
 The HEALTH message carries a probe: the name of a shared-memory block
 holding a random nonce. A worker that reads the nonce back shares memory
@@ -35,7 +35,6 @@ import threading
 import time
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,13 +167,11 @@ class _Request:
 
 
 def cut_requests(
-    frame: Frame,
-    crops: Sequence[CropSpec],
-    workers: Sequence[str],
-    session: _Session,
+    frame: Frame, crops: Sequence[CropSpec], session: _Session
 ) -> list[_Request]:
-    """The EVAL_REQUEST of each worker that dispatch gives a share of crops,
-    with every tile of the stage cut in one in_parallel on the cut pool.
+    """The EVAL_REQUEST of each of the session's workers that dispatch gives
+    a share of crops, with every tile of the stage cut in one in_parallel on
+    the cut pool.
 
     A worker that shares memory with the client (session.same_host) gets
     its tiles in the session's block for it, and a request that names the
@@ -183,10 +180,9 @@ def cut_requests(
     frame's requests carry no tiles and nothing is cut. Once this returns,
     the requests need nothing of frame's pixels.
     """
-    _check_unique(workers, "workers")
     requests = []
     tiles = []  # the array each crop of the stage is cut into, in order
-    for endpoint, part in dispatch(crops, workers):
+    for endpoint, part in dispatch(crops, session.workers):
         if not part:
             continue
         entries = [{"crop_id": c.crop_id} for c in part]
@@ -216,11 +212,13 @@ def cut_requests(
 
 
 class _Session:
-    """One stage's hold on its workers until its stream ends: one connection
-    to each, opened by the stream-start HEALTH probe or, without one, by
-    the worker's first request; at most one shared-memory block for each
-    worker that read the probe back; and the threads that run the stage's
-    requests beside the calling one.
+    """One stage's hold on its workers until its stream ends: their
+    endpoints, each listed once (a duplicate raises ValueError before any
+    connection is opened); one connection to each, opened by the
+    stream-start HEALTH probe or, without one, by the worker's first
+    request; at most one shared-memory block for each worker that read the
+    probe back; and a pool of up to one thread per worker that runs the
+    stage's requests beside the calling one.
 
     A stage sends each of its workers one request at a time (see
     run_stream), so a worker's connection and block serve one request at a
@@ -231,7 +229,9 @@ class _Session:
     threads, closes the connections and unlinks the blocks.
     """
 
-    def __init__(self, timeout_s: float, threads: int = 1):
+    def __init__(self, workers: Sequence[str], timeout_s: float):
+        _check_unique(workers, "workers")
+        self.workers = tuple(workers)
         self.timeout_s = timeout_s
         # workers that read the probe back: their requests' tiles go in blocks
         self.same_host: frozenset[str] = frozenset()
@@ -242,7 +242,7 @@ class _Session:
         self._serial = itertools.count()
         self._stopped = False
         self._pool = ThreadPoolExecutor(
-            max_workers=threads, thread_name_prefix="tilepipe-request"
+            max_workers=len(self.workers), thread_name_prefix="tilepipe-request"
         )
 
     def __enter__(self) -> "_Session":
@@ -385,54 +385,37 @@ def _exchange(
 def evaluate_remote(
     frame: Frame,
     crops: Sequence[CropSpec],
-    workers: Sequence[str],
-    timeout_s: float,
-    session: _Session | None = None,
-    requests: Sequence[_Request] | None = None,
-) -> tuple[dict[int, list[Detection]], float, tuple[tuple[str, float], ...]]:
-    """Evaluate crops across workers; one concurrent request per worker.
+    session: _Session,
+    requests: Sequence[_Request],
+) -> tuple[dict[int, list[Detection]], tuple[tuple[str, float], ...]]:
+    """Send a stage's ``requests``, cut beforehand by cut_requests(frame,
+    crops, session) so that frame need no longer hold its pixels, to all
+    their workers at once on the stage's session.
 
-    The requests run on ``session``, the stage's; without one, the call
-    opens a session with ``timeout_s`` for its own requests and closes it
-    on return. They are ``requests`` when given, cut beforehand by
-    cut_requests(frame, crops, workers, session), so that frame need no
-    longer hold its pixels; else the call cuts them first. Returns
-    (crop-local detections by crop id, stage ms under the slowest-worker
-    rule, per-worker (endpoint, busy_ms)). Any worker failure raises;
-    partial results are never returned. A worker listed twice raises
-    ValueError: its two requests would share a connection.
+    Returns (crop-local detections by crop id, per-worker (endpoint,
+    busy_ms)). Any worker failure raises; partial results are never
+    returned. The requests carry all that is sent: ``frame`` and ``crops``
+    lead because a traced run names a stage's frame and stage by them, and
+    an empty ``crops`` is a stage with nothing to send, which returns
+    ({}, ()) and opens no connection.
     """
-    _check_unique(workers, "workers")
     if not crops:
-        return {}, 0.0, ()
-    own = _Session(timeout_s, len(workers)) if session is None else nullcontext(session)
-    with own as session:
-        if requests is None:
-            requests = cut_requests(frame, crops, workers, session)
-        replies = session.run_all(_exchange, [(session, r) for r in requests])
+        return {}, ()
+    replies = session.run_all(_exchange, [(session, r) for r in requests])
     detections: dict[int, list[Detection]] = {}
     for by_crop, _ in replies:
         detections.update(by_crop)
     per_worker = tuple(
         (request.endpoint, busy_ms) for request, (_, busy_ms) in zip(requests, replies)
     )
-    stage_ms = max(busy for _, busy in per_worker)
-    return detections, stage_ms, per_worker
+    return detections, per_worker
 
 
-def _attention_remote(
-    frame: Frame,
-    plan: GridPlan,
-    settings: PipelineSettings,
-    workers: Sequence[str],
-    session: _Session,
-) -> AttentionModel:
+def _attention_remote(frame: Frame, plan: GridPlan, session: _Session) -> AttentionModel:
     crops = plan.attention_grid.crops
-    requests = cut_requests(frame, crops, workers, session)
-    by_crop, _, _ = evaluate_remote(
-        frame, crops, workers, session.timeout_s, session, requests
-    )
-    return attention_model(frame, crops, by_crop, settings.min_confidence)
+    requests = cut_requests(frame, crops, session)
+    by_crop, _ = evaluate_remote(frame, crops, session, requests)
+    return attention_model(frame, crops, by_crop, plan.settings.min_confidence)
 
 
 def _echoes_probe(reply: dict, nonce: bytes) -> bool:
@@ -440,25 +423,26 @@ def _echoes_probe(reply: dict, nonce: bytes) -> bool:
     return reply.get("probe") == nonce.hex()
 
 
-def _check_workers(session: _Session, workers: Sequence[str]) -> dict[str, str | None]:
-    """HEALTH every worker on the session, with a probe, which leaves the
+def _check_workers(session: _Session) -> dict[str, str | None]:
+    """HEALTH every worker of the session, with a probe, which leaves the
     session one connection to each. Sets session.same_host to the workers
     that share memory with the client, and returns each worker's crop
     catalog key (None: its detector holds no catalog). Raises WorkerError
     for a worker that does not answer."""
     nonce = secrets.token_bytes(shm.PROBE_BYTES)
+    header = {"type": "HEALTH"}
     try:
         probe = shm.create(session.block_name(), shm.PROBE_BYTES)
     except OSError:  # no shared memory on this host: every worker gets TCP
-        probe = name = None
+        probe = None
     else:
         probe.buf[: shm.PROBE_BYTES] = nonce
-        name = probe.name
+        header["probe"] = probe.name
     try:
         same_host = set()
         catalogs = {}
-        for endpoint in workers:
-            reply = _health(session, endpoint, name)
+        for endpoint in session.workers:
+            reply = session.exchange(endpoint, header, expect="HEALTH_OK")
             if _echoes_probe(reply, nonce):
                 same_host.add(endpoint)
             catalogs[endpoint] = reply.get("catalog")
@@ -550,21 +534,18 @@ def run_stream(
     results: list[FrameResult] = []
     history: list[AttentionModel] = []
     timeout_s = cluster.request_timeout_s
-    attention_workers = cluster.attention_workers or cluster.final_workers
-    final = _Session(timeout_s, len(cluster.final_workers))
-    ahead = _Session(timeout_s, len(attention_workers))
+    final = _Session(cluster.final_workers, timeout_s)
+    ahead = _Session(cluster.attention_workers or cluster.final_workers, timeout_s)
     attention = ThreadPoolExecutor(max_workers=1, thread_name_prefix="tilepipe-attention")
 
     def submit(frame: Frame):
-        return attention.submit(
-            _attention_remote, frame, plan, settings, attention_workers, ahead
-        )
+        return attention.submit(_attention_remote, frame, plan, ahead)
 
     t = 0
     try:
         try:
-            catalogs = _check_workers(ahead, attention_workers)
-            catalogs |= _check_workers(final, cluster.final_workers)
+            catalogs = _check_workers(ahead)
+            catalogs |= _check_workers(final)
             frames = timed_pulls(frames)
             frame, io_ms, error = _pull(frames, None)
             if frame is not None:
@@ -589,7 +570,7 @@ def run_stream(
                     plan.final_grid, merged, settings.attention_margin_px
                 )
                 crops = active.crops
-                requests = cut_requests(frame, crops, cluster.final_workers, final)
+                requests = cut_requests(frame, crops, final)
                 c1 = time.perf_counter()
                 # the pulled frame is not needed past its cut: keep it pixel-less
                 frame = Frame(frame.frame_id, frame.width, frame.height)
@@ -598,9 +579,7 @@ def run_stream(
                 if upcoming is not None:
                     pending = submit(upcoming)
 
-                by_crop, final_ms, per_worker = evaluate_remote(
-                    frame, crops, cluster.final_workers, timeout_s, final, requests
-                )
+                by_crop, per_worker = evaluate_remote(frame, crops, final, requests)
                 del requests  # a request's payload holds frame t's tiles
                 tagged = tag_global(frame, crops, by_crop)
                 p0 = time.perf_counter()
@@ -615,7 +594,7 @@ def run_stream(
                 io_ms=io_ms,
                 attention_wait_ms=wait_ms,
                 client_processing_ms=(c1 - c0) * 1000,
-                final_eval_ms=final_ms,
+                final_eval_ms=max((busy for _, busy in per_worker), default=0.0),
                 postprocess_ms=(p1 - p0) * 1000,
                 per_worker=per_worker,
             )
@@ -640,16 +619,8 @@ def run_stream(
         final.close()
 
 
-def _health(session: _Session, endpoint: str, probe: str | None = None) -> dict:
-    header = {"type": "HEALTH"} if probe is None else {"type": "HEALTH", "probe": probe}
-    return session.exchange(endpoint, header, expect="HEALTH_OK")
-
-
-def check_health(
-    endpoint: str, timeout_s: float = 30.0, probe: str | None = None
-) -> dict:
-    """HEALTH round trip on a connection of its own; returns the worker's
-    HEALTH_OK reply, which with ``probe``, the name of a block, holds what
-    the worker read from it."""
-    with _Session(timeout_s) as session:
-        return _health(session, endpoint, probe)
+def check_health(endpoint: str, timeout_s: float = ClusterConfig.request_timeout_s) -> dict:
+    """HEALTH round trip, without a probe, on a session of its own; returns
+    the worker's HEALTH_OK reply."""
+    with _Session([endpoint], timeout_s) as session:
+        return session.exchange(endpoint, {"type": "HEALTH"}, expect="HEALTH_OK")

@@ -25,7 +25,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .detector import Detection, GroundTruthObject, detection_from_row
+from .detector import (
+    MIN_TILE_PX,
+    VISIBILITY_THRESHOLD,
+    Detection,
+    GroundTruthObject,
+    detection_from_row,
+)
 from .distribution import ClusterConfig
 from .geometry import Rect
 from .pipeline import Frame, FrameResult, PipelineSettings, TimingProfile
@@ -375,8 +381,8 @@ class RunConfig:
     timing_path: Path | None = None
     frame_width: int | None = None
     frame_height: int | None = None
-    visibility_threshold: float = 0.3
-    min_tile_px: int = 8
+    visibility_threshold: float = VISIBILITY_THRESHOLD
+    min_tile_px: int = MIN_TILE_PX
 
     def __post_init__(self):
         if self.frames_dir is None and (
@@ -476,15 +482,18 @@ def _run_config(parser: configparser.ConfigParser, path: Path) -> RunConfig:
         p = Path(raw)
         return p if p.is_absolute() else (base / p).resolve()
 
-    def value(section: str, key: str, convert, default=None):
-        """A key's value through convert, or default if it is absent; a
+    def given(section: str, converters: Mapping) -> dict:
+        """The value, through its converter, of each key of converters that
+        the file sets, so that an absent key takes its field's default; a
         ValueError names the section and key."""
-        if section not in parser or key not in parser[section]:
-            return default
-        try:
-            return convert(parser[section][key])
-        except ValueError as exc:
-            raise ValueError(f"[{section}] {key}: {exc}") from exc
+        values = {}
+        for key, convert in converters.items():
+            if section in parser and key in parser[section]:
+                try:
+                    values[key] = convert(parser[section][key])
+                except ValueError as exc:
+                    raise ValueError(f"[{section}] {key}: {exc}") from exc
+        return values
 
     for section in ("pipeline", "paths"):
         if section not in parser:
@@ -494,7 +503,7 @@ def _run_config(parser: configparser.ConfigParser, path: Path) -> RunConfig:
     if "preset" not in pipeline:
         raise ValueError("[pipeline] needs preset")
     numbers = {"attention_margin_px": int, "temporal_window": int, "min_confidence": float}
-    tuning = {k: value("pipeline", k, f) for k, f in numbers.items() if k in pipeline}
+    tuning = given("pipeline", numbers)
     try:
         settings = PipelineSettings.from_preset(pipeline["preset"], **tuning)
     except ValueError as exc:
@@ -519,16 +528,17 @@ def _run_config(parser: configparser.ConfigParser, path: Path) -> RunConfig:
     cluster = None
     if "cluster" in parser:
         sect = parser["cluster"]
-        timeout_s = value("cluster", "request_timeout_s", float, 30.0)
+        timeout = given("cluster", {"request_timeout_s": float})
         try:
             cluster = ClusterConfig(
                 final_workers=_split_endpoints(sect.get("final_workers", "")),
                 attention_workers=_split_endpoints(sect.get("attention_workers", "")),
-                request_timeout_s=timeout_s,
+                **timeout,
             )
         except ValueError as exc:
             raise ValueError(f"[cluster] {exc}") from exc
 
+    size = given("frame", {"width": int, "height": int})
     return RunConfig(
         settings=settings,
         ground_truth_path=gt_path,
@@ -536,8 +546,7 @@ def _run_config(parser: configparser.ConfigParser, path: Path) -> RunConfig:
         cluster=cluster,
         frames_dir=frames_dir,
         timing_path=timing_path,
-        frame_width=value("frame", "width", int),
-        frame_height=value("frame", "height", int),
-        visibility_threshold=value("detector", "visibility_threshold", float, 0.3),
-        min_tile_px=value("detector", "min_tile_px", int, 8),
+        frame_width=size.get("width"),
+        frame_height=size.get("height"),
+        **given("detector", {"visibility_threshold": float, "min_tile_px": int}),
     )

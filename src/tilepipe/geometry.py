@@ -233,23 +233,19 @@ def to_local(r: Rect, crop: CropSpec) -> Rect:
     return Rect(x1, y1, x2 - x1, y2 - y1)
 
 
-def to_global(r: Rect, crop: CropSpec, frame_w: int | None = None, frame_h: int | None = None) -> Rect:
-    """Project a 608-space rect back to integer global pixels.
+def to_global(r: Rect, crop: CropSpec, frame_w: int, frame_h: int) -> Rect:
+    """Project a 608-space rect back to integer global pixels, clipped to
+    the frame.
 
     Edges are rounded independently so to_global(to_local(r)) stays within
-    +-1 px of r. When frame dimensions are given the result is clipped to
-    the frame.
+    +-1 px of r for a rect inside the frame.
     """
     g = crop.global_rect
     s = crop.scale
-    x1 = g.x + r.x * s
-    y1 = g.y + r.y * s
-    x2 = g.x + r.x2 * s
-    y2 = g.y + r.y2 * s
-    if frame_w is not None:
-        x1, x2 = min(x1, frame_w - 1), min(x2, frame_w)
-        y1, y2 = min(y1, frame_h - 1), min(y2, frame_h)
-        x1, y1 = max(0.0, x1), max(0.0, y1)
+    x1 = max(0.0, min(g.x + r.x * s, frame_w - 1))
+    y1 = max(0.0, min(g.y + r.y * s, frame_h - 1))
+    x2 = min(g.x + r.x2 * s, frame_w)
+    y2 = min(g.y + r.y2 * s, frame_h)
     ix1, iy1 = round(x1), round(y1)
     ix2, iy2 = max(ix1 + 1, round(x2)), max(iy1 + 1, round(y2))
     return Rect(ix1, iy1, ix2 - ix1, iy2 - iy1)

@@ -24,7 +24,15 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 
-from .detector import Detection, Detector, GroundTruthObject, SceneOracle, cut_tile
+from .detector import (
+    MIN_TILE_PX,
+    VISIBILITY_THRESHOLD,
+    Detection,
+    Detector,
+    GroundTruthObject,
+    SceneOracle,
+    cut_tile,
+)
 from .geometry import (
     MODEL_SIDE,
     CropSettings,
@@ -156,16 +164,19 @@ class TimingProfile:
     by its pull: the page faults of reading its pixels are paid by the
     stage that cuts its tiles, not here.
 
-    The same shape serves local and distributed runs. Locally, transfer_ms
-    is zero and per_worker is empty; attention_wait_ms is the full attention
-    cost because nothing hides it; client_processing_ms is the choice of
-    active crops, and final_eval_ms the final pass, its tile cut included.
-    Remotely, attention_wait_ms is only the part of the attention
-    precompute that was not hidden behind the previous frame's final
-    evaluation; client_processing_ms is the choice of active crops and the
-    cut of their tiles into the final requests; and per_worker records
-    (endpoint, busy_ms) for the final stage so the slowest worker is
-    visible: final_eval_ms equals the largest busy_ms, round trips only.
+    The same shape serves local and distributed runs. Neither writes
+    transfer_ms yet: a remote frame's transfers are inside its round trips,
+    so the column stays zero. Locally, per_worker is empty;
+    attention_wait_ms is the full attention cost because nothing hides it;
+    client_processing_ms is the choice of active crops, and final_eval_ms
+    the final pass, its tile cut included. Remotely, attention_wait_ms is
+    only the part of the attention precompute that was not hidden behind
+    the previous frame's final evaluation; client_processing_ms is the
+    choice of active crops and the cut of their tiles into the final
+    requests; and per_worker records (endpoint, busy_ms) for each final
+    request so the slowest worker is visible. run_stream takes
+    final_eval_ms from it: the largest busy_ms, round trips only, or 0.0
+    for a frame with no active crop, which sends no final request.
     """
 
     COLUMNS = (
@@ -289,9 +300,9 @@ def oracle_for_scene(
     frame_h: int,
     settings: PipelineSettings,
     gt_by_frame: Mapping[int, Sequence[GroundTruthObject]],
-    visibility_threshold: float = 0.3,
+    visibility_threshold: float = VISIBILITY_THRESHOLD,
     *,
-    min_tile_px: int = 8,
+    min_tile_px: int = MIN_TILE_PX,
 ) -> SceneOracle:
     """Ground-truth oracle wired to the run's crop id space."""
     plan = GridPlan.build(frame_w, frame_h, settings)
@@ -408,19 +419,12 @@ def tag_global(
     ]
 
 
-def attention_pass(
-    frame: Frame,
-    settings: PipelineSettings,
-    det: Detector,
-    *,
-    plan: GridPlan | None = None,
-) -> AttentionModel:
-    """Evaluate every coarse crop and collect confident boxes globally."""
-    if plan is None:
-        plan = GridPlan.build(frame.width, frame.height, settings)
+def attention_pass(frame: Frame, plan: GridPlan, det: Detector) -> AttentionModel:
+    """Evaluate every coarse crop of the plan and collect its confident
+    boxes, under plan.settings.min_confidence, globally."""
     crops = plan.attention_grid.crops
     found = detect_crops(frame, crops, det, "attention")
-    return attention_model(frame, crops, found, settings.min_confidence)
+    return attention_model(frame, crops, found, plan.settings.min_confidence)
 
 
 def merge_temporal(history: Sequence[AttentionModel], window: int) -> AttentionModel:
@@ -528,7 +532,7 @@ def run_sequence(
 
         t0 = time.perf_counter()
         if mode == "pipeline":
-            att = attention_pass(frame, settings, det, plan=plan)
+            att = attention_pass(frame, plan, det)
             t1 = time.perf_counter()
             merged = merge_temporal([*history, att], settings.temporal_window)
             active = select_active(plan.final_grid, merged, settings.attention_margin_px)

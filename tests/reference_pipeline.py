@@ -54,7 +54,7 @@ def evaluate_frame(
     plan.check_frame(frame)
 
     t0 = time.perf_counter()
-    att = attention_pass(frame, settings, det, plan=plan)
+    att = attention_pass(frame, plan, det)
     t1 = time.perf_counter()
     merged = merge_temporal([*history, att], settings.temporal_window)
     active = select_active(plan.final_grid, merged, settings.attention_margin_px)

@@ -145,6 +145,16 @@ def test_traced_run_records_every_required_span(
     required = expected_spans(workload)[0] - {"frameio.next"}
     recorded = {span.name for span in recorder.spans}
     assert not required - recorded, f"no spans for {sorted(required - recorded)}"
+    if workload.cluster:
+        # the benchmark tells a stage's span by evaluate_remote's leading
+        # (frame, crops): one span per frame and stage, frames with no
+        # active crop included
+        stages = sorted(
+            (span.frame, span.attrs["stage"])
+            for span in recorder.spans
+            if span.name == "client.evaluate_remote"
+        )
+        assert stages == [(f, s) for f in (0, 1, 2) for s in ("attention", "final")]
     sends = [span for span in recorder.spans if span.name == "wire.send"]
     if transport == "shm":
         # no tiles on the wire: each request names a block that held them

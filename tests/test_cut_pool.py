@@ -124,12 +124,12 @@ def test_request_payload_is_the_reference_tiles(case, buffer):
     frame = Frame(0, width, height, random_pixels(height, width, seed))
     want = b"".join(reference.cut_tile(frame.pixels, c).tobytes() for c in crops)
     endpoint = "127.0.0.1:9"
-    with _Session(timeout_s=1.0) as session:
+    with _Session([endpoint], 1.0) as session:
         block = None
         if buffer == "block":
             session.same_host = frozenset([endpoint])
             block = session.block(endpoint, len(want) + TILE_BYTES)
-        requests = cut_requests(frame, crops, [endpoint], session)
+        requests = cut_requests(frame, crops, session)
         entries = [e for r in requests for e in r.header["crops"]]
         payload = b"".join(bytes(r.payload) for r in requests)
         if block is None:

@@ -80,6 +80,15 @@ def make_plan():
     return GridPlan.build(1280, 720, SETTINGS_720)
 
 
+def evaluate(frame, crops, workers, timeout_s):
+    """One stage on a session of its own, as a stream evaluates its stage:
+    cut_requests, then evaluate_remote."""
+    with client._Session(workers, timeout_s) as session:
+        return evaluate_remote(
+            frame, crops, session, client.cut_requests(frame, crops, session)
+        )
+
+
 # crop ids of the attention stage; every other crop id is the final stage's
 ATTENTION_IDS = frozenset(c.crop_id for c in make_plan().attention_grid.crops)
 
@@ -318,9 +327,7 @@ class TestWorker:
         plan = make_plan()
         frame = Frame(0, 1280, 720)
         with DetectorServer(oracle) as server:
-            by_crop, _, _ = evaluate_remote(
-                frame, plan.final_grid.crops, [server.endpoint], 5.0
-            )
+            by_crop, _ = evaluate(frame, plan.final_grid.crops, [server.endpoint], 5.0)
         for crop in plan.final_grid.crops:
             assert [by_crop[crop.crop_id]] == oracle.detect(0, [crop.crop_id])
 
@@ -357,14 +364,10 @@ class TestWorker:
         pixels = np.zeros((720, 1280, 3), dtype=np.uint8)
         frame = Frame(0, 1280, 720, pixels)
         with DetectorServer(oracle) as server:
-            by_crop, _, _ = evaluate_remote(
-                frame, plan.final_grid.crops, [server.endpoint], 5.0
-            )
+            by_crop, _ = evaluate(frame, plan.final_grid.crops, [server.endpoint], 5.0)
         bare = Frame(0, 1280, 720)
         with DetectorServer(oracle) as server:
-            bare_by_crop, _, _ = evaluate_remote(
-                bare, plan.final_grid.crops, [server.endpoint], 5.0
-            )
+            bare_by_crop, _ = evaluate(bare, plan.final_grid.crops, [server.endpoint], 5.0)
         assert by_crop == bare_by_crop
 
     def test_oversized_payload_is_malformed_and_closes(self):
@@ -819,14 +822,11 @@ def test_worker_answers_or_closes_on_any_input(raw, health):
 
 class TestHealthProbe:
     def test_worker_echoes_the_nonce(self):
-        probe = shm.create(shm.PREFIX + secrets.token_hex(4), shm.PROBE_BYTES)
-        try:
-            probe.buf[: shm.PROBE_BYTES] = b"0123456789abcdef"
-            with DetectorServer(make_oracle()) as server:
-                reply = check_health(server.endpoint, probe=probe.name)
-        finally:
-            shm.destroy(probe)
-        assert reply["probe"] == b"0123456789abcdef".hex()
+        with DetectorServer(make_oracle()) as server:
+            with client._Session([server.endpoint], 5.0) as session:
+                catalogs = client._check_workers(session)
+        assert session.same_host == {server.endpoint}
+        assert catalogs == {server.endpoint: crop_catalog_key(make_plan().crops_by_id())}
 
     @pytest.mark.parametrize("probe", [shm.PREFIX + "ffffffff0", "other", 3, None])
     def test_unreadable_probe_is_answered_with_null(self, probe):
@@ -875,11 +875,11 @@ class TestEvaluateRemote:
         crops = plan.final_grid.crops[:4]
         slow = DelayDetector(oracle, 0.025)
         with DetectorServer(slow) as w1:
-            _, one_worker_ms, _ = evaluate_remote(frame, crops, [w1.endpoint], 10.0)
+            _, one_worker = evaluate(frame, crops, [w1.endpoint], 10.0)
         with DetectorServer(slow) as w1, DetectorServer(slow) as w2:
-            _, two_worker_ms, _ = evaluate_remote(
-                frame, crops, [w1.endpoint, w2.endpoint], 10.0
-            )
+            _, two_workers = evaluate(frame, crops, [w1.endpoint, w2.endpoint], 10.0)
+        one_worker_ms = max(busy for _, busy in one_worker)
+        two_worker_ms = max(busy for _, busy in two_workers)
         assert one_worker_ms >= 95
         assert two_worker_ms < one_worker_ms * 0.8
 
@@ -891,9 +891,7 @@ class TestEvaluateRemote:
         plan = make_plan()
         try:
             with pytest.raises(WorkerTimeout) as err:
-                evaluate_remote(
-                    Frame(0, 1280, 720), plan.final_grid.crops[:1], [endpoint], 0.2
-                )
+                evaluate(Frame(0, 1280, 720), plan.final_grid.crops[:1], [endpoint], 0.2)
             assert err.value.endpoint == endpoint
         finally:
             silent.close()
@@ -905,9 +903,7 @@ class TestEvaluateRemote:
         probe.close()  # port now has no listener
         plan = make_plan()
         with pytest.raises(WorkerUnavailable) as err:
-            evaluate_remote(
-                Frame(0, 1280, 720), plan.final_grid.crops[:1], [endpoint], 0.5
-            )
+            evaluate(Frame(0, 1280, 720), plan.final_grid.crops[:1], [endpoint], 0.5)
         assert err.value.endpoint == endpoint
 
     def test_detector_failure_is_remote_fault(self):
@@ -915,9 +911,8 @@ class TestEvaluateRemote:
         plan = make_plan()
         with DetectorServer(bad) as server:
             with pytest.raises(RemoteFault) as err:
-                evaluate_remote(
-                    Frame(0, 1280, 720), plan.final_grid.crops[:1],
-                    [server.endpoint], 5.0,
+                evaluate(
+                    Frame(0, 1280, 720), plan.final_grid.crops[:1], [server.endpoint], 5.0
                 )
         assert err.value.endpoint == server.endpoint
 
@@ -932,9 +927,8 @@ class TestEvaluateRemote:
         plan = make_plan()
         with DetectorServer(Overconfident()) as server:
             with pytest.raises(RemoteFault, match="confidence") as err:
-                evaluate_remote(
-                    Frame(0, 1280, 720), plan.final_grid.crops[:1],
-                    [server.endpoint], 5.0,
+                evaluate(
+                    Frame(0, 1280, 720), plan.final_grid.crops[:1], [server.endpoint], 5.0
                 )
         assert err.value.endpoint == server.endpoint
 
@@ -946,9 +940,9 @@ class TestEvaluateRemote:
             endpoints = [w1.endpoint, w2.endpoint]
             if fails:
                 with pytest.raises(RemoteFault):
-                    evaluate_remote(Frame(0, 1280, 720), crops, endpoints, 5.0)
+                    evaluate(Frame(0, 1280, 720), crops, endpoints, 5.0)
             else:
-                by_crop, _, _ = evaluate_remote(Frame(0, 1280, 720), crops, endpoints, 5.0)
+                by_crop, _ = evaluate(Frame(0, 1280, 720), crops, endpoints, 5.0)
                 assert sorted(by_crop) == [c.crop_id for c in crops]
         gc.collect()  # a socket left open warns here, and warnings are errors
         assert sorted(a for a, _ in opened) == sorted(map(parse_endpoint, endpoints))
@@ -958,18 +952,13 @@ class TestEvaluateRemote:
         crops = make_plan().final_grid.crops
         with DetectorServer(make_oracle()) as server:
             with pytest.raises(ValueError, match="listed twice"):
-                evaluate_remote(
-                    Frame(0, 1280, 720), crops, [server.endpoint] * 2, 5.0
-                )
+                evaluate(Frame(0, 1280, 720), crops, [server.endpoint] * 2, 5.0)
         assert opened == []
 
-    def test_no_crops_no_requests(self):
-        by_crop, stage_ms, per_worker = evaluate_remote(
-            Frame(0, 1280, 720), [], ["127.0.0.1:1"], 0.5
-        )
-        assert by_crop == {}
-        assert stage_ms == 0.0
-        assert per_worker == ()
+    def test_no_crops_no_requests(self, opened):
+        with client._Session(["127.0.0.1:1"], 0.5) as session:
+            assert evaluate_remote(Frame(0, 1280, 720), [], session, []) == ({}, ())
+        assert opened == []
 
 
 def frames(count=4):
@@ -1014,6 +1003,32 @@ class TestRunStream:
         with DetectorServer(make_oracle()) as fin:
             cluster = ClusterConfig(final_workers=(fin.endpoint,))
             assert run_stream([], SETTINGS_720, cluster) == []
+
+    def test_frame_without_active_crops_sends_no_final_request(self, monkeypatch):
+        """Frame 0 holds nothing, so none of its final crops is active: its
+        final stage sends no request and takes no time."""
+        scene = {0: [], 1: SCENE[0]}
+        finals = []  # the frame id of each final EVAL_REQUEST sent
+        real = wire.send_message
+
+        def send_message(sock, header, payload=b""):
+            if header.get("type") == "EVAL_REQUEST":
+                if header["crops"][0]["crop_id"] not in ATTENTION_IDS:
+                    finals.append(header["frame_id"])
+            return real(sock, header, payload)
+
+        monkeypatch.setattr(wire, "send_message", send_message)
+        local = list(run_sequence(frames(2), SETTINGS_720, make_oracle(scene)))
+        with DetectorServer(make_oracle(scene)) as att, DetectorServer(make_oracle(scene)) as fin:
+            cluster = ClusterConfig(
+                final_workers=(fin.endpoint,), attention_workers=(att.endpoint,)
+            )
+            remote = run_stream(frames(2), SETTINGS_720, cluster)
+        assert local[0].active_count == 0 < local[1].active_count
+        assert finals == [1]
+        assert remote[0].timing.per_worker == ()
+        assert remote[0].timing.final_eval_ms == 0.0
+        assert [result_line(r) for r in remote] == [result_line(r) for r in local]
 
     def test_attention_hidden_when_cheaper_than_final(self):
         # attention: 2 crops, final: >= 4 active crops per frame; same

@@ -238,7 +238,7 @@ class TestCoordinateTransforms:
         crop = grid.crops[0]
         local = to_local(crop.global_rect, crop)
         assert (local.x, local.y, local.w, local.h) == (0, 0, 608, 608)
-        back = to_global(local, crop)
+        back = to_global(local, crop, 1216, 1216)
         assert back == Rect(crop.global_rect.x, crop.global_rect.y, crop.global_rect.w, crop.global_rect.h)
 
     def test_scale_two_crop(self):
@@ -254,7 +254,7 @@ class TestCoordinateTransforms:
         from tilepipe.geometry import CropSpec
 
         crop = CropSpec(0, 0, 0, Rect(0, 0, 1216, 1216), 2.0)
-        g = to_global(Rect(10, 10, 20, 20), crop)
+        g = to_global(Rect(10, 10, 20, 20), crop, 1216, 1216)
         assert (g.x, g.y, g.w, g.h) == (20, 20, 40, 40)
 
     def test_no_intersection_rejected(self):
@@ -279,6 +279,6 @@ class TestCoordinateTransforms:
                 w = rng.randint(1, int(g.x2) - x - 1)
                 h = rng.randint(1, int(g.y2) - y - 1)
                 r = Rect(x, y, w, h)
-                back = to_global(to_local(r, crop), crop)
+                back = to_global(to_local(r, crop), crop, frame_w, frame_h)
                 assert abs(back.x - r.x) <= 1 and abs(back.y - r.y) <= 1
                 assert abs(back.x2 - r.x2) <= 1 and abs(back.y2 - r.y2) <= 1

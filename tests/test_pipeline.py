@@ -33,6 +33,7 @@ def gt(x, y, w, h, label="person", oid=None):
 
 
 SETTINGS_720 = PipelineSettings.from_preset("1 att, 3 fin, 50 over")
+PLAN_720 = GridPlan.build(1280, 720, SETTINGS_720)
 
 
 def run_one(frame, settings, det, mode="pipeline", plan=None):
@@ -126,7 +127,7 @@ class TestGridPlan:
 class TestAttentionPass:
     def test_empty_scene_has_no_boxes(self):
         frame, oracle = scene_720([])
-        att = attention_pass(frame, SETTINGS_720, oracle)
+        att = attention_pass(frame, PLAN_720, oracle)
         assert att.boxes == ()
         assert att.frame_id == 0
         assert att.source_window == (0,)
@@ -135,18 +136,18 @@ class TestAttentionPass:
         settings = PipelineSettings.from_preset("1 att, 3 fin, 20 over")
         oracle = oracle_for_scene(3840, 2160, settings, {0: []})
         counting = CountingDetector(oracle)
-        attention_pass(Frame(0, 3840, 2160), settings, counting)
+        attention_pass(Frame(0, 3840, 2160), GridPlan.build(3840, 2160, settings), counting)
         assert counting.calls == [0, 1]
 
     def test_centered_object_produces_intersecting_box(self):
         obj = gt(600, 300, 100, 120)
         frame, oracle = scene_720([obj])
-        att = attention_pass(frame, SETTINGS_720, oracle)
+        att = attention_pass(frame, PLAN_720, oracle)
         assert any(intersects(box, obj.rect) for box in att.boxes)
 
     def test_boxes_stay_inside_frame(self):
         frame, oracle = scene_720([gt(1200, 650, 79, 69)])
-        att = attention_pass(frame, SETTINGS_720, oracle)
+        att = attention_pass(frame, PLAN_720, oracle)
         for box in att.boxes:
             assert box.x >= 0 and box.y >= 0
             assert box.x2 <= 1280 and box.y2 <= 720
@@ -157,14 +158,14 @@ class TestAttentionPass:
         )
         objects = [gt(500, 200, 300, 100)]
         oracle = oracle_for_scene(1280, 720, strict, {0: objects})
-        att = attention_pass(Frame(0, 1280, 720), strict, oracle)
+        att = attention_pass(Frame(0, 1280, 720), GridPlan.build(1280, 720, strict), oracle)
         assert att.boxes == ()
 
     def test_detector_failure_carries_stage_and_frame(self):
         frame, oracle = scene_720([], fid=7)
         failing = FailingDetector(oracle, {0, 1})
         with pytest.raises(StageFailure, match="attention stage failed on frame 7"):
-            attention_pass(frame, SETTINGS_720, failing)
+            attention_pass(frame, PLAN_720, failing)
 
 
 class TestOneDetectorCallPerStage:
@@ -186,7 +187,7 @@ class TestOneDetectorCallPerStage:
     def test_raster_free_stage_passes_no_tiles(self):
         frame, oracle = scene_720([gt(100, 100, 80, 80)])
         counting = CountingDetector(oracle)
-        attention_pass(frame, SETTINGS_720, counting)
+        attention_pass(frame, PLAN_720, counting)
         assert counting.batches == [([0, 1], None)]
 
     def test_empty_stage_makes_no_call(self):
@@ -203,7 +204,7 @@ class TestOneDetectorCallPerStage:
         short = ShortDetector(oracle)
         with pytest.raises(StageFailure, match=f"{stage} stage failed on frame 4"):
             if stage == "attention":
-                attention_pass(frame, SETTINGS_720, short, plan=plan)
+                attention_pass(frame, plan, short)
             else:
                 final_pass(frame, ActiveSet(plan.final_grid, frozenset({2, 3})), short)
 
