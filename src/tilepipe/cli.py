@@ -5,11 +5,12 @@ over a frame source; in process through pipeline.run_sequence, or on
 workers through run_stream), serve (a worker process), eval (AP metrics
 for a results file), gen-synthetic (test scenes with ground truth).
 
-A run's grid and oracle settings come only from its config file (see
-frameio.read_run_config); no flag overrides them. A config with a
-[cluster] section runs on those workers, one without it in process. The
-flags of run and serve name only what differs between runs of one config:
-run's mode and output paths, serve's listen address.
+A run's grid comes only from its config file (see frameio.read_run_config);
+no flag overrides it. The oracle's two thresholds are constants
+(detector.VISIBILITY_THRESHOLD and MIN_TILE_PX), set by no flag or key. A
+config with a [cluster] section runs on those workers, one without it in
+process. The flags of run and serve name only what differs between runs of
+one config: run's mode and output paths, serve's listen address.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error
 (a worker whose detector resolves crop ids against another crop catalog
@@ -111,16 +112,6 @@ def _scene_inputs(config: RunConfig):
     return gt_by_frame, width, height, frames
 
 
-def _oracle(config: RunConfig, gt_by_frame, width, height):
-    try:
-        return oracle_for_scene(
-            width, height, config.settings, gt_by_frame,
-            config.visibility_threshold, min_tile_px=config.min_tile_px,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _print_run_summary(results, wall_s: float, mode: str) -> None:
     count = len(results)
     fps = count / wall_s if wall_s > 0 else 0.0
@@ -165,7 +156,7 @@ def cmd_run(args) -> int:
                 raise UsageError(str(exc)) from exc
             raise
     else:
-        oracle = _oracle(config, gt_by_frame, width, height)
+        oracle = oracle_for_scene(width, height, settings, gt_by_frame)
         plan = GridPlan.build(width, height, settings)
         results = list(run_sequence(frames, settings, oracle, plan=plan, mode=mode))
     wall_s = time.perf_counter() - started
@@ -187,7 +178,7 @@ def cmd_serve(args) -> int:
 
     config = _load_config(args.config)
     gt_by_frame, width, height, _ = _scene_inputs(config)
-    oracle = _oracle(config, gt_by_frame, width, height)
+    oracle = oracle_for_scene(width, height, config.settings, gt_by_frame)
 
     server = DetectorServer(oracle, host, port)
     print(f"listening on {server.endpoint}", flush=True)

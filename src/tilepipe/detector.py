@@ -120,31 +120,21 @@ def crop_catalog_key(crops_by_id: Mapping[int, CropSpec]) -> str:
     return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
 
 
-# The oracle's defaults: see mock_detect.
+# The oracle's two fixed thresholds: see mock_detect.
 VISIBILITY_THRESHOLD = 0.3
 MIN_TILE_PX = 8
 
 
-def mock_detect(
-    crop: CropSpec,
-    gt: Sequence[GroundTruthObject],
-    visibility_threshold: float,
-    *,
-    min_tile_px: int = MIN_TILE_PX,
-) -> list[Detection]:
+def mock_detect(crop: CropSpec, gt: Sequence[GroundTruthObject]) -> list[Detection]:
     """Geometric stand-in for a real detector.
 
     Emits every ground-truth object whose area fraction inside the crop is at
-    least ``visibility_threshold``, as the clipped rect projected to 608
-    space, with confidence equal to that fraction. Objects whose visible part
-    projects to fewer than ``min_tile_px`` pixels in either dimension at tile
+    least VISIBILITY_THRESHOLD, as the clipped rect projected to 608 space,
+    with confidence equal to that fraction. Objects whose visible part
+    projects to fewer than MIN_TILE_PX pixels in either dimension at tile
     scale are dropped: that is how downscaled evaluation loses small objects
     here, since no real network is involved. Fully deterministic.
     """
-    if not 0.0 < visibility_threshold <= 1.0:
-        raise ValueError(
-            f"visibility_threshold must be in (0, 1], got {visibility_threshold}"
-        )
     side = crop.global_rect.w
     out = []
     for obj in gt:
@@ -152,11 +142,11 @@ def mock_detect(
         if visible is None:
             continue
         fraction = visible.area / obj.rect.area
-        if fraction < visibility_threshold:
+        if fraction < VISIBILITY_THRESHOLD:
             continue
-        if min_tile_px > 0 and (
-            visible.w * MODEL_SIDE < min_tile_px * side
-            or visible.h * MODEL_SIDE < min_tile_px * side
+        if (
+            visible.w * MODEL_SIDE < MIN_TILE_PX * side
+            or visible.h * MODEL_SIDE < MIN_TILE_PX * side
         ):
             continue
         out.append(Detection(to_local(visible, crop), obj.class_label, fraction))
@@ -178,21 +168,10 @@ class SceneOracle(Detector):
         self,
         crops_by_id: Mapping[int, CropSpec],
         gt_by_frame: Mapping[int, Sequence[GroundTruthObject]],
-        visibility_threshold: float = VISIBILITY_THRESHOLD,
-        *,
-        min_tile_px: int = MIN_TILE_PX,
     ):
-        if not 0.0 < visibility_threshold <= 1.0:
-            raise ValueError(
-                f"visibility_threshold must be in (0, 1], got {visibility_threshold}"
-            )
-        if min_tile_px < 0:
-            raise ValueError(f"min_tile_px must be >= 0, got {min_tile_px}")
         self._crops = dict(crops_by_id)
         self.catalog_key = crop_catalog_key(self._crops)
         self._gt = {fid: tuple(objs) for fid, objs in gt_by_frame.items()}
-        self._visibility_threshold = visibility_threshold
-        self._min_tile_px = min_tile_px
 
     def detect(
         self, frame_id: int, crop_ids: Sequence[int], tiles: np.ndarray | None = None
@@ -203,8 +182,7 @@ class SceneOracle(Detector):
         if unknown:
             raise ValueError(f"unknown crop_id: {unknown[0]}")
         gt = self._gt.get(frame_id, ())
-        v, px = self._visibility_threshold, self._min_tile_px
-        return [mock_detect(self._crops[i], gt, v, min_tile_px=px) for i in crop_ids]
+        return [mock_detect(self._crops[i], gt) for i in crop_ids]
 
 
 class _CutPlan(NamedTuple):

@@ -370,16 +370,17 @@ def _exchange(
     if reply.get("frame_id") != frame_id:
         raise RemoteFault(endpoint, f"reply for frame {reply.get('frame_id')!r}")
     try:
-        by_crop = {
-            row["crop_id"]: [detection_from_row(d) for d in row["detections"]]
+        rows = [
+            (row["crop_id"], [detection_from_row(d) for d in row["detections"]])
             for row in reply["results"]
-        }
+        ]
     except (KeyError, TypeError, ValueError) as exc:
         raise RemoteFault(endpoint, f"bad EVAL_RESPONSE: {exc!r}") from exc
-    missing = {c.crop_id for c in request.crops} - set(by_crop)
-    if missing:
-        raise RemoteFault(endpoint, f"missing results for crops {sorted(missing)}")
-    return by_crop, busy_ms
+    asked = [c.crop_id for c in request.crops]
+    answered = [crop_id for crop_id, _ in rows]
+    if answered != asked:
+        raise RemoteFault(endpoint, f"results for crops {answered}, asked for {asked}")
+    return dict(rows), busy_ms
 
 
 def evaluate_remote(

@@ -18,6 +18,7 @@ Message types:
                  message has no payload. A raster-free request has neither
                  a payload nor shm.
   EVAL_RESPONSE  {type, frame_id, results: [{crop_id, detections}, ...]}
+                 one result per requested crop, in request order.
                  detections are crop-local in model-input space:
                  {x, y, w, h, class, confidence} (detector.detection_row);
                  no payload

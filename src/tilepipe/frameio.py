@@ -26,8 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from .detector import (
-    MIN_TILE_PX,
-    VISIBILITY_THRESHOLD,
     Detection,
     GroundTruthObject,
     detection_from_row,
@@ -212,8 +210,6 @@ class FrameSource:
 def load_frame(source: FrameSource, index: int) -> np.ndarray:
     """Load one frame's raster, checking it against the sequence dimensions."""
     path = source.path_for(index)
-    if not path.is_file():
-        raise FileNotFoundError(f"frame file missing: {path}")
     raster = read_ppm(path)
     height, width = raster.shape[:2]
     if (width, height) != (source.width, source.height):
@@ -369,9 +365,9 @@ def write_timing_csv(results: Sequence[FrameResult], path) -> None:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a run needs: pipeline settings, where the data lives, the
-    oracle's settings, and the cluster of a run on workers. A run is remote
-    if and only if it has a cluster."""
+    """Everything a run needs: pipeline settings, where the data lives, and
+    the cluster of a run on workers. A run is remote if and only if it has a
+    cluster."""
 
     settings: PipelineSettings
     ground_truth_path: Path
@@ -381,8 +377,6 @@ class RunConfig:
     timing_path: Path | None = None
     frame_width: int | None = None
     frame_height: int | None = None
-    visibility_threshold: float = VISIBILITY_THRESHOLD
-    min_tile_px: int = MIN_TILE_PX
 
     def __post_init__(self):
         if self.frames_dir is None and (
@@ -392,10 +386,6 @@ class RunConfig:
         for key, side in (("width", self.frame_width), ("height", self.frame_height)):
             if side is not None and side < 1:
                 raise ValueError(f"[frame] {key}: must be >= 1, got {side}")
-        if not 0.0 < self.visibility_threshold <= 1.0:
-            raise ValueError("[detector] visibility_threshold: must be in (0, 1]")
-        if self.min_tile_px < 0:
-            raise ValueError("[detector] min_tile_px: must be >= 0")
 
 
 def _split_endpoints(raw: str) -> tuple[str, ...]:
@@ -405,7 +395,6 @@ def _split_endpoints(raw: str) -> tuple[str, ...]:
 # Every section of a run config and the keys each may hold.
 _CONFIG_KEYS = {
     "pipeline": ("preset", "attention_margin_px", "temporal_window", "min_confidence"),
-    "detector": ("visibility_threshold", "min_tile_px"),
     "paths": ("ground_truth", "results", "frames", "timing"),
     "frame": ("width", "height"),
     "cluster": ("final_workers", "attention_workers", "request_timeout_s"),
@@ -422,8 +411,6 @@ def read_run_config(path) -> RunConfig:
       [pipeline]  preset (required): the grid, like "1 att, 3 fin, 20 over";
                   attention_margin_px (20), temporal_window (2) and
                   min_confidence (0.3): see PipelineSettings.
-      [detector]  the oracle's visibility_threshold (0.3) and min_tile_px
-                  (8): see detector.mock_detect.
       [paths]     ground_truth and results (required), frames (a directory
                   of frame_%06d.ppm files) and timing (results' name with
                   _timing.csv).
@@ -548,5 +535,4 @@ def _run_config(parser: configparser.ConfigParser, path: Path) -> RunConfig:
         timing_path=timing_path,
         frame_width=size.get("width"),
         frame_height=size.get("height"),
-        **given("detector", {"visibility_threshold": float, "min_tile_px": int}),
     )

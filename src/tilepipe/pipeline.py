@@ -25,8 +25,6 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 
 from .detector import (
-    MIN_TILE_PX,
-    VISIBILITY_THRESHOLD,
     Detection,
     Detector,
     GroundTruthObject,
@@ -300,18 +298,10 @@ def oracle_for_scene(
     frame_h: int,
     settings: PipelineSettings,
     gt_by_frame: Mapping[int, Sequence[GroundTruthObject]],
-    visibility_threshold: float = VISIBILITY_THRESHOLD,
-    *,
-    min_tile_px: int = MIN_TILE_PX,
 ) -> SceneOracle:
     """Ground-truth oracle wired to the run's crop id space."""
     plan = GridPlan.build(frame_w, frame_h, settings)
-    return SceneOracle(
-        plan.crops_by_id(),
-        gt_by_frame,
-        visibility_threshold,
-        min_tile_px=min_tile_px,
-    )
+    return SceneOracle(plan.crops_by_id(), gt_by_frame)
 
 
 def usable_cpus() -> int:

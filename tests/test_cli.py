@@ -36,8 +36,6 @@ def write_config(path, scene_dir, cluster=None):
     lines = [
         "[pipeline]",
         f"preset = {PRESET}",
-        "[detector]",
-        "visibility_threshold = 0.3",
         "[paths]",
         f"ground_truth = {scene_dir / 'gt.jsonl'}",
         f"frames = {scene_dir}",
@@ -248,10 +246,10 @@ def test_grid_without_preset_or_rows_exits_2(scene_dir, tmp_path, capsys):
 MALFORMED_CONFIGS = {
     "no-section-header": lambda text: text.replace("[pipeline]\n", "", 1),
     "duplicate-key": lambda text: text.replace(
-        "[detector]\n", f"preset = {PRESET}\n[detector]\n", 1
+        "[paths]\n", f"preset = {PRESET}\n[paths]\n", 1
     ),
     "lone-percent": lambda text: text.replace(
-        "[detector]\n", "[detector]\nmin_tile_px = 8%\n", 1
+        "[paths]\n", "[paths]\ntiming = t%\n", 1
     ),
 }
 CONFIG_COMMANDS = {
@@ -283,8 +281,13 @@ def no_server(monkeypatch):
 
 UNKNOWN_KEYS = {
     "overlap-beside-preset": (
-        "[detector]\n", "overlap_px = 50\n[detector]\n",
+        "[paths]\n", "overlap_px = 50\n[paths]\n",
         "[pipeline] overlap_px: unknown key",
+    ),
+    # the oracle's thresholds are constants, so no section sets them
+    "detector-section": (
+        "[paths]\n", "[detector]\nvisibility_threshold = 0.3\n[paths]\n",
+        "unknown section [detector]",
     ),
     "run-section": (
         "[paths]\n", "[run]\nmode = downscale\n[paths]\n", "unknown section [run]",
@@ -315,8 +318,6 @@ BAD_VALUES = {
     "negative-margin": ("[pipeline]", "attention_margin_px", "-1"),
     "confidence-over-1": ("[pipeline]", "min_confidence", "1.5"),
     "fewer-final-rows": ("[pipeline]", "preset", "2 att, 1 fin, 50 over"),
-    # not a key: [cluster] alone says whether a run is remote
-    "unknown-kind": ("[detector]", "kind", "banana"),
 }
 
 
@@ -407,7 +408,7 @@ def test_frame_size_disagreeing_with_frames_exits_2(scene_dir, tmp_path, capsys,
 
 
 def test_run_and_serve_take_no_settings_flags():
-    """A run's grid and oracle settings come only from its config file."""
+    """A run's grid comes only from its config file; no flag sets it."""
     (subparsers,) = (
         action
         for action in build_parser()._actions

@@ -9,6 +9,8 @@ import pytest
 
 from tilepipe import detector
 from tilepipe.detector import (
+    MIN_TILE_PX,
+    VISIBILITY_THRESHOLD,
     Detection,
     GroundTruthObject,
     SceneOracle,
@@ -88,12 +90,12 @@ class TestDetectionTypes:
 class TestMockDetect:
     def test_empty_scene(self):
         crop = make_crop(0, 0, 0, 608)
-        assert mock_detect(crop, [], 0.3) == []
+        assert mock_detect(crop, []) == []
 
     def test_fully_contained_object(self):
         crop = make_crop(0, 0, 0, 608)
         gt = [GroundTruthObject(Rect(100, 200, 50, 40), "person", "a")]
-        dets = mock_detect(crop, gt, 0.3)
+        dets = mock_detect(crop, gt)
         assert len(dets) == 1
         assert dets[0].confidence == 1.0
         assert dets[0].class_label == "person"
@@ -103,21 +105,25 @@ class TestMockDetect:
     def test_partial_below_threshold_not_emitted(self):
         crop = make_crop(0, 0, 0, 300)
         gt = [GroundTruthObject(Rect(280, 0, 100, 50), "car", "a")]
-        assert mock_detect(crop, gt, 0.3) == []
+        assert mock_detect(crop, gt) == []
 
     def test_threshold_boundary_is_inclusive(self):
+        # a 100 px wide object with `visible` px inside the crop's right edge
         crop = make_crop(0, 0, 0, 300)
-        gt = [GroundTruthObject(Rect(250, 0, 100, 50), "car", "a")]
-        dets = mock_detect(crop, gt, 0.5)
+        visible = round(VISIBILITY_THRESHOLD * 100)
+        at = [GroundTruthObject(Rect(300 - visible, 0, 100, 50), "car", "a")]
+        under = [GroundTruthObject(Rect(301 - visible, 0, 100, 50), "car", "b")]
+        dets = mock_detect(crop, at)
         assert len(dets) == 1
-        assert dets[0].confidence == 0.5
+        assert dets[0].confidence == VISIBILITY_THRESHOLD
+        assert mock_detect(crop, under) == []
 
     def test_straddling_object_emitted_by_both_sides(self):
         left = make_crop(0, 0, 0, 300)
         right = make_crop(1, 300, 0, 300)
         gt = [GroundTruthObject(Rect(240, 10, 100, 50), "person", "a")]
-        dets_l = mock_detect(left, gt, 0.3)
-        dets_r = mock_detect(right, gt, 0.3)
+        dets_l = mock_detect(left, gt)
+        dets_r = mock_detect(right, gt)
         assert len(dets_l) == 1 and len(dets_r) == 1
         in_l, total = lattice_fraction(gt[0].rect, left.global_rect)
         in_r, _ = lattice_fraction(gt[0].rect, right.global_rect)
@@ -131,7 +137,7 @@ class TestMockDetect:
             GroundTruthObject(Rect(100, 100, 40, 40), "person", "small"),
             GroundTruthObject(Rect(500, 500, 60, 60), "person", "big"),
         ]
-        dets = mock_detect(crop, gt, 0.3)
+        dets = mock_detect(crop, gt)
         assert len(dets) == 1
         assert dets[0].rect.w == pytest.approx(60 * 608 / 3840)
 
@@ -139,22 +145,17 @@ class TestMockDetect:
         crop = make_crop(0, 0, 0, 608)
         keep = [GroundTruthObject(Rect(10, 10, 8, 20), "person", "a")]
         drop = [GroundTruthObject(Rect(10, 10, 7, 20), "person", "b")]
-        assert len(mock_detect(crop, keep, 0.3)) == 1
-        assert mock_detect(crop, drop, 0.3) == []
+        assert len(mock_detect(crop, keep)) == 1
+        assert mock_detect(crop, drop) == []
 
     def test_min_tile_rule_applies_to_visible_part(self):
         # 7 of 20 px visible: fraction 0.35 passes but the sliver is too thin
         crop = make_crop(0, 0, 0, 608)
         gt = [GroundTruthObject(Rect(601, 10, 20, 20), "person", "a")]
-        assert mock_detect(crop, gt, 0.3) == []
-        assert len(mock_detect(crop, gt, 0.3, min_tile_px=0)) == 1
-
-    def test_visibility_threshold_validated(self):
-        crop = make_crop(0, 0, 0, 608)
-        with pytest.raises(ValueError):
-            mock_detect(crop, [], 0.0)
-        with pytest.raises(ValueError):
-            mock_detect(crop, [], 1.1)
+        assert mock_detect(crop, gt) == []
+        # MIN_TILE_PX of 20 px visible, at tile scale 1: kept
+        wide = [GroundTruthObject(Rect(608 - MIN_TILE_PX, 10, 20, 20), "person", "b")]
+        assert len(mock_detect(crop, wide)) == 1
 
     def test_deterministic(self):
         crop = make_crop(0, 30, 40, 500)
@@ -162,7 +163,7 @@ class TestMockDetect:
             GroundTruthObject(Rect(10 * i, 20, 80, 60), "person", f"o{i}")
             for i in range(8)
         ]
-        assert mock_detect(crop, gt, 0.3) == mock_detect(crop, gt, 0.3)
+        assert mock_detect(crop, gt) == mock_detect(crop, gt)
 
     def test_random_scenes_match_lattice_oracle(self):
         rng = random.Random(11)
@@ -176,7 +177,7 @@ class TestMockDetect:
                 rect = Rect(rng.randint(0, 500), rng.randint(0, 500), w, h)
                 # one class per object so results map back unambiguously
                 gt.append(GroundTruthObject(rect, f"c{i}", f"o{i}"))
-            dets = mock_detect(crop, gt, 0.3)
+            dets = mock_detect(crop, gt)
             assert [d.confidence for d in dets] == sorted(
                 (d.confidence for d in dets), reverse=True
             )
@@ -188,17 +189,18 @@ class TestMockDetect:
             for obj in gt:
                 inside, total = lattice_fraction(obj.rect, crop.global_rect)
                 visible = obj.rect.intersection(crop.global_rect)
-                expect = inside / total >= 0.3
+                expect = inside / total >= VISIBILITY_THRESHOLD
                 if expect:
                     expect = (
-                        visible.w * 608 >= 8 * side and visible.h * 608 >= 8 * side
+                        visible.w * 608 >= MIN_TILE_PX * side
+                        and visible.h * 608 >= MIN_TILE_PX * side
                     )
                 assert (obj.class_label in by_class) == expect, (obj, crop)
                 if expect:
                     assert by_class[obj.class_label].confidence == inside / total
 
 
-def simple_oracle(threshold=0.3, **kwargs):
+def simple_oracle():
     crops = {
         0: make_crop(0, 0, 0, 300),
         1: make_crop(1, 300, 0, 300),
@@ -209,7 +211,7 @@ def simple_oracle(threshold=0.3, **kwargs):
             GroundTruthObject(Rect(240, 10, 100, 50), "car", "b"),
         ]
     }
-    return SceneOracle(crops, gt, threshold, **kwargs)
+    return SceneOracle(crops, gt)
 
 
 class TestSceneOracle:
@@ -239,10 +241,6 @@ class TestSceneOracle:
         for bad in (tiles[:1], tiles[:, :100], tiles[0], tiles.astype(np.int16)):
             with pytest.raises(ValueError, match="tiles"):
                 oracle.detect(5, [0, 1], bad)
-
-    def test_threshold_validated(self):
-        with pytest.raises(ValueError):
-            simple_oracle(threshold=0.0)
 
     def test_concurrent_calls_match_serial(self):
         oracle = simple_oracle()

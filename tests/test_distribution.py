@@ -12,7 +12,7 @@ import sys
 import threading
 import time
 import weakref
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -24,7 +24,13 @@ import tilepipe
 from test_cut_pool import TileHashDetector
 from test_reference_pipeline import runs, scene_frames
 from test_wire import UNPARSABLE_HEADERS, framed, headers as wire_headers
-from tilepipe.detector import Detector, GroundTruthObject, crop_catalog_key
+from tilepipe.detector import (
+    Detection,
+    Detector,
+    GroundTruthObject,
+    crop_catalog_key,
+    detection_row,
+)
 from tilepipe.distribution import (
     ClusterConfig,
     DetectorServer,
@@ -959,6 +965,67 @@ class TestEvaluateRemote:
         with client._Session(["127.0.0.1:1"], 0.5) as session:
             assert evaluate_remote(Frame(0, 1280, 720), [], session, []) == ({}, ())
         assert opened == []
+
+    # crop ids a worker answers, from the crop ids it was asked for
+    BAD_REPLIES = {
+        "extra-row": lambda ids: [*ids, 999],
+        "repeated-row": lambda ids: [*ids, ids[0]],
+        "missing-row": lambda ids: ids[1:],
+        "reordered": lambda ids: ids[::-1],
+    }
+
+    @pytest.mark.parametrize("reply", BAD_REPLIES)
+    def test_reply_must_answer_each_crop_once_in_order(self, reply):
+        crops = make_plan().final_grid.crops[:2]
+        with scripted_worker(self.BAD_REPLIES[reply]) as endpoint:
+            with pytest.raises(RemoteFault, match="asked for") as err:
+                evaluate(Frame(0, 1280, 720), crops, [endpoint], 5.0)
+        assert err.value.endpoint == endpoint
+
+    def test_reply_cannot_overwrite_another_workers_results(self):
+        """The second worker also answers the crop asked of the first; the
+        merged stage must not take its row in place of the first's."""
+        crops = make_plan().final_grid.crops[:2]
+        stolen = crops[0].crop_id  # dispatch asks the first worker for it
+        with DetectorServer(make_oracle()) as honest, scripted_worker(
+            lambda ids: [stolen, *ids]
+        ) as thief:
+            with pytest.raises(RemoteFault) as err:
+                evaluate(Frame(0, 1280, 720), crops, [honest.endpoint, thief], 5.0)
+        assert err.value.endpoint == thief
+
+
+# the one detection a scripted worker reports for every crop it answers
+MADE_UP_ROW = detection_row(Detection(Rect(1, 2, 3, 4), "car", 0.5))
+
+
+@contextmanager
+def scripted_worker(answer):
+    """The endpoint of a worker that takes one connection and answers its
+    one EVAL_REQUEST with a row of MADE_UP_ROW for each crop id of
+    answer(requested crop ids): replies no DetectorServer sends."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    listener.settimeout(5)
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn:
+            conn.settimeout(5)
+            header, _ = wire.recv_message(conn)
+            ids = [entry["crop_id"] for entry in header["crops"]]
+            rows = [{"crop_id": i, "detections": [MADE_UP_ROW]} for i in answer(ids)]
+            conn.sendall(wire.eval_response(header["frame_id"], rows))
+
+    thread = threading.Thread(target=serve)
+    thread.start()
+    try:
+        yield f"127.0.0.1:{listener.getsockname()[1]}"
+    finally:
+        thread.join(10)
+        listener.close()
+    assert not thread.is_alive()
 
 
 def frames(count=4):

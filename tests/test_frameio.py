@@ -598,12 +598,10 @@ class TestRunConfig:
         assert config.ground_truth_path == tmp_path / "gt.jsonl"
         assert config.results_path == tmp_path / "results.jsonl"
         assert config.settings.final.rows == 3
-        assert config.visibility_threshold == 0.3
 
     EVERY_KEY = (
         "[pipeline]\npreset = 1 att, 2 fin, 30 over\nattention_margin_px = 12\n"
         "temporal_window = 3\nmin_confidence = 0.4\n"
-        "[detector]\nvisibility_threshold = 0.25\nmin_tile_px = 4\n"
         "[paths]\nground_truth = gt.jsonl\nresults = out.jsonl\nframes = frames\n"
         "timing = t.csv\n"
         "[frame]\nwidth = 16\nheight = 8\n"
@@ -631,8 +629,6 @@ class TestRunConfig:
             timing_path=tmp_path / "t.csv",
             frame_width=16,
             frame_height=8,
-            visibility_threshold=0.25,
-            min_tile_px=4,
         )
         path = tmp_path / "run.cfg"
         path.write_text(self.EVERY_KEY)
@@ -653,11 +649,16 @@ class TestRunConfig:
         [
             ("overlap_px = 50\n", "[pipeline] overlap_px: unknown key"),
             ("[run]\nmode = downscale\n", "unknown section [run]"),
-            ("[DEFAULT]\nmin_tile_px = 4\n", "[DEFAULT] min_tile_px"),
+            ("[DEFAULT]\ntemporal_window = 3\n", "[DEFAULT] temporal_window"),
             ("[cluster]\nfinal_worker = 127.0.0.1:7601\n",
              "[cluster] final_worker: unknown key"),
+            # the oracle's thresholds are constants, so no section sets them
+            ("[detector]\nvisibility_threshold = 0.3\n", "unknown section [detector]"),
         ],
-        ids=["overlap-beside-preset", "run-section", "default-key", "cluster-typo"],
+        ids=[
+            "overlap-beside-preset", "run-section", "default-key", "cluster-typo",
+            "detector-section",
+        ],
     )
     def test_unknown_section_or_key_names_it(self, tmp_path, extra, named):
         write_minimal_gt(tmp_path / "gt.jsonl")
