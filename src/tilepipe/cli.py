@@ -5,12 +5,16 @@ over a frame source; in process through pipeline.run_sequence, or on
 workers through run_stream), serve (a worker process), eval (AP metrics
 for a results file), gen-synthetic (test scenes with ground truth).
 
-A run's grid comes only from its config file (see frameio.read_run_config);
-no flag overrides it. The oracle's two thresholds are constants
-(detector.VISIBILITY_THRESHOLD and MIN_TILE_PX), set by no flag or key. A
-config with a [cluster] section runs on those workers, one without it in
-process. The flags of run and serve name only what differs between runs of
-one config: run's mode and output paths, serve's listen address.
+A run's grid comes only from its config file (see frameio.read_run_config),
+whose [pipeline] section holds only the preset; no flag overrides it. The
+active-crop policy is three constants (pipeline.ATTENTION_MARGIN_PX,
+TEMPORAL_WINDOW and MIN_CONFIDENCE), and the oracle's two thresholds are
+two more (detector.VISIBILITY_THRESHOLD and MIN_TILE_PX): no flag or key
+sets any of them. A config with a [cluster] section runs on those workers,
+one without it in process. The flags of run and serve name only what
+differs between runs of one config: run's mode and output paths, serve's
+listen address. run checks that the directories of both output paths
+exist before it reads a frame.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error
 (a worker whose detector resolves crop ids against another crop catalog
@@ -135,7 +139,6 @@ def cmd_run(args) -> int:
     config = _load_config(args.config)
     mode = args.mode
     settings = config.settings
-    gt_by_frame, width, height, frames = _scene_inputs(config)
 
     results_path = Path(args.results) if args.results else config.results_path
     if args.timing:
@@ -144,6 +147,11 @@ def cmd_run(args) -> int:
         timing_path = config.timing_path
     else:
         timing_path = results_path.with_name(results_path.stem + "_timing.csv")
+    for out in (results_path, timing_path):
+        if not out.parent.is_dir():
+            raise UsageError(f"output directory not found: {out.parent}")
+
+    gt_by_frame, width, height, frames = _scene_inputs(config)
 
     started = time.perf_counter()
     if config.cluster is not None:

@@ -33,6 +33,7 @@ import secrets
 import socket
 import threading
 import time
+from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -42,6 +43,7 @@ import numpy as np
 from ..detector import Detection, crop_catalog_key, cut_tile, detection_from_row
 from ..geometry import MODEL_SIDE, TILE_BYTES, CropSpec
 from ..pipeline import (
+    TEMPORAL_WINDOW,
     AttentionModel,
     Frame,
     FrameResult,
@@ -416,7 +418,7 @@ def _attention_remote(frame: Frame, plan: GridPlan, session: _Session) -> Attent
     crops = plan.attention_grid.crops
     requests = cut_requests(frame, crops, session)
     by_crop, _ = evaluate_remote(frame, crops, session, requests)
-    return attention_model(frame, crops, by_crop, plan.settings.min_confidence)
+    return attention_model(frame, crops, by_crop)
 
 
 def _echoes_probe(reply: dict, nonce: bytes) -> bool:
@@ -530,10 +532,8 @@ def run_stream(
     attention thread and the request threads are joined, the connections
     closed and the blocks unlinked before run_stream returns or raises.
     """
-    keep = settings.temporal_window - 1
-
     results: list[FrameResult] = []
-    history: list[AttentionModel] = []
+    history: deque[AttentionModel] = deque(maxlen=TEMPORAL_WINDOW - 1)
     timeout_s = cluster.request_timeout_s
     final = _Session(cluster.final_workers, timeout_s)
     ahead = _Session(cluster.attention_workers or cluster.final_workers, timeout_s)
@@ -566,10 +566,8 @@ def run_stream(
                 wait_ms = (time.perf_counter() - waited) * 1000
 
                 c0 = time.perf_counter()
-                merged = merge_temporal([*history, att], settings.temporal_window)
-                active = select_active(
-                    plan.final_grid, merged, settings.attention_margin_px
-                )
+                merged = merge_temporal([*history, att])
+                active = select_active(plan.final_grid, merged)
                 crops = active.crops
                 requests = cut_requests(frame, crops, final)
                 c1 = time.perf_counter()
@@ -584,9 +582,7 @@ def run_stream(
                 del requests  # a request's payload holds frame t's tiles
                 tagged = tag_global(frame, crops, by_crop)
                 p0 = time.perf_counter()
-                dets = finish_detections(
-                    tagged, plan.final_grid, settings.min_confidence
-                )
+                dets = finish_detections(tagged, plan.final_grid)
                 p1 = time.perf_counter()
             except Exception as exc:
                 raise StreamAborted(t, results, str(exc)) from exc
@@ -609,7 +605,6 @@ def run_stream(
                 )
             )
             history.append(att)
-            del history[: max(0, len(history) - keep)]
             frame, io_ms = upcoming, upcoming_io_ms
             del upcoming  # frame is the one reference to the next frame's pixels
             t += 1

@@ -163,8 +163,8 @@ def read_ppm(path) -> np.ndarray:
 class FrameSource:
     """A directory of frame_%06d.ppm files, ordered by numeric index.
 
-    Dimensions are taken from the first frame's header; every loaded frame
-    is checked against them.
+    Dimensions are taken from the first frame's header; every frame that
+    frames() reads is checked against them.
     """
 
     directory: Path
@@ -187,37 +187,20 @@ class FrameSource:
         width, height = _ppm_size(directory / frame_file_name(ids[0]))
         return cls(directory, tuple(ids), width, height)
 
-    def __len__(self) -> int:
-        return len(self.frame_ids)
-
-    def path_for(self, index: int) -> Path:
-        if not 0 <= index < len(self.frame_ids):
-            raise IndexError(
-                f"frame index {index} out of range, have {len(self.frame_ids)} frames"
-            )
-        return self.directory / frame_file_name(self.frame_ids[index])
-
-    def frame(self, index: int) -> Frame:
-        return Frame(
-            self.frame_ids[index], self.width, self.height, load_frame(self, index)
-        )
-
     def frames(self) -> Iterator[Frame]:
-        for index in range(len(self.frame_ids)):
-            yield self.frame(index)
-
-
-def load_frame(source: FrameSource, index: int) -> np.ndarray:
-    """Load one frame's raster, checking it against the sequence dimensions."""
-    path = source.path_for(index)
-    raster = read_ppm(path)
-    height, width = raster.shape[:2]
-    if (width, height) != (source.width, source.height):
-        raise FrameDimensionError(
-            f"{path}: {width}x{height} does not match sequence "
-            f"{source.width}x{source.height}"
-        )
-    return raster
+        """Each frame in order, its file read only when it is pulled. A file
+        gone since open raises FileNotFoundError, one that does not decode
+        FrameDecodeError, and one of another size FrameDimensionError."""
+        for frame_id in self.frame_ids:
+            path = self.directory / frame_file_name(frame_id)
+            pixels = read_ppm(path)
+            height, width = pixels.shape[:2]
+            if (width, height) != (self.width, self.height):
+                raise FrameDimensionError(
+                    f"{path}: {width}x{height} does not match sequence "
+                    f"{self.width}x{self.height}"
+                )
+            yield Frame(frame_id, width, height, pixels)
 
 
 def _int_or_float(value: float):
@@ -394,7 +377,7 @@ def _split_endpoints(raw: str) -> tuple[str, ...]:
 
 # Every section of a run config and the keys each may hold.
 _CONFIG_KEYS = {
-    "pipeline": ("preset", "attention_margin_px", "temporal_window", "min_confidence"),
+    "pipeline": ("preset",),
     "paths": ("ground_truth", "results", "frames", "timing"),
     "frame": ("width", "height"),
     "cluster": ("final_workers", "attention_workers", "request_timeout_s"),
@@ -408,9 +391,10 @@ def read_run_config(path) -> RunConfig:
     This is the one place a run's settings come from. An INI file with
     these sections and keys, and no others:
 
-      [pipeline]  preset (required): the grid, like "1 att, 3 fin, 20 over";
-                  attention_margin_px (20), temporal_window (2) and
-                  min_confidence (0.3): see PipelineSettings.
+      [pipeline]  preset (required): the grid, like "1 att, 3 fin, 20 over".
+                  The active-crop policy is pipeline's constants
+                  ATTENTION_MARGIN_PX, TEMPORAL_WINDOW and MIN_CONFIDENCE,
+                  set by no key.
       [paths]     ground_truth and results (required), frames (a directory
                   of frame_%06d.ppm files) and timing (results' name with
                   _timing.csv).
@@ -489,10 +473,8 @@ def _run_config(parser: configparser.ConfigParser, path: Path) -> RunConfig:
     pipeline = parser["pipeline"]
     if "preset" not in pipeline:
         raise ValueError("[pipeline] needs preset")
-    numbers = {"attention_margin_px": int, "temporal_window": int, "min_confidence": float}
-    tuning = given("pipeline", numbers)
     try:
-        settings = PipelineSettings.from_preset(pipeline["preset"], **tuning)
+        settings = PipelineSettings.from_preset(pipeline["preset"])
     except ValueError as exc:
         raise ValueError(f"[pipeline] {exc}") from exc
 
@@ -508,9 +490,6 @@ def _run_config(parser: configparser.ConfigParser, path: Path) -> RunConfig:
         raise FileNotFoundError(f"{path}: ground truth not found: {gt_path}")
     if frames_dir is not None and not frames_dir.is_dir():
         raise FileNotFoundError(f"{path}: frames directory not found: {frames_dir}")
-    for out in (results_path, timing_path):
-        if out is not None and not out.parent.is_dir():
-            raise FileNotFoundError(f"{path}: output directory not found: {out.parent}")
 
     cluster = None
     if "cluster" in parser:

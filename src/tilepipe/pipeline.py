@@ -20,6 +20,7 @@ import os
 import re
 import threading
 import time
+from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
@@ -49,16 +50,23 @@ PRESET_RE = re.compile(
     r"^\s*(\d+)\s*att\s*,\s*(\d+)\s*fin\s*,\s*(\d+)\s*over\s*$"
 )
 
+# The active-crop policy. A final-grid crop is active when it overlaps an
+# attention box grown by ATTENTION_MARGIN_PX on each side; the boxes are
+# those of the last TEMPORAL_WINDOW attention passes, the current one
+# included; and a detection, attention or final, counts only at a
+# confidence of MIN_CONFIDENCE or more.
+ATTENTION_MARGIN_PX = 20
+TEMPORAL_WINDOW = 2
+MIN_CONFIDENCE = 0.3
+
 
 @dataclass(frozen=True)
 class PipelineSettings:
-    """Everything that parameterizes a run, aside from the detector itself."""
+    """A run's two grids: all that parameterizes a run aside from the
+    detector, since the active-crop policy is the constants above."""
 
     attention: CropSettings
     final: CropSettings
-    attention_margin_px: int = 20
-    temporal_window: int = 2
-    min_confidence: float = 0.3
 
     def __post_init__(self):
         if self.final.rows < self.attention.rows:
@@ -66,20 +74,11 @@ class PipelineSettings:
                 f"final rows ({self.final.rows}) must be >= attention rows "
                 f"({self.attention.rows})"
             )
-        if self.attention_margin_px < 0:
-            raise ValueError(
-                f"attention_margin_px: must be >= 0, got {self.attention_margin_px}"
-            )
-        if self.temporal_window < 1:
-            raise ValueError(f"temporal_window: must be >= 1, got {self.temporal_window}")
-        if not 0.0 <= self.min_confidence <= 1.0:
-            raise ValueError(f"min_confidence: must be in [0, 1], got {self.min_confidence}")
 
     @classmethod
-    def from_preset(cls, text: str, **overrides) -> "PipelineSettings":
-        """Build settings from a preset string like "1 att, 3 fin, 50 over"
-        and overrides of the other fields. A ValueError starts with the name
-        of what it refuses: preset, or the field of an override."""
+    def from_preset(cls, text: str) -> "PipelineSettings":
+        """Build settings from a preset string like "1 att, 3 fin, 50 over".
+        A ValueError starts with "preset: "."""
         try:
             m = PRESET_RE.match(text)
             if m is None:
@@ -87,13 +86,12 @@ class PipelineSettings:
                     f"bad preset {text!r}, expected like '1 att, 3 fin, 50 over'"
                 )
             att_rows, fin_rows, overlap = (int(g) for g in m.groups())
-            grid = cls(
+            return cls(
                 attention=CropSettings(att_rows, overlap),
                 final=CropSettings(fin_rows, overlap),
             )
         except ValueError as exc:
             raise ValueError(f"preset: {exc}") from exc
-        return replace(grid, **overrides)
 
 
 @dataclass(frozen=True)
@@ -129,7 +127,6 @@ class AttentionModel:
 
     frame_id: int
     boxes: tuple[Rect, ...]
-    source_window: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -243,7 +240,6 @@ class GridPlan:
 
     frame_w: int
     frame_h: int
-    settings: PipelineSettings
     attention_grid: GridSpec
     final_grid: GridSpec
     downscale_crop: CropSpec
@@ -262,7 +258,7 @@ class GridPlan:
             Rect(0, 0, side, side),
             side / MODEL_SIDE,
         )
-        return cls(frame_w, frame_h, settings, attention_grid, final_grid, downscale_crop)
+        return cls(frame_w, frame_h, attention_grid, final_grid, downscale_crop)
 
     def check_frame(self, frame: Frame) -> None:
         """Raise ValueError unless the frame has the size this plan was built for."""
@@ -383,16 +379,16 @@ def attention_model(
     frame: Frame,
     crops: Sequence[CropSpec],
     found: Mapping[int, Sequence[Detection]],
-    min_confidence: float,
 ) -> AttentionModel:
-    """The confident boxes of an attention stage, in global pixels."""
+    """The boxes of an attention stage at MIN_CONFIDENCE or more, in global
+    pixels."""
     boxes = tuple(
         to_global(d.rect, crop, frame.width, frame.height)
         for crop in crops
         for d in found[crop.crop_id]
-        if d.confidence >= min_confidence
+        if d.confidence >= MIN_CONFIDENCE
     )
-    return AttentionModel(frame.frame_id, boxes, (frame.frame_id,))
+    return AttentionModel(frame.frame_id, boxes)
 
 
 def tag_global(
@@ -411,22 +407,21 @@ def tag_global(
 
 def attention_pass(frame: Frame, plan: GridPlan, det: Detector) -> AttentionModel:
     """Evaluate every coarse crop of the plan and collect its confident
-    boxes, under plan.settings.min_confidence, globally."""
+    boxes globally (see attention_model)."""
     crops = plan.attention_grid.crops
     found = detect_crops(frame, crops, det, "attention")
-    return attention_model(frame, crops, found, plan.settings.min_confidence)
+    return attention_model(frame, crops, found)
 
 
-def merge_temporal(history: Sequence[AttentionModel], window: int) -> AttentionModel:
-    """Union the boxes of the most recent ``window`` attention models."""
+def merge_temporal(history: Sequence[AttentionModel]) -> AttentionModel:
+    """Union the boxes of the last TEMPORAL_WINDOW attention models of
+    ``history``, the current frame's last."""
     if not history:
         raise ValueError("history must be non-empty")
-    if window < 1:
-        raise ValueError("window must be >= 1")
     ids = [m.frame_id for m in history]
     if ids != sorted(ids):
         raise ValueError(f"history must be ordered by frame_id, got {ids}")
-    recent = history[-window:]
+    recent = history[-TEMPORAL_WINDOW:]
     boxes = []
     seen = set()
     for model in recent:
@@ -434,17 +429,14 @@ def merge_temporal(history: Sequence[AttentionModel], window: int) -> AttentionM
             if box not in seen:
                 seen.add(box)
                 boxes.append(box)
-    return AttentionModel(
-        recent[-1].frame_id, tuple(boxes), tuple(m.frame_id for m in recent)
-    )
+    return AttentionModel(recent[-1].frame_id, tuple(boxes))
 
 
-def select_active(final_grid: GridSpec, att: AttentionModel, margin: int) -> ActiveSet:
-    """Mark final-grid crops that intersect any dilated attention box."""
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
+def select_active(final_grid: GridSpec, att: AttentionModel) -> ActiveSet:
+    """Mark final-grid crops that intersect any attention box dilated by
+    ATTENTION_MARGIN_PX."""
     dilated = [
-        box.dilated(margin, final_grid.frame_w, final_grid.frame_h)
+        box.dilated(ATTENTION_MARGIN_PX, final_grid.frame_w, final_grid.frame_h)
         for box in att.boxes
     ]
     active = frozenset(
@@ -468,11 +460,12 @@ def final_pass(
 
 
 def finish_detections(
-    tagged: Sequence[tuple[int, Detection]], grid: GridSpec, min_confidence: float
+    tagged: Sequence[tuple[int, Detection]], grid: GridSpec
 ) -> tuple[Detection, ...]:
-    """Postprocess a frame's tagged detections and drop the unconfident ones."""
+    """Postprocess a frame's tagged detections and drop those under
+    MIN_CONFIDENCE."""
     dets = postprocess(tagged, grid)
-    return tuple(d for d in dets if d.confidence >= min_confidence)
+    return tuple(d for d in dets if d.confidence >= MIN_CONFIDENCE)
 
 
 RUN_MODES = ("pipeline", "downscale", "allcrops")
@@ -501,20 +494,19 @@ def run_sequence(
     """Evaluate frames in order; the one in-process frame loop.
 
     ``mode`` picks each frame's active set. "pipeline" runs the attention
-    pass and activates the final-grid crops near what the last
-    ``temporal_window`` attention models saw. "downscale" activates the
-    single downscale pseudo-crop: the frame sits top-left in a square of
-    side max(width, height), squeezed into one model tile. "allcrops"
-    activates every final-grid crop, the exhaustive reference. All modes
-    then run the same final pass and postprocess.
+    pass and activates the final-grid crops within ATTENTION_MARGIN_PX of
+    what the last TEMPORAL_WINDOW attention passes saw. "downscale"
+    activates the single downscale pseudo-crop: the frame sits top-left in
+    a square of side max(width, height), squeezed into one model tile.
+    "allcrops" activates every final-grid crop, the exhaustive reference.
+    All modes then run the same final pass and postprocess.
 
     Without a plan, the first frame's size fixes the grid for the whole
     sequence; a frame of another size raises ValueError.
     """
     if mode not in RUN_MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {RUN_MODES}")
-    keep = settings.temporal_window - 1
-    history: list[AttentionModel] = []
+    history: deque[AttentionModel] = deque(maxlen=TEMPORAL_WINDOW - 1)
     for frame, io_ms in timed_pulls(frames):
         if plan is None:
             plan = GridPlan.build(frame.width, frame.height, settings)
@@ -524,10 +516,9 @@ def run_sequence(
         if mode == "pipeline":
             att = attention_pass(frame, plan, det)
             t1 = time.perf_counter()
-            merged = merge_temporal([*history, att], settings.temporal_window)
-            active = select_active(plan.final_grid, merged, settings.attention_margin_px)
+            merged = merge_temporal([*history, att])
+            active = select_active(plan.final_grid, merged)
             history.append(att)
-            del history[: max(0, len(history) - keep)]
         else:
             t1 = t0
             grid = plan.downscale_grid if mode == "downscale" else plan.final_grid
@@ -536,7 +527,7 @@ def run_sequence(
         tagged = final_pass(frame, active, det)
         t3 = time.perf_counter()
         try:
-            dets = finish_detections(tagged, active.grid, settings.min_confidence)
+            dets = finish_detections(tagged, active.grid)
         except Exception as exc:
             raise StageFailure("postprocess", frame.frame_id) from exc
         t4 = time.perf_counter()

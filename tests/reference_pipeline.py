@@ -21,6 +21,7 @@ from tilepipe.detector import Detector
 from tilepipe.frameio import FrameDecodeError, _ppm_header
 from tilepipe.geometry import MODEL_SIDE, CropSpec
 from tilepipe.pipeline import (
+    TEMPORAL_WINDOW,
     ActiveSet,
     AttentionModel,
     Frame,
@@ -56,13 +57,13 @@ def evaluate_frame(
     t0 = time.perf_counter()
     att = attention_pass(frame, plan, det)
     t1 = time.perf_counter()
-    merged = merge_temporal([*history, att], settings.temporal_window)
-    active = select_active(plan.final_grid, merged, settings.attention_margin_px)
+    merged = merge_temporal([*history, att])
+    active = select_active(plan.final_grid, merged)
     t2 = time.perf_counter()
     tagged = final_pass(frame, active, det)
     t3 = time.perf_counter()
     try:
-        dets = finish_detections(tagged, plan.final_grid, settings.min_confidence)
+        dets = finish_detections(tagged, plan.final_grid)
     except Exception as exc:
         raise StageFailure("postprocess", frame.frame_id) from exc
     t4 = time.perf_counter()
@@ -99,7 +100,7 @@ def run_downscale_baseline(
     t0 = time.perf_counter()
     tagged = tag_global(frame, crops, detect_crops(frame, crops, det, "downscale"))
     t1 = time.perf_counter()
-    dets = finish_detections(tagged, plan.downscale_grid, settings.min_confidence)
+    dets = finish_detections(tagged, plan.downscale_grid)
     t2 = time.perf_counter()
 
     timing = TimingProfile(
@@ -124,7 +125,7 @@ def run_allcrops_baseline(
     t0 = time.perf_counter()
     tagged = final_pass(frame, active, det)
     t1 = time.perf_counter()
-    dets = finish_detections(tagged, plan.final_grid, settings.min_confidence)
+    dets = finish_detections(tagged, plan.final_grid)
     t2 = time.perf_counter()
 
     timing = TimingProfile(
@@ -149,7 +150,7 @@ def reference_sequence(
         return [run_downscale_baseline(f, det, settings, plan=plan) for f in frames]
     if mode == "allcrops":
         return [run_allcrops_baseline(f, settings, det, plan=plan) for f in frames]
-    keep = settings.temporal_window - 1
+    keep = TEMPORAL_WINDOW - 1
     history: list[AttentionModel] = []
     results = []
     for frame in frames:

@@ -292,6 +292,23 @@ UNKNOWN_KEYS = {
     "run-section": (
         "[paths]\n", "[run]\nmode = downscale\n[paths]\n", "unknown section [run]",
     ),
+    # the active-crop policy is constants, so [pipeline] holds only the preset
+    "word-window": (
+        "[paths]\n", "temporal_window = two\n[paths]\n",
+        "[pipeline] temporal_window: unknown key",
+    ),
+    "zero-window": (
+        "[paths]\n", "temporal_window = 0\n[paths]\n",
+        "[pipeline] temporal_window: unknown key",
+    ),
+    "negative-margin": (
+        "[paths]\n", "attention_margin_px = -1\n[paths]\n",
+        "[pipeline] attention_margin_px: unknown key",
+    ),
+    "confidence-over-1": (
+        "[paths]\n", "min_confidence = 1.5\n[paths]\n",
+        "[pipeline] min_confidence: unknown key",
+    ),
 }
 
 
@@ -313,10 +330,6 @@ BAD_VALUES = {
     "zero-width": ("[frame]", "width", "0"),
     "nan-timeout": ("[cluster]", "request_timeout_s", "nan"),
     "inf-timeout": ("[cluster]", "request_timeout_s", "inf"),
-    "word-window": ("[pipeline]", "temporal_window", "two"),
-    "zero-window": ("[pipeline]", "temporal_window", "0"),
-    "negative-margin": ("[pipeline]", "attention_margin_px", "-1"),
-    "confidence-over-1": ("[pipeline]", "min_confidence", "1.5"),
     "fewer-final-rows": ("[pipeline]", "preset", "2 att, 1 fin, 50 over"),
 }
 
@@ -394,6 +407,25 @@ def test_serve_into_a_closed_stdout_exits_1(scene_dir, tmp_path):
     assert done.returncode == 1
     assert "Broken pipe" in done.stderr
     assert "Exception ignored" not in done.stderr
+
+
+@pytest.mark.parametrize("where", ["config-results", "results-flag", "timing-flag"])
+def test_missing_output_directory_exits_2(scene_dir, tmp_path, capsys, where):
+    """An output path whose directory is missing, from the config or from a
+    flag, stops the run before it evaluates a frame, so it writes no file."""
+    config = write_config(tmp_path / "local.ini", scene_dir)
+    missing = tmp_path / "nodir"
+    flags = []
+    if where == "config-results":
+        text = config.read_text()
+        config.write_text(text.replace(str(tmp_path / "local.jsonl"), str(missing / "r.jsonl")))
+    elif where == "results-flag":
+        flags = ["--results", str(missing / "r.jsonl")]
+    else:
+        flags = ["--timing", str(missing / "t.csv")]
+    assert main(["run", "--config", str(config), *flags]) == 2
+    assert f"output directory not found: {missing}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["local.ini"]
 
 
 @pytest.mark.usefixtures("no_server")

@@ -1453,7 +1453,7 @@ def worker_layouts(draw):
 @settings(max_examples=25, deadline=None)
 @given(run=runs(), layout=worker_layouts())
 def test_run_stream_matches_run_sequence(run, layout):
-    """Any scene, grid, temporal window and worker layout, with pixels or
+    """Any scene, grid, frame stride and worker layout, with pixels or
     without: run_stream writes the bytes of run_sequence. With pixels,
     confidences hash each tile, so a tile cut from the wrong frame or place
     changes them."""

@@ -16,7 +16,6 @@ from tilepipe.frameio import (
     FrameSource,
     RunConfig,
     frame_file_name,
-    load_frame,
     read_ground_truth,
     read_ppm,
     read_results,
@@ -125,14 +124,13 @@ class TestFrameSource:
     def test_open_sorts_by_numeric_index(self, tmp_path):
         write_sequence(tmp_path / "frames", [10, 0, 2])
         source = FrameSource.open(tmp_path / "frames")
-        assert source.frame_ids == (0, 2, 10)
+        assert [f.frame_id for f in source.frames()] == [0, 2, 10]
         assert (source.width, source.height) == (16, 8)
-        assert len(source) == 3
 
     def test_load_first_frame(self, tmp_path):
         write_sequence(tmp_path / "frames", [0, 1])
         source = FrameSource.open(tmp_path / "frames")
-        raster = load_frame(source, 0)
+        raster = next(source.frames()).pixels
         assert raster.shape == (8, 16, 3)
         assert np.array_equal(raster, checker(16, 8, seed=0))
 
@@ -163,35 +161,30 @@ class TestFrameSource:
         with pytest.raises(FrameDecodeError, match="383 of 384 bytes"):
             next(frames)
 
-    def test_out_of_range_index(self, tmp_path):
-        write_sequence(tmp_path / "frames", [0, 1])
-        source = FrameSource.open(tmp_path / "frames")
-        with pytest.raises(IndexError):
-            load_frame(source, 2)
-        with pytest.raises(IndexError):
-            load_frame(source, -1)
-
     def test_mixed_sizes_rejected(self, tmp_path):
         frames = tmp_path / "frames"
         write_sequence(frames, [0])
         write_ppm(frames / frame_file_name(1), checker(9, 9))
-        source = FrameSource.open(frames)
+        loaded = FrameSource.open(frames).frames()
+        assert next(loaded).frame_id == 0
         with pytest.raises(FrameDimensionError):
-            load_frame(source, 1)
+            next(loaded)
 
     def test_missing_file_after_open(self, tmp_path):
         write_sequence(tmp_path / "frames", [0, 1])
-        source = FrameSource.open(tmp_path / "frames")
+        frames = FrameSource.open(tmp_path / "frames").frames()
         (tmp_path / "frames" / frame_file_name(1)).unlink()
+        assert next(frames).frame_id == 0
         with pytest.raises(FileNotFoundError):
-            load_frame(source, 1)
+            next(frames)
 
     def test_decode_failure_on_load(self, tmp_path):
         write_sequence(tmp_path / "frames", [0, 1])
-        source = FrameSource.open(tmp_path / "frames")
+        frames = FrameSource.open(tmp_path / "frames").frames()
         (tmp_path / "frames" / frame_file_name(1)).write_bytes(b"junk")
+        assert next(frames).frame_id == 0
         with pytest.raises(FrameDecodeError):
-            load_frame(source, 1)
+            next(frames)
 
     def test_empty_directory(self, tmp_path):
         (tmp_path / "frames").mkdir()
@@ -211,7 +204,7 @@ class TestFrameSource:
         source = FrameSource.open(frames)
         assert (source.width, source.height) == (16, 8)
         with pytest.raises(FrameDecodeError):
-            load_frame(source, 0)  # the truncated raster shows on load
+            next(source.frames())  # the truncated raster shows on load
 
     @pytest.mark.parametrize(
         "data",
@@ -230,8 +223,8 @@ class TestFrameSource:
         path = tmp_path / "frames" / frame_file_name(0)
         before = path.read_bytes()
         source = FrameSource.open(tmp_path / "frames")
-        load_frame(source, 0)
-        load_frame(source, 0)
+        list(source.frames())
+        list(source.frames())
         assert path.read_bytes() == before
 
 
@@ -242,7 +235,7 @@ class TestMappedFrames:
         write_sequence(tmp_path / "frames", [0, 1])
         source = FrameSource.open(tmp_path / "frames")
         for pixels in (
-            read_ppm(source.path_for(0)),
+            read_ppm(tmp_path / "frames" / frame_file_name(0)),
             *(frame.pixels for frame in source.frames()),
         ):
             assert not pixels.flags.writeable
@@ -295,7 +288,7 @@ def test_a_run_maps_at_most_two_frames(mapped_sequence, loop):
     """Each mapping holds a file descriptor and the frame's pages: a run
     must let go of a frame's mapping once it is done with the frame."""
     source, oracle = mapped_sequence
-    paths = [source.path_for(i) for i in range(len(source))]
+    paths = [source.directory / frame_file_name(fid) for fid in source.frame_ids]
     mapped_at_pull = []
 
     def pulls():
@@ -600,8 +593,7 @@ class TestRunConfig:
         assert config.settings.final.rows == 3
 
     EVERY_KEY = (
-        "[pipeline]\npreset = 1 att, 2 fin, 30 over\nattention_margin_px = 12\n"
-        "temporal_window = 3\nmin_confidence = 0.4\n"
+        "[pipeline]\npreset = 1 att, 2 fin, 30 over\n"
         "[paths]\nground_truth = gt.jsonl\nresults = out.jsonl\nframes = frames\n"
         "timing = t.csv\n"
         "[frame]\nwidth = 16\nheight = 8\n"
@@ -613,12 +605,7 @@ class TestRunConfig:
         write_sequence(tmp_path / "frames", [0])
         config = self.oracle_config(
             tmp_path,
-            settings=PipelineSettings.from_preset(
-                "1 att, 2 fin, 30 over",
-                attention_margin_px=12,
-                temporal_window=3,
-                min_confidence=0.4,
-            ),
+            settings=PipelineSettings.from_preset("1 att, 2 fin, 30 over"),
             results_path=tmp_path / "out.jsonl",
             cluster=ClusterConfig(
                 final_workers=("127.0.0.1:7601",),
@@ -649,7 +636,7 @@ class TestRunConfig:
         [
             ("overlap_px = 50\n", "[pipeline] overlap_px: unknown key"),
             ("[run]\nmode = downscale\n", "unknown section [run]"),
-            ("[DEFAULT]\ntemporal_window = 3\n", "[DEFAULT] temporal_window"),
+            ("[DEFAULT]\nresults = other.jsonl\n", "[DEFAULT] results"),
             ("[cluster]\nfinal_worker = 127.0.0.1:7601\n",
              "[cluster] final_worker: unknown key"),
             # the oracle's thresholds are constants, so no section sets them
@@ -677,7 +664,7 @@ class TestRunConfig:
     def test_preset_is_required(self, tmp_path):
         write_minimal_gt(tmp_path / "gt.jsonl")
         (tmp_path / "run.cfg").write_text(
-            "[pipeline]\nmin_confidence = 0.4\n"
+            "[pipeline]\n"
             "[frame]\nwidth = 1280\nheight = 720\n"
             "[paths]\nground_truth = gt.jsonl\nresults = results.jsonl\n"
         )

@@ -1,5 +1,6 @@
 """Tests for the staged pipeline and both baselines."""
 
+import math
 import random
 import time
 
@@ -7,9 +8,12 @@ import numpy as np
 import pytest
 
 from tilepipe.detector import Detection, Detector, GroundTruthObject
-from tilepipe.geometry import CropSettings, Rect, intersects
+from tilepipe.geometry import CropSettings, Rect, intersects, to_global
 from tilepipe.pipeline import (
+    ATTENTION_MARGIN_PX,
+    MIN_CONFIDENCE,
     RUN_MODES,
+    TEMPORAL_WINDOW,
     ActiveSet,
     AttentionModel,
     Frame,
@@ -20,6 +24,7 @@ from tilepipe.pipeline import (
     TimingProfile,
     attention_pass,
     final_pass,
+    finish_detections,
     merge_temporal,
     oracle_for_scene,
     run_sequence,
@@ -71,6 +76,16 @@ class FailingDetector(Detector):
         return self.base.detect(frame_id, crop_ids, tiles)
 
 
+class FixedDetector(Detector):
+    """Answers every crop with the same crop-local detections."""
+
+    def __init__(self, detections):
+        self.detections = detections
+
+    def detect(self, frame_id, crop_ids, tiles=None):
+        return [list(self.detections) for _ in crop_ids]
+
+
 class ShortDetector(Detector):
     """Answers one list fewer than it is asked for."""
 
@@ -97,12 +112,6 @@ class TestPipelineSettings:
     def test_validation(self):
         with pytest.raises(ValueError):
             PipelineSettings(CropSettings(3), CropSettings(2))
-        with pytest.raises(ValueError):
-            PipelineSettings(CropSettings(1), CropSettings(2), temporal_window=0)
-        with pytest.raises(ValueError):
-            PipelineSettings(CropSettings(1), CropSettings(2), attention_margin_px=-1)
-        with pytest.raises(ValueError):
-            PipelineSettings(CropSettings(1), CropSettings(2), min_confidence=1.5)
 
 
 class TestGridPlan:
@@ -130,7 +139,6 @@ class TestAttentionPass:
         att = attention_pass(frame, PLAN_720, oracle)
         assert att.boxes == ()
         assert att.frame_id == 0
-        assert att.source_window == (0,)
 
     def test_coarse_grid_size_on_4k(self):
         settings = PipelineSettings.from_preset("1 att, 3 fin, 20 over")
@@ -153,13 +161,26 @@ class TestAttentionPass:
             assert box.x2 <= 1280 and box.y2 <= 720
 
     def test_low_confidence_boxes_dropped(self):
-        strict = PipelineSettings(
-            CropSettings(1, 50), CropSettings(3, 50), min_confidence=0.9
+        """A box just under MIN_CONFIDENCE is dropped from the attention
+        model (attention_model) and from the final detections
+        (finish_detections); one at MIN_CONFIDENCE is kept by both."""
+        kept = Detection(Rect(100, 100, 60, 60), "person", MIN_CONFIDENCE)
+        under = Detection(
+            Rect(300, 100, 60, 60), "person", math.nextafter(MIN_CONFIDENCE, 0)
         )
-        objects = [gt(500, 200, 300, 100)]
-        oracle = oracle_for_scene(1280, 720, strict, {0: objects})
-        att = attention_pass(Frame(0, 1280, 720), GridPlan.build(1280, 720, strict), oracle)
-        assert att.boxes == ()
+        stub = FixedDetector([kept, under])
+        frame = Frame(0, 1280, 720)
+        att = attention_pass(frame, PLAN_720, stub)
+        assert att.boxes == tuple(
+            to_global(kept.rect, c, 1280, 720) for c in PLAN_720.attention_grid.crops
+        )
+        grid = PLAN_720.final_grid
+        crop = grid.crops[0]
+        tagged = final_pass(frame, ActiveSet(grid, frozenset({crop.crop_id})), stub)
+        assert [d.confidence for _, d in tagged] == [kept.confidence, under.confidence]
+        assert finish_detections(tagged, grid) == (
+            Detection(to_global(kept.rect, crop, 1280, 720), "person", MIN_CONFIDENCE),
+        )
 
     def test_detector_failure_carries_stage_and_frame(self):
         frame, oracle = scene_720([], fid=7)
@@ -210,37 +231,40 @@ class TestOneDetectorCallPerStage:
 
 
 def model(fid, *boxes):
-    return AttentionModel(fid, boxes, (fid,))
+    return AttentionModel(fid, boxes)
 
 
 class TestMergeTemporal:
-    def test_window_one_is_latest(self):
-        latest = model(2, Rect(50, 50, 10, 10))
-        merged = merge_temporal([model(1, Rect(0, 0, 10, 10)), latest], 1)
-        assert merged.boxes == latest.boxes
-        assert merged.source_window == (2,)
+    def test_model_a_window_old_no_longer_counts(self):
+        history = [
+            model(fid, Rect(20 * fid, 0, 10, 10)) for fid in range(TEMPORAL_WINDOW + 1)
+        ]
+        merged = merge_temporal(history)
+        assert merged.boxes == tuple(m.boxes[0] for m in history[1:])
+        assert merged.frame_id == TEMPORAL_WINDOW
 
     def test_disjoint_sets_union(self):
         a, b = Rect(0, 0, 10, 10), Rect(100, 0, 10, 10)
-        merged = merge_temporal([model(1, a), model(2, b)], 2)
+        merged = merge_temporal([model(1, a), model(2, b)])
         assert merged.boxes == (a, b)
-        assert merged.source_window == (1, 2)
         assert merged.frame_id == 2
 
     def test_window_larger_than_history_clamps(self):
-        merged = merge_temporal([model(1, Rect(0, 0, 5, 5))], 10)
+        # a stream's first frame has no history before it
+        merged = merge_temporal([model(1, Rect(0, 0, 5, 5))])
         assert merged.boxes == (Rect(0, 0, 5, 5),)
+        assert merged.frame_id == 1
 
     def test_duplicate_boxes_collapse(self):
         box = Rect(0, 0, 10, 10)
-        merged = merge_temporal([model(1, box), model(2, box)], 2)
+        merged = merge_temporal([model(1, box), model(2, box)])
         assert merged.boxes == (box,)
 
     def test_unordered_history_rejected(self):
         with pytest.raises(ValueError):
-            merge_temporal([model(2), model(1)], 2)
+            merge_temporal([model(2), model(1)])
         with pytest.raises(ValueError):
-            merge_temporal([], 1)
+            merge_temporal([])
 
 
 class TestSelectActive:
@@ -249,35 +273,37 @@ class TestSelectActive:
     ).final_grid
 
     def test_no_boxes_no_active(self):
-        active = select_active(self.GRID, model(0), 20)
+        active = select_active(self.GRID, model(0))
         assert active.active_ids == frozenset()
 
     def test_full_frame_box_activates_all(self):
-        active = select_active(self.GRID, model(0, Rect(0, 0, 1280, 720)), 0)
+        active = select_active(self.GRID, model(0, Rect(0, 0, 1280, 720)))
         assert len(active.active_ids) == len(self.GRID.crops)
 
-    def test_box_inside_one_cell_with_zero_margin(self):
+    def test_box_inside_one_cell(self):
         box = Rect(300, 300, 50, 50)
-        active = select_active(self.GRID, model(0, box), 0)
+        active = select_active(self.GRID, model(0, box))
+        grown = box.dilated(ATTENTION_MARGIN_PX, 1280, 720)
         brute = {
-            c.crop_id for c in self.GRID.crops if intersects(c.global_rect, box)
+            c.crop_id for c in self.GRID.crops if intersects(c.global_rect, grown)
         }
         assert active.active_ids == brute
         assert len(active.active_ids) == 1
 
-    def test_margin_never_shrinks_selection(self):
-        rng = random.Random(17)
-        for _ in range(50):
-            box = Rect(
-                rng.randint(0, 1100), rng.randint(0, 600), rng.randint(10, 150), rng.randint(10, 100)
-            )
-            small = select_active(self.GRID, model(0, box), rng.randint(0, 30))
-            big = select_active(self.GRID, model(0, box), 40)
-            assert small.active_ids <= big.active_ids
-
-    def test_negative_margin_rejected(self):
-        with pytest.raises(ValueError):
-            select_active(self.GRID, model(0), -1)
+    @pytest.mark.parametrize(
+        "gap, active",
+        [(ATTENTION_MARGIN_PX - 1, True), (ATTENTION_MARGIN_PX, False)],
+        ids=["under-margin", "at-margin"],
+    )
+    def test_margin_reaches_a_crop_short_of_it(self, gap, active):
+        """A box ``gap`` px left of a crop activates it while the gap is
+        under ATTENTION_MARGIN_PX; at exactly the margin, the grown box only
+        touches the crop, and intersects is strict."""
+        crop = next(c for c in self.GRID.crops if (c.row, c.col) == (1, 1))
+        left = crop.global_rect.x
+        box = Rect(left - gap - 50, 300, 50, 50)
+        selected = select_active(self.GRID, model(0, box)).active_ids
+        assert (crop.crop_id in selected) == active
 
     def test_active_set_validates_membership(self):
         with pytest.raises(ValueError):
@@ -295,7 +321,7 @@ class TestFinalPass:
         obj = gt(500, 300, 80, 100)
         frame, oracle = scene_720([obj])
         plan = GridPlan.build(1280, 720, SETTINGS_720)
-        active = select_active(plan.final_grid, model(0, obj.rect), 0)
+        active = select_active(plan.final_grid, model(0, obj.rect))
         tagged = [
             (cid, d) for cid, d in final_pass(frame, active, oracle)
             if d.confidence == 1.0
@@ -312,7 +338,7 @@ class TestFinalPass:
         obj = gt(600, 200, 80, 120)
         frame, oracle = scene_720([obj])
         plan = GridPlan.build(1280, 720, SETTINGS_720)
-        active = select_active(plan.final_grid, model(0, obj.rect), 20)
+        active = select_active(plan.final_grid, model(0, obj.rect))
         tagged = final_pass(frame, active, oracle)
         assert len(tagged) == 2
         rows = sorted(plan.final_grid.crop_by_id(cid).row for cid, _ in tagged)
@@ -376,21 +402,6 @@ class TestRunFrame:
         b = run_one(frame, SETTINGS_720, oracle)
         assert a.detections == b.detections
         assert (a.active_count, a.total_count) == (b.active_count, b.total_count)
-
-    def test_window_one_ignores_history(self):
-        stateless = PipelineSettings(
-            CropSettings(1, 50), CropSettings(3, 50), temporal_window=1
-        )
-        # frame 0 activates every crop; frame 1 must not inherit that
-        oracle = oracle_for_scene(
-            1280, 720, stateless, {0: dense_objects(), 1: [gt(400, 300, 90, 90)]}
-        )
-        frames = [Frame(0, 1280, 720), Frame(1, 1280, 720)]
-        first, with_history = run_sequence(frames, stateless, oracle)
-        without = run_one(frames[1], stateless, oracle)
-        assert first.active_count == first.total_count
-        assert with_history.active_count == without.active_count < 18
-        assert with_history.detections == without.detections
 
     def test_window_two_reuses_previous_attention(self):
         oracle = oracle_for_scene(

@@ -19,7 +19,7 @@ from tilepipe.synthetic import SceneSpec, generate_scene, render_frame
 @st.composite
 def runs(draw):
     # a stride > 1 skips scene frames, so objects move far enough between
-    # evaluated frames for the temporal window to change the active set
+    # evaluated frames for TEMPORAL_WINDOW to change the active set
     frame_count = draw(st.integers(1, 4))
     stride = draw(st.integers(1, 30))
     spec = SceneSpec(
@@ -34,9 +34,6 @@ def runs(draw):
     run_settings = PipelineSettings(
         CropSettings(att_rows, overlap),
         CropSettings(draw(st.integers(att_rows, 3)), overlap),
-        attention_margin_px=draw(st.integers(0, 40)),
-        temporal_window=draw(st.integers(1, 3)),
-        min_confidence=draw(st.sampled_from([0.0, 0.3, 0.6])),
     )
     return spec, stride, run_settings, draw(st.booleans())
 
