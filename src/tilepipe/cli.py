@@ -5,16 +5,17 @@ over a frame source; in process through pipeline.run_sequence, or on
 workers through run_stream), serve (a worker process), eval (AP metrics
 for a results file), gen-synthetic (test scenes with ground truth).
 
-A run's grid comes only from its config file (see frameio.read_run_config),
-whose [pipeline] section holds only the preset; no flag overrides it. The
-active-crop policy is three constants (pipeline.ATTENTION_MARGIN_PX,
-TEMPORAL_WINDOW and MIN_CONFIDENCE), and the oracle's two thresholds are
-two more (detector.VISIBILITY_THRESHOLD and MIN_TILE_PX): no flag or key
-sets any of them. A config with a [cluster] section runs on those workers,
-one without it in process. The flags of run and serve name only what
-differs between runs of one config: run's mode and output paths, serve's
-listen address. run checks that the directories of both output paths
-exist before it reads a frame.
+Every value a command reads has one source. The config file (see
+frameio.read_run_config) names a run's inputs: the grid preset, the
+ground truth, the frames or the raster-free frame size, and the cluster
+of a run on workers. run's command line names only its mode and its
+output, --results; the timing CSV is always <results stem>_timing.csv
+beside it. serve's names its listen address. eval reads no config: it
+scores exactly --detections against --gt, at metrics.AP_THRESHOLDS.
+The active-crop policy (pipeline.ATTENTION_MARGIN_PX, TEMPORAL_WINDOW and
+MIN_CONFIDENCE) and the oracle's thresholds (detector.VISIBILITY_THRESHOLD
+and MIN_TILE_PX) are constants: no flag or key sets any of them. run
+checks that the results directory exists before it reads a frame.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error
 (a worker whose detector resolves crop ids against another crop catalog
@@ -51,7 +52,7 @@ from .frameio import (
     write_results,
     write_timing_csv,
 )
-from .metrics import ap_key, ap_report, count_report
+from .metrics import AP_THRESHOLDS, ap_report, count_report
 from .pipeline import (
     RUN_MODES,
     Frame,
@@ -59,7 +60,7 @@ from .pipeline import (
     oracle_for_scene,
     run_sequence,
 )
-from .synthetic import SceneSpec, generate_scene, render_frame, scene_from_objects
+from .synthetic import SceneSpec, generate_scene, render_frame
 
 
 class UsageError(Exception):
@@ -71,17 +72,6 @@ def _load_config(path: str) -> RunConfig:
         return read_run_config(path)
     except (OSError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
-
-
-def _load_json(path: str, what: str) -> dict:
-    try:
-        with open(path) as fh:
-            loaded = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"{what} {path}: {exc}") from exc
-    if not isinstance(loaded, dict):
-        raise UsageError(f"{what} {path}: expected a JSON object")
-    return loaded
 
 
 def _open_frames(directory) -> FrameSource:
@@ -102,14 +92,6 @@ def _scene_inputs(config: RunConfig):
         raise UsageError(str(exc)) from exc
     if config.frames_dir is not None:
         source = _open_frames(config.frames_dir)
-        if config.frame_width is not None and (
-            config.frame_width != source.width
-            or config.frame_height != source.height
-        ):
-            raise UsageError(
-                f"config says {config.frame_width}x{config.frame_height} but "
-                f"frames are {source.width}x{source.height}"
-            )
         return gt_by_frame, source.width, source.height, source.frames()
     width, height = config.frame_width, config.frame_height
     frames = [Frame(fid, width, height) for fid in sorted(gt_by_frame)]
@@ -140,16 +122,10 @@ def cmd_run(args) -> int:
     mode = args.mode
     settings = config.settings
 
-    results_path = Path(args.results) if args.results else config.results_path
-    if args.timing:
-        timing_path = Path(args.timing)
-    elif config.timing_path is not None:
-        timing_path = config.timing_path
-    else:
-        timing_path = results_path.with_name(results_path.stem + "_timing.csv")
-    for out in (results_path, timing_path):
-        if not out.parent.is_dir():
-            raise UsageError(f"output directory not found: {out.parent}")
+    results_path = Path(args.results).resolve()
+    timing_path = results_path.with_name(results_path.stem + "_timing.csv")
+    if not results_path.parent.is_dir():
+        raise UsageError(f"output directory not found: {results_path.parent}")
 
     gt_by_frame, width, height, frames = _scene_inputs(config)
 
@@ -199,33 +175,10 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def _parse_thresholds(raw: str) -> list[float]:
-    try:
-        thresholds = sorted({float(part) for part in raw.split(",") if part.strip()})
-    except ValueError as exc:
-        raise UsageError(f"bad thresholds {raw!r}") from exc
-    if not thresholds or any(not 0.0 < t < 1.0 for t in thresholds):
-        raise UsageError("thresholds must be in (0, 1)")
-    keys = [ap_key(t) for t in thresholds]
-    if len(set(keys)) < len(keys):
-        raise UsageError(f"thresholds {raw!r} share an ap_report key: {keys}")
-    return thresholds
-
-
 def cmd_eval(args) -> int:
-    detections_path = args.detections
-    gt_path = args.gt
-    if args.config:
-        config = _load_config(args.config)
-        detections_path = detections_path or str(config.results_path)
-        gt_path = gt_path or str(config.ground_truth_path)
-    if not detections_path or not gt_path:
-        raise UsageError("need --detections and --gt (or --config providing them)")
-    thresholds = _parse_thresholds(args.thresholds)
-
     try:
-        results = read_results(detections_path)
-        gts_by_frame = read_ground_truth(gt_path)
+        results = read_results(args.detections)
+        gts_by_frame = read_ground_truth(args.gt)
     except (OSError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
     dets_by_frame = {r.frame_id: list(r.detections) for r in results}
@@ -235,7 +188,7 @@ def cmd_eval(args) -> int:
             f"ground truth has frames missing from results: {unevaluated}"
         )
 
-    report = ap_report(dets_by_frame, gts_by_frame, thresholds)
+    report = ap_report(dets_by_frame, gts_by_frame)
     report["counts"] = [
         list(row) for row in count_report(dets_by_frame, gts_by_frame)
     ]
@@ -244,30 +197,18 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gen_synthetic(args) -> int:
-    spec = _load_json(args.spec, "scene spec") if args.spec else {}
-    for key in ("kind", "width", "height", "frame_count", "seed", "object_count"):
-        value = getattr(args, key)
-        if value is not None:
-            spec[key] = value
-    width = spec.get("width", 1280)
-    height = spec.get("height", 720)
-    frame_count = spec.get("frame_count", 8)
     try:
-        if "objects" in spec:
-            scene = scene_from_objects(width, height, frame_count, spec["objects"])
-        else:
-            scene = generate_scene(
-                SceneSpec(
-                    kind=spec.get("kind", "sparse"),
-                    width=width,
-                    height=height,
-                    frame_count=frame_count,
-                    seed=spec.get("seed", 0),
-                    object_count=spec.get("object_count"),
-                )
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"invalid scene spec: {exc!r}") from exc
+        spec = SceneSpec(
+            kind=args.kind,
+            width=args.width,
+            height=args.height,
+            frame_count=args.frame_count,
+            seed=args.seed,
+            object_count=args.object_count,
+        )
+    except ValueError as exc:
+        raise UsageError(f"invalid scene spec: {exc}") from exc
+    scene = generate_scene(spec)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -276,11 +217,11 @@ def cmd_gen_synthetic(args) -> int:
         for frame_id, objects in sorted(scene.items()):
             write_ppm(
                 out / frame_file_name(frame_id),
-                render_frame(width, height, objects),
+                render_frame(spec.width, spec.height, objects),
             )
     objects_per_frame = len(next(iter(scene.values())))
     print(
-        f"frames={frame_count} size={width}x{height} "
+        f"frames={spec.frame_count} size={spec.width}x{spec.height} "
         f"objects_per_frame={objects_per_frame} out={out}"
     )
     return 0
@@ -293,13 +234,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="evaluate a frame sequence")
-    run.add_argument("--config", required=True, help="run config file")
+    run = sub.add_parser(
+        "run", help="detect objects in the config's frames, writing --results"
+    )
+    run.add_argument(
+        "--config", required=True, help="run config file: the run's inputs"
+    )
     run.add_argument(
         "--mode", choices=RUN_MODES, default="pipeline", help="pipeline or a baseline"
     )
-    run.add_argument("--results", help="results JSON-lines output path")
-    run.add_argument("--timing", help="timing CSV output path")
+    run.add_argument(
+        "--results",
+        required=True,
+        help="results JSON-lines output path; the timing CSV goes beside it"
+        " as <stem>_timing.csv",
+    )
     run.set_defaults(func=cmd_run)
 
     serve = sub.add_parser("serve", help="run a worker server")
@@ -307,23 +256,22 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--listen", help="host:port to bind")
     serve.set_defaults(func=cmd_serve)
 
-    ev = sub.add_parser("eval", help="score a results file against ground truth")
-    ev.add_argument("--detections", help="results JSON-lines path")
-    ev.add_argument("--gt", help="ground truth JSON-lines path")
-    ev.add_argument("--config", help="run config supplying default paths")
-    ev.add_argument(
-        "--thresholds", default="0.25,0.5,0.75", help="comma-separated IoU thresholds"
+    ev = sub.add_parser(
+        "eval",
+        help="AP of --detections against --gt at IoU "
+        + ", ".join(map(str, AP_THRESHOLDS)),
     )
+    ev.add_argument("--detections", required=True, help="results JSON-lines path")
+    ev.add_argument("--gt", required=True, help="ground truth JSON-lines path")
     ev.set_defaults(func=cmd_eval)
 
     gen = sub.add_parser("gen-synthetic", help="generate a synthetic scene")
-    gen.add_argument("--spec", help="scene spec JSON path")
     gen.add_argument("--out", required=True, help="output directory")
-    gen.add_argument("--kind", help="scene family")
-    gen.add_argument("--width", type=int)
-    gen.add_argument("--height", type=int)
-    gen.add_argument("--frame-count", dest="frame_count", type=int)
-    gen.add_argument("--seed", type=int)
+    gen.add_argument("--kind", default="sparse", help="scene family")
+    gen.add_argument("--width", type=int, default=1280)
+    gen.add_argument("--height", type=int, default=720)
+    gen.add_argument("--frame-count", dest="frame_count", type=int, default=8)
+    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--object-count", dest="object_count", type=int)
     gen.add_argument(
         "--gt-only", action="store_true", help="skip rendering PPM frames"

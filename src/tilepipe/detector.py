@@ -23,6 +23,11 @@ import numpy as np
 from .geometry import MODEL_SIDE, CropSpec, Rect, to_local
 
 
+def _check_label(class_label) -> None:
+    if not isinstance(class_label, str) or not class_label:
+        raise ValueError(f"class_label must be a non-empty str, got {class_label!r}")
+
+
 @dataclass(frozen=True)
 class Detection:
     """One detected box with a class label and a confidence in [0, 1].
@@ -36,8 +41,7 @@ class Detection:
     confidence: float
 
     def __post_init__(self):
-        if not self.class_label:
-            raise ValueError("class_label must be non-empty")
+        _check_label(self.class_label)
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
 
@@ -51,8 +55,7 @@ class GroundTruthObject:
     object_id: str
 
     def __post_init__(self):
-        if not self.class_label:
-            raise ValueError("class_label must be non-empty")
+        _check_label(self.class_label)
         if not self.object_id:
             raise ValueError("object_id must be non-empty")
 

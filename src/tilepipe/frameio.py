@@ -203,6 +203,14 @@ class FrameSource:
             yield Frame(frame_id, width, height, pixels)
 
 
+def _json_int(row: Mapping, key: str) -> int:
+    """row[key], which must be a JSON integer: not a float, nor a bool."""
+    value = row[key]
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _int_or_float(value: float):
     return int(value) if float(value).is_integer() else float(value)
 
@@ -249,10 +257,10 @@ def read_ground_truth(path) -> dict[int, list[GroundTruthObject]]:
             try:
                 obj = GroundTruthObject(
                     Rect(row["x"], row["y"], row["w"], row["h"]),
-                    str(row["class"]),
+                    row["class"],
                     str(row["object_id"]),
                 )
-                frame_id = int(row["frame_id"])
+                frame_id = _json_int(row, "frame_id")
             except (TypeError, ValueError) as exc:
                 raise ValueError(
                     f"{path}:{lineno}: bad ground-truth row: {exc}"
@@ -312,10 +320,10 @@ def read_results(path) -> list[FrameResult]:
                 detections = tuple(detection_from_row(d) for d in row["detections"])
                 out.append(
                     FrameResult(
-                        int(row["frame_id"]),
+                        _json_int(row, "frame_id"),
                         detections,
-                        int(row["active_count"]),
-                        int(row["total_count"]),
+                        _json_int(row, "active_count"),
+                        _json_int(row, "total_count"),
                         TimingProfile(),
                     )
                 )
@@ -348,23 +356,25 @@ def write_timing_csv(results: Sequence[FrameResult], path) -> None:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a run needs: pipeline settings, where the data lives, and
+    """A run's inputs: pipeline settings, its ground truth and frames, and
     the cluster of a run on workers. A run is remote if and only if it has a
-    cluster."""
+    cluster. The frames are sized by the frames directory or, for a
+    raster-free run, by frame_width and frame_height; never by both."""
 
     settings: PipelineSettings
     ground_truth_path: Path
-    results_path: Path
     cluster: ClusterConfig | None = None
     frames_dir: Path | None = None
-    timing_path: Path | None = None
     frame_width: int | None = None
     frame_height: int | None = None
 
     def __post_init__(self):
-        if self.frames_dir is None and (
-            self.frame_width is None or self.frame_height is None
-        ):
+        if self.frames_dir is not None:
+            if self.frame_width is not None or self.frame_height is not None:
+                raise ValueError(
+                    "[frame]: frames are sized by [paths] frames; remove [frame]"
+                )
+        elif self.frame_width is None or self.frame_height is None:
             raise ValueError("need either a frames directory or frame width/height")
         for key, side in (("width", self.frame_width), ("height", self.frame_height)):
             if side is not None and side < 1:
@@ -378,7 +388,7 @@ def _split_endpoints(raw: str) -> tuple[str, ...]:
 # Every section of a run config and the keys each may hold.
 _CONFIG_KEYS = {
     "pipeline": ("preset",),
-    "paths": ("ground_truth", "results", "frames", "timing"),
+    "paths": ("ground_truth", "frames"),
     "frame": ("width", "height"),
     "cluster": ("final_workers", "attention_workers", "request_timeout_s"),
 }
@@ -388,18 +398,18 @@ def read_run_config(path) -> RunConfig:
     """Load a run configuration, resolving relative paths against the file
     and checking that every referenced input exists.
 
-    This is the one place a run's settings come from. An INI file with
-    these sections and keys, and no others:
+    This is the one place a run's inputs come from; where its outputs go
+    is the command line's business. An INI file with these sections and
+    keys, and no others:
 
       [pipeline]  preset (required): the grid, like "1 att, 3 fin, 20 over".
                   The active-crop policy is pipeline's constants
                   ATTENTION_MARGIN_PX, TEMPORAL_WINDOW and MIN_CONFIDENCE,
                   set by no key.
-      [paths]     ground_truth and results (required), frames (a directory
-                  of frame_%06d.ppm files) and timing (results' name with
-                  _timing.csv).
-      [frame]     width and height, required without frames; with frames,
-                  they must match the frames' size.
+      [paths]     ground_truth (required) and frames (a directory of
+                  frame_%06d.ppm files, whose first frame sizes the run).
+      [frame]     width and height of a raster-free run: required without
+                  frames, refused beside them.
       [cluster]   final_workers and attention_workers (host:port lists,
                   comma- or space-separated, each naming an endpoint at
                   most once) and request_timeout_s (30). A run with this
@@ -479,12 +489,10 @@ def _run_config(parser: configparser.ConfigParser, path: Path) -> RunConfig:
         raise ValueError(f"[pipeline] {exc}") from exc
 
     paths = parser["paths"]
-    if "ground_truth" not in paths or "results" not in paths:
-        raise ValueError("[paths] needs ground_truth and results")
+    if "ground_truth" not in paths:
+        raise ValueError("[paths] needs ground_truth")
     gt_path = resolve(paths["ground_truth"])
-    results_path = resolve(paths["results"])
     frames_dir = resolve(paths["frames"]) if "frames" in paths else None
-    timing_path = resolve(paths["timing"]) if "timing" in paths else None
 
     if not gt_path.is_file():
         raise FileNotFoundError(f"{path}: ground truth not found: {gt_path}")
@@ -508,10 +516,8 @@ def _run_config(parser: configparser.ConfigParser, path: Path) -> RunConfig:
     return RunConfig(
         settings=settings,
         ground_truth_path=gt_path,
-        results_path=results_path,
         cluster=cluster,
         frames_dir=frames_dir,
-        timing_path=timing_path,
         frame_width=size.get("width"),
         frame_height=size.get("height"),
     )

@@ -4,8 +4,8 @@ Matching is the standard VOC greedy protocol: detections in descending
 confidence order each claim the unmatched same-class ground-truth box with
 the highest IoU, provided that IoU meets the threshold. AP integrates the
 monotone precision envelope over recall (the continuous method). ap_report
-is the one AP report: overall and per-class AP at each requested IoU
-threshold.
+is the one AP report: overall and per-class AP at each IoU threshold of
+AP_THRESHOLDS, fixed as COCO fixes its thresholds.
 """
 
 from __future__ import annotations
@@ -14,6 +14,9 @@ from collections.abc import Mapping, Sequence
 
 from .detector import Detection, GroundTruthObject
 from .geometry import iou
+
+# The IoU thresholds of ap_report, each keyed as "ap" + percent: ap25, ap50, ap75.
+AP_THRESHOLDS = (0.25, 0.5, 0.75)
 
 
 class EmptyGroundTruthError(ValueError):
@@ -120,28 +123,20 @@ def average_precision(
     return ap
 
 
-def ap_key(threshold: float) -> str:
-    """The ap_report key of an IoU threshold: 0.5 -> "ap50", 0.251 -> "ap25.1"."""
-    return f"ap{threshold * 100:g}"
-
-
 def ap_report(
     dets_by_frame: Mapping[int, Sequence[Detection]],
     gts_by_frame: Mapping[int, Sequence[GroundTruthObject]],
-    thresholds: Sequence[float] = (0.25, 0.5, 0.75),
 ) -> dict:
-    """AP at each IoU threshold, overall and per ground-truth class.
-
-    Each threshold is keyed by ap_key; "per_class" maps each class label
-    to the same keys.
+    """AP at each IoU threshold of AP_THRESHOLDS, overall and per
+    ground-truth class: "per_class" maps each class label to the same keys.
     """
     classes = sorted(
         {g.class_label for gts in gts_by_frame.values() for g in gts}
     )
     report: dict = {}
     per_class: dict[str, dict[str, float]] = {label: {} for label in classes}
-    for threshold in thresholds:
-        key = ap_key(threshold)
+    for threshold in AP_THRESHOLDS:
+        key = f"ap{threshold * 100:g}"
         report[key] = average_precision(dets_by_frame, gts_by_frame, threshold)
         for label in classes:
             per_class[label][key] = average_precision(

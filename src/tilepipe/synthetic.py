@@ -125,59 +125,19 @@ def _make_movers(spec: SceneSpec, rng: random.Random) -> list[_Mover]:
     return movers
 
 
-def _roll_scene(
-    movers: list[_Mover], width: int, height: int, frame_count: int
-) -> dict[int, list[GroundTruthObject]]:
-    scene: dict[int, list[GroundTruthObject]] = {}
-    for frame_id in range(frame_count):
-        objects = []
-        for mover in movers:
-            rect = Rect(round(mover.x), round(mover.y), mover.w, mover.h)
-            objects.append(GroundTruthObject(rect, mover.label, mover.object_id))
-            mover.step(width, height)
-        scene[frame_id] = objects
-    return scene
-
-
 def generate_scene(spec: SceneSpec) -> dict[int, list[GroundTruthObject]]:
     """Ground truth for every frame of the scene, keyed by frame id."""
     rng = random.Random(f"{spec.kind}:{spec.width}x{spec.height}:{spec.seed}")
     movers = _make_movers(spec, rng)
-    return _roll_scene(movers, spec.width, spec.height, spec.frame_count)
-
-
-def scene_from_objects(
-    width: int, height: int, frame_count: int, rows
-) -> dict[int, list[GroundTruthObject]]:
-    """Ground truth from explicit object rows instead of a generated family.
-
-    Each row is a mapping with class, x, y, w, h and optionally object_id
-    and a per-frame velocity vx/vy (default: stationary). Objects must start
-    inside the frame; moving ones bounce off its edges.
-    """
-    if width < 1 or height < 1 or frame_count < 1:
-        raise ValueError("need positive frame size and frame_count")
-    movers = []
-    for i, row in enumerate(rows):
-        w, h = float(row["w"]), float(row["h"])
-        x, y = float(row["x"]), float(row["y"])
-        if w < 1 or h < 1:
-            raise ValueError(f"object {i}: needs positive size, got {w}x{h}")
-        if x < 0 or y < 0 or x + w > width or y + h > height:
-            raise ValueError(f"object {i}: not inside the {width}x{height} frame")
-        movers.append(
-            _Mover(
-                str(row["class"]),
-                w,
-                h,
-                x,
-                y,
-                float(row.get("vx", 0)),
-                float(row.get("vy", 0)),
-                str(row.get("object_id", f"obj{i}")),
-            )
-        )
-    return _roll_scene(movers, width, height, frame_count)
+    scene: dict[int, list[GroundTruthObject]] = {}
+    for frame_id in range(spec.frame_count):
+        objects = []
+        for mover in movers:
+            rect = Rect(round(mover.x), round(mover.y), mover.w, mover.h)
+            objects.append(GroundTruthObject(rect, mover.label, mover.object_id))
+            mover.step(spec.width, spec.height)
+        scene[frame_id] = objects
+    return scene
 
 
 def render_frame(

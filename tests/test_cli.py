@@ -39,12 +39,21 @@ def write_config(path, scene_dir, cluster=None):
         "[paths]",
         f"ground_truth = {scene_dir / 'gt.jsonl'}",
         f"frames = {scene_dir}",
-        f"results = {path.parent / (path.stem + '.jsonl')}",
     ]
     if cluster is not None:
         lines += ["[cluster]", *(f"{k} = {v}" for k, v in cluster.items())]
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def command_argv(command, config, *flags):
+    """argv of a run or serve of config. A run writes its results beside
+    config, with config's stem and the suffix .jsonl."""
+    if command == "run":
+        outputs = ["--results", str(config.with_suffix(".jsonl"))]
+    else:
+        outputs = ["--listen", "127.0.0.1:0"]
+    return [command, "--config", str(config), *outputs, *flags]
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +76,7 @@ def reference_bytes(scene_dir, mode="pipeline") -> bytes:
 @pytest.mark.parametrize("mode", RUN_MODES)
 def test_gen_synthetic_then_run_matches_run_sequence(scene_dir, tmp_path, mode):
     config = write_config(tmp_path / "local.ini", scene_dir)
-    assert main(["run", "--config", str(config), "--mode", mode]) == 0
+    assert main(command_argv("run", config, "--mode", mode)) == 0
     written = (tmp_path / "local.jsonl").read_bytes()
     assert written.count(b"\n") == 3
     assert written == reference_bytes(scene_dir, mode)
@@ -76,7 +85,7 @@ def test_gen_synthetic_then_run_matches_run_sequence(scene_dir, tmp_path, mode):
 @pytest.fixture(scope="module")
 def results_path(scene_dir, tmp_path_factory):
     config = write_config(tmp_path_factory.mktemp("run") / "eval.ini", scene_dir)
-    assert main(["run", "--config", str(config)]) == 0
+    assert main(command_argv("run", config)) == 0
     return config.with_suffix(".jsonl")
 
 
@@ -93,25 +102,6 @@ def test_eval_prints_ap_report_and_counts(scene_dir, results_path, capsys):
     assert set(printed) == {"ap25", "ap50", "ap75", "per_class", "counts"}
 
 
-def test_eval_keys_close_thresholds_apart(scene_dir, results_path, capsys):
-    argv = ["eval", "--detections", str(results_path), "--gt",
-            str(scene_dir / "gt.jsonl"), "--thresholds", "0.25,0.251,0.005"]
-    assert main(argv) == 0
-    printed = json.loads(capsys.readouterr().out)
-    assert set(printed) == {"ap0.5", "ap25", "ap25.1", "per_class", "counts"}
-    for per_class in printed["per_class"].values():
-        assert set(per_class) == {"ap0.5", "ap25", "ap25.1"}
-
-
-def test_eval_rejects_thresholds_sharing_a_key(scene_dir, results_path, capsys):
-    argv = ["eval", "--detections", str(results_path), "--gt",
-            str(scene_dir / "gt.jsonl"), "--thresholds", "0.25,0.2500001"]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "share an ap_report key" in captured.err
-
-
 @pytest.mark.parametrize("listen", ["127.0.0.1:70000", "localhost:abc", "localhost"])
 def test_serve_bad_listen_exits_2(scene_dir, tmp_path, capsys, listen):
     config = write_config(tmp_path / "serve.ini", scene_dir)
@@ -123,7 +113,7 @@ def test_serve_bad_listen_exits_2(scene_dir, tmp_path, capsys, listen):
 def test_cluster_endpoint_listed_twice_exits_2(scene_dir, tmp_path, capsys, key):
     cluster = {"final_workers": "127.0.0.1:1", key: "127.0.0.1:2, 127.0.0.1:2"}
     config = write_config(tmp_path / "remote.ini", scene_dir, cluster=cluster)
-    assert main(["run", "--config", str(config)]) == 2
+    assert main(command_argv("run", config)) == 2
     assert f"[cluster] {key}: '127.0.0.1:2' listed twice" in capsys.readouterr().err
     assert not (tmp_path / "remote.jsonl").exists()
 
@@ -132,7 +122,7 @@ def test_cluster_bad_endpoint_exits_2(scene_dir, tmp_path, capsys):
     config = write_config(
         tmp_path / "remote.ini", scene_dir, cluster={"final_workers": "127.0.0.1:abc"}
     )
-    assert main(["run", "--config", str(config)]) == 2
+    assert main(command_argv("run", config)) == 2
     assert "'127.0.0.1:abc'" in capsys.readouterr().err
 
 
@@ -140,7 +130,7 @@ def test_baseline_mode_with_a_cluster_exits_2_naming_it(scene_dir, tmp_path, cap
     config = write_config(
         tmp_path / "remote.ini", scene_dir, cluster={"final_workers": "127.0.0.1:1"}
     )
-    assert main(["run", "--config", str(config), "--mode", "downscale"]) == 2
+    assert main(command_argv("run", config, "--mode", "downscale")) == 2
     assert "baseline modes run locally; remove [cluster]" in capsys.readouterr().err
     assert not (tmp_path / "remote.jsonl").exists()
 
@@ -154,7 +144,7 @@ def run_on_in_process_workers(scene_dir, tmp_path) -> bytes:
             scene_dir,
             cluster={"final_workers": fin.endpoint, "attention_workers": att.endpoint},
         )
-        assert main(["run", "--config", str(config)]) == 0
+        assert main(command_argv("run", config)) == 0
     return (tmp_path / "remote.jsonl").read_bytes()
 
 
@@ -176,8 +166,7 @@ def test_run_on_serve_workers_matches_local_bytes(scene_dir, tmp_path, sent_bloc
     """Two `tilepipe serve` processes, each with its own resource tracker:
     one per stage, then both as final workers that also run attention."""
     serve_config = write_config(tmp_path / "serve.ini", scene_dir)
-    argv = [*PYTHON, "-m", "tilepipe.cli", "serve", "--config",
-            str(serve_config), "--listen", "127.0.0.1:0"]
+    argv = [*PYTHON, "-m", "tilepipe.cli", *command_argv("serve", serve_config)]
     env = {"PYTHONPATH": str(Path(tilepipe.__file__).parents[1])}
     workers = [
         subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
@@ -193,7 +182,7 @@ def test_run_on_serve_workers_matches_local_bytes(scene_dir, tmp_path, sent_bloc
             {"final_workers": f"{first}, {second}"},
         ):
             config = write_config(tmp_path / "remote.ini", scene_dir, cluster=cluster)
-            assert main(["run", "--config", str(config)]) == 0
+            assert main(command_argv("run", config)) == 0
             assert (tmp_path / "remote.jsonl").read_bytes() == reference_bytes(scene_dir)
     finally:
         for w in workers:
@@ -219,7 +208,7 @@ def test_worker_on_another_grid_exits_2(scene_dir, tmp_path, capsys):
         config.write_text(
             config.read_text().replace(PRESET, "1 att, 2 fin, 50 over")
         )
-        assert main(["run", "--config", str(config)]) == 2
+        assert main(command_argv("run", config)) == 2
     err = capsys.readouterr().err
     assert att.endpoint in err
     assert "catalog" in err
@@ -229,7 +218,7 @@ def test_worker_on_another_grid_exits_2(scene_dir, tmp_path, capsys):
 def test_bad_preset_exits_2(scene_dir, tmp_path, capsys):
     config = write_config(tmp_path / "local.ini", scene_dir)
     config.write_text(config.read_text().replace(PRESET, "three rows"))
-    assert main(["run", "--config", str(config)]) == 2
+    assert main(command_argv("run", config)) == 2
     assert "bad preset" in capsys.readouterr().err
 
 
@@ -237,7 +226,7 @@ def test_grid_without_preset_or_rows_exits_2(scene_dir, tmp_path, capsys):
     config = write_config(tmp_path / "local.ini", scene_dir)
     text = config.read_text().replace(f"preset = {PRESET}", "final_rows = 2")
     config.write_text(text)
-    assert main(["run", "--config", str(config)]) == 2
+    assert main(command_argv("run", config)) == 2
     err = capsys.readouterr().err
     assert f"{config}: [pipeline] final_rows: unknown key" in err
     assert "preset" in err
@@ -249,14 +238,10 @@ MALFORMED_CONFIGS = {
         "[paths]\n", f"preset = {PRESET}\n[paths]\n", 1
     ),
     "lone-percent": lambda text: text.replace(
-        "[paths]\n", "[paths]\ntiming = t%\n", 1
+        "ground_truth = ", "ground_truth = %", 1
     ),
 }
-CONFIG_COMMANDS = {
-    "run": [],
-    "serve": ["--listen", "127.0.0.1:0"],
-    "eval": [],
-}
+CONFIG_COMMANDS = ["run", "serve"]
 
 
 @pytest.mark.parametrize("command", CONFIG_COMMANDS)
@@ -264,7 +249,7 @@ CONFIG_COMMANDS = {
 def test_malformed_config_exits_2(scene_dir, tmp_path, capsys, command, malformed):
     config = write_config(tmp_path / "local.ini", scene_dir)
     config.write_text(MALFORMED_CONFIGS[malformed](config.read_text()))
-    argv = [command, "--config", str(config), *CONFIG_COMMANDS[command]]
+    argv = command_argv(command, config)
     assert main(argv) == 2
     assert f"{config}: malformed config" in capsys.readouterr().err
 
@@ -309,6 +294,13 @@ UNKNOWN_KEYS = {
         "[paths]\n", "min_confidence = 1.5\n[paths]\n",
         "[pipeline] min_confidence: unknown key",
     ),
+    # a run's outputs are named by run --results, not by its config
+    "results-key": (
+        "[paths]\n", "[paths]\nresults = r.jsonl\n", "[paths] results: unknown key",
+    ),
+    "timing-key": (
+        "[paths]\n", "[paths]\ntiming = t.csv\n", "[paths] timing: unknown key",
+    ),
 }
 
 
@@ -319,7 +311,7 @@ def test_unknown_config_key_exits_2(scene_dir, tmp_path, capsys, command, unknow
     before, after, named = UNKNOWN_KEYS[unknown]
     config = write_config(tmp_path / "local.ini", scene_dir)
     config.write_text(config.read_text().replace(before, after, 1))
-    argv = [command, "--config", str(config), *CONFIG_COMMANDS[command]]
+    argv = command_argv(command, config)
     assert main(argv) == 2
     assert f"{config}: {named}" in capsys.readouterr().err
     assert not (tmp_path / "local.jsonl").exists()
@@ -345,7 +337,7 @@ def test_bad_config_value_exits_2_naming_it(scene_dir, tmp_path, capsys, case):
     lines = [line for line in text.splitlines() if not line.startswith(f"{key} = ")]
     text = "\n".join(lines) + "\n"  # without the key, if write_config set it
     config.write_text(text.replace(f"{section}\n", f"{section}\n{key} = {value}\n", 1))
-    assert main(["run", "--config", str(config)]) == 2
+    assert main(command_argv("run", config)) == 2
     assert f"{config}: {section} {key}: " in capsys.readouterr().err
     assert not (tmp_path / "local.jsonl").exists()
 
@@ -359,7 +351,7 @@ def test_malformed_ground_truth_exits_2(scene_dir, results_path, tmp_path, capsy
         config.write_text(
             config.read_text().replace(str(scene_dir / "gt.jsonl"), str(gt_path))
         )
-        argv = ["run", "--config", str(config)]
+        argv = command_argv("run", config)
     else:
         argv = ["eval", "--detections", str(results_path), "--gt", str(gt_path)]
     assert main(argv) == 2
@@ -371,7 +363,7 @@ def test_run_into_a_closed_stdout_exits_0(scene_dir, tmp_path):
     """A reader that went away (`tilepipe run … | head -1`) after the run
     wrote its files does not make a finished run fail."""
     config = write_config(tmp_path / "local.ini", scene_dir)
-    argv = [*PYTHON, "-m", "tilepipe.cli", "run", "--config", str(config)]
+    argv = [*PYTHON, "-m", "tilepipe.cli", *command_argv("run", config)]
     env = {"PYTHONPATH": str(Path(tilepipe.__file__).parents[1])}
     read_end, write_end = os.pipe()
     os.close(read_end)
@@ -394,8 +386,7 @@ def test_serve_into_a_closed_stdout_exits_1(scene_dir, tmp_path):
     """serve prints its endpoint before it serves: a worker whose stdout is
     gone never served, and must not read as a clean exit."""
     config = write_config(tmp_path / "serve.ini", scene_dir)
-    argv = [*PYTHON, "-m", "tilepipe.cli", "serve", "--config", str(config),
-            "--listen", "127.0.0.1:0"]
+    argv = [*PYTHON, "-m", "tilepipe.cli", *command_argv("serve", config)]
     env = {"PYTHONPATH": str(Path(tilepipe.__file__).parents[1])}
     read_end, write_end = os.pipe()
     os.close(read_end)
@@ -409,38 +400,56 @@ def test_serve_into_a_closed_stdout_exits_1(scene_dir, tmp_path):
     assert "Exception ignored" not in done.stderr
 
 
-@pytest.mark.parametrize("where", ["config-results", "results-flag", "timing-flag"])
-def test_missing_output_directory_exits_2(scene_dir, tmp_path, capsys, where):
-    """An output path whose directory is missing, from the config or from a
-    flag, stops the run before it evaluates a frame, so it writes no file."""
+@pytest.mark.parametrize("where", ["relative-results", "results-flag"])
+def test_missing_output_directory_exits_2(
+    scene_dir, tmp_path, capsys, monkeypatch, where
+):
+    """A --results path whose directory is missing, given absolute or
+    relative to the working directory, stops the run before it evaluates a
+    frame, so it writes no file."""
     config = write_config(tmp_path / "local.ini", scene_dir)
     missing = tmp_path / "nodir"
-    flags = []
-    if where == "config-results":
-        text = config.read_text()
-        config.write_text(text.replace(str(tmp_path / "local.jsonl"), str(missing / "r.jsonl")))
-    elif where == "results-flag":
-        flags = ["--results", str(missing / "r.jsonl")]
-    else:
-        flags = ["--timing", str(missing / "t.csv")]
-    assert main(["run", "--config", str(config), *flags]) == 2
+    results = missing / "r.jsonl"
+    if where == "relative-results":
+        monkeypatch.chdir(tmp_path)
+        results = Path("nodir", "r.jsonl")
+    assert main(["run", "--config", str(config), "--results", str(results)]) == 2
     assert f"output directory not found: {missing}" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["local.ini"]
+
+
+def test_run_prints_both_output_paths_resolved(scene_dir, tmp_path, capsys, monkeypatch):
+    """The timing CSV is always <results stem>_timing.csv beside the
+    results, and the summary names both files absolutely, even for a
+    relative --results."""
+    config = write_config(tmp_path / "local.ini", scene_dir)
+    (tmp_path / "out").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", str(config), "--results", "out/r.jsonl"]) == 0
+    out = (tmp_path / "out").resolve()
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == f"results={out / 'r.jsonl'} timing={out / 'r_timing.csv'}"
+    assert sorted(p.name for p in out.iterdir()) == ["r.jsonl", "r_timing.csv"]
+    assert (out / "r.jsonl").read_bytes() == reference_bytes(scene_dir)
 
 
 @pytest.mark.usefixtures("no_server")
 @pytest.mark.parametrize("command", ["run", "serve"])
 def test_frame_size_disagreeing_with_frames_exits_2(scene_dir, tmp_path, capsys, command):
+    """The frames size the run, so a [frame] beside them is refused
+    whatever it says."""
     config = write_config(tmp_path / "local.ini", scene_dir)
     config.write_text(config.read_text() + "[frame]\nwidth = 1920\nheight = 1080\n")
-    argv = [command, "--config", str(config), *CONFIG_COMMANDS[command]]
+    argv = command_argv(command, config)
     assert main(argv) == 2
-    assert "config says 1920x1080 but frames are 1280x720" in capsys.readouterr().err
+    assert f"{config}: [frame]: " in capsys.readouterr().err
     assert not (tmp_path / "local.jsonl").exists()
 
 
 def test_run_and_serve_take_no_settings_flags():
-    """A run's grid comes only from its config file; no flag sets it."""
+    """A run's inputs come only from its config file: run's flags name its
+    mode and output, serve's its listen address, eval's the two files it
+    compares. Each subcommand's option set is pinned here."""
     (subparsers,) = (
         action
         for action in build_parser()._actions
@@ -454,8 +463,79 @@ def test_run_and_serve_take_no_settings_flags():
             for option in action.option_strings
         } - {"-h", "--help"}
 
-    assert options("run") == {"--config", "--mode", "--results", "--timing"}
+    assert options("run") == {"--config", "--mode", "--results"}
     assert options("serve") == {"--config", "--listen"}
+    assert options("eval") == {"--detections", "--gt"}
+    assert options("gen-synthetic") == {
+        "--out", "--kind", "--width", "--height", "--frame-count", "--seed",
+        "--object-count", "--gt-only",
+    }
+
+
+# (command, flags): each flag names a value that now has one source elsewhere
+REMOVED_FLAGS = {
+    "run-timing": ("run", ["--timing", "t.csv"]),
+    "eval-config": ("eval", ["--config", "a.ini"]),
+    "eval-thresholds": ("eval", ["--thresholds", "0.5"]),
+    "gen-synthetic-spec": ("gen-synthetic", ["--spec", "s.json"]),
+}
+
+
+@pytest.mark.parametrize("case", REMOVED_FLAGS)
+def test_removed_flag_exits_2(scene_dir, results_path, tmp_path, capsys, case):
+    config = write_config(tmp_path / "local.ini", scene_dir)
+    complete = {
+        "run": command_argv("run", config),
+        "eval": ["eval", "--detections", str(results_path),
+                 "--gt", str(scene_dir / "gt.jsonl")],
+        "gen-synthetic": ["gen-synthetic", "--out", str(tmp_path / "gen")],
+    }
+    command, flags = REMOVED_FLAGS[case]
+    with pytest.raises(SystemExit) as err:
+        main(complete[command] + flags)
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["local.ini"]
+
+
+def test_run_without_results_exits_2(scene_dir, tmp_path, capsys):
+    config = write_config(tmp_path / "local.ini", scene_dir)
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--config", str(config)])
+    assert err.value.code == 2
+    assert "--results" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["local.ini"]
+
+
+def eval_ap50(results, gt_path, capsys) -> float:
+    assert main(["eval", "--detections", str(results), "--gt", str(gt_path)]) == 0
+    return json.loads(capsys.readouterr().out)["ap50"]
+
+
+def test_attention_keeps_fine_grid_accuracy_where_downscale_loses_it(tmp_path, capsys):
+    """The paper's trade-off through the command line: one config, one run
+    per mode into its own --results, then eval of each. The pipeline's AP50
+    stays within 0.02 of evaluating every fine crop; one downscaled look
+    misses small objects."""
+    scene = tmp_path / "scene"
+    assert main(["gen-synthetic", "--out", str(scene), "--kind", "mixed",
+                 "--frame-count", "6", "--seed", "0"]) == 0
+    config = write_config(tmp_path / "run.ini", scene)
+    for mode in RUN_MODES:
+        results = tmp_path / f"{mode}.jsonl"
+        argv = ["run", "--config", str(config), "--mode", mode, "--results", str(results)]
+        assert main(argv) == 0
+    capsys.readouterr()
+    outputs = {p.name for p in tmp_path.iterdir()} - {"scene", "run.ini"}
+    assert outputs == {
+        name for mode in RUN_MODES for name in (f"{mode}.jsonl", f"{mode}_timing.csv")
+    }
+    ap50 = {
+        mode: eval_ap50(tmp_path / f"{mode}.jsonl", scene / "gt.jsonl", capsys)
+        for mode in RUN_MODES
+    }
+    assert abs(ap50["pipeline"] - ap50["allcrops"]) <= 0.02
+    assert ap50["downscale"] < min(ap50["pipeline"], ap50["allcrops"])
 
 
 @pytest.mark.parametrize("command", ["run", "serve"])
@@ -469,7 +549,7 @@ def test_bad_frames_directory_exits_2(scene_dir, tmp_path, capsys, command, fram
     config.write_text(
         config.read_text().replace(f"frames = {scene_dir}", f"frames = {frames_dir}")
     )
-    argv = [command, "--config", str(config), *CONFIG_COMMANDS[command]]
+    argv = command_argv(command, config)
     assert main(argv) == 2
     assert str(frames_dir) in capsys.readouterr().err
     assert not (tmp_path / "local.jsonl").exists()

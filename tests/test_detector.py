@@ -54,6 +54,13 @@ class TestDetectionTypes:
         with pytest.raises(ValueError):
             GroundTruthObject(Rect(0, 0, 10, 10), "", "obj-1")
 
+    @pytest.mark.parametrize("label", [7, None, b"car"])
+    def test_class_label_that_is_not_a_str_rejected(self, label):
+        with pytest.raises(ValueError, match="class_label must be a non-empty str"):
+            Detection(Rect(0, 0, 10, 10), label, 0.5)
+        with pytest.raises(ValueError, match="class_label must be a non-empty str"):
+            GroundTruthObject(Rect(0, 0, 10, 10), label, "obj-1")
+
     def test_empty_object_id_rejected(self):
         with pytest.raises(ValueError):
             GroundTruthObject(Rect(0, 0, 10, 10), "person", "")

@@ -938,6 +938,22 @@ class TestEvaluateRemote:
                 )
         assert err.value.endpoint == server.endpoint
 
+    def test_class_that_is_not_a_str_is_remote_fault(self):
+        class NumberedClasses(Detector):
+            def detect(self, frame_id, crop_ids, tiles=None):
+                det = SimpleNamespace(
+                    rect=Rect(1, 2, 3, 4), class_label=7, confidence=0.5
+                )
+                return [[det] for _ in crop_ids]
+
+        plan = make_plan()
+        with DetectorServer(NumberedClasses()) as server:
+            with pytest.raises(RemoteFault, match="class_label") as err:
+                evaluate(
+                    Frame(0, 1280, 720), plan.final_grid.crops[:1], [server.endpoint], 5.0
+                )
+        assert err.value.endpoint == server.endpoint
+
     @pytest.mark.parametrize("fails", [False, True])
     def test_leaves_no_open_socket(self, fails, opened):
         det = FailOnFrame(make_oracle(), 0) if fails else make_oracle()

@@ -1,5 +1,6 @@
 import configparser
 import csv
+import dataclasses
 import json
 import os
 
@@ -374,8 +375,14 @@ class TestGroundTruthIo:
             '{"class":"car","frame_id":0,"h":4,"object_id":"z","w":4,"x":"a","y":0}',
             '{"class":"car","frame_id":0,"h":4,"object_id":"z","w":0,"x":0,"y":0}',
             '{"class":"car","frame_id":"a","h":4,"object_id":"z","w":4,"x":0,"y":0}',
+            # rows that int() and str() would read as frame 1 and class "None"
+            '{"class":"car","frame_id":1.7,"h":4,"object_id":"z","w":4,"x":0,"y":0}',
+            '{"class":null,"frame_id":0,"h":4,"object_id":"z","w":4,"x":0,"y":0}',
         ],
-        ids=["number", "null", "text-coordinate", "zero-width", "text-frame-id"],
+        ids=[
+            "number", "null", "text-coordinate", "zero-width", "text-frame-id",
+            "fractional-frame-id", "null-class",
+        ],
     )
     def test_bad_row_names_line(self, tmp_path, row):
         path = tmp_path / "gt.jsonl"
@@ -475,6 +482,30 @@ class TestResultsIo:
         with pytest.raises(ValueError, match=r"r\.jsonl:2: bad result row"):
             read_results(path)
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ('"frame_id":1', '"frame_id":2.9'),
+            ('"frame_id":1', '"frame_id":true'),
+            ('"active_count":3', '"active_count":1.5'),
+            ('"total_count":18', '"total_count":18.0'),
+            ('"class":"car"', '"class":7'),
+        ],
+        ids=[
+            "fractional-frame-id", "bool-frame-id", "fractional-active-count",
+            "float-total-count", "number-class",
+        ],
+    )
+    def test_read_rejects_values_it_would_have_to_convert(self, tmp_path, old, new):
+        path = tmp_path / "r.jsonl"
+        write_results([make_result(fid=0), make_result(fid=1)], path)
+        lines = path.read_text().splitlines()
+        assert old in lines[1]
+        lines[1] = lines[1].replace(old, new, 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"r\.jsonl:2: bad result row"):
+            read_results(path)
+
 
 class TestTimingCsv:
     def rows(self, path):
@@ -531,7 +562,6 @@ class TestRunConfig:
         fields = dict(
             settings=PipelineSettings.from_preset("1 att, 3 fin, 20 over"),
             ground_truth_path=tmp_path / "gt.jsonl",
-            results_path=tmp_path / "results.jsonl",
             frame_width=1280,
             frame_height=720,
         )
@@ -539,12 +569,11 @@ class TestRunConfig:
         return RunConfig(**fields)
 
     def test_round_trip_local(self, tmp_path):
-        config = self.oracle_config(tmp_path, timing_path=tmp_path / "timing.csv")
+        config = self.oracle_config(tmp_path)
         path = tmp_path / "run.cfg"
         path.write_text(
             "[pipeline]\npreset = 1 att, 3 fin, 20 over\n"
-            "[paths]\nground_truth = gt.jsonl\nresults = results.jsonl\n"
-            "timing = timing.csv\n"
+            "[paths]\nground_truth = gt.jsonl\n"
             "[frame]\nwidth = 1280\nheight = 720\n"
         )
         assert read_run_config(path) == config
@@ -559,7 +588,7 @@ class TestRunConfig:
         path = tmp_path / "run.cfg"
         path.write_text(
             "[pipeline]\npreset = 1 att, 3 fin, 20 over\n"
-            "[paths]\nground_truth = gt.jsonl\nresults = results.jsonl\n"
+            "[paths]\nground_truth = gt.jsonl\n"
             "[frame]\nwidth = 1280\nheight = 720\n"
             "[cluster]\nfinal_workers = 127.0.0.1:7601, 127.0.0.1:7602\n"
             "attention_workers = 127.0.0.1:7600\nrequest_timeout_s = 12.5\n"
@@ -575,51 +604,53 @@ class TestRunConfig:
         path = tmp_path / "run.cfg"
         path.write_text(
             "[pipeline]\npreset = 1 att, 3 fin, 20 over\n"
-            "[paths]\nground_truth = gt.jsonl\nresults = results.jsonl\n"
-            "frames = frames\n"
+            "[paths]\nground_truth = gt.jsonl\nframes = frames\n"
         )
         assert read_run_config(path) == config
 
     def test_relative_paths_resolve_against_config(self, tmp_path):
         write_minimal_gt(tmp_path / "gt.jsonl")
+        write_sequence(tmp_path / "frames", [0])
         (tmp_path / "run.cfg").write_text(
             "[pipeline]\npreset = 1 att, 3 fin, 20 over\n"
-            "[frame]\nwidth = 1280\nheight = 720\n"
-            "[paths]\nground_truth = gt.jsonl\nresults = results.jsonl\n"
+            "[paths]\nground_truth = gt.jsonl\nframes = frames\n"
         )
         config = read_run_config(tmp_path / "run.cfg")
         assert config.ground_truth_path == tmp_path / "gt.jsonl"
-        assert config.results_path == tmp_path / "results.jsonl"
+        assert config.frames_dir == tmp_path / "frames"
         assert config.settings.final.rows == 3
 
+    # Every key a run config may hold: a run's inputs, and nothing else.
     EVERY_KEY = (
         "[pipeline]\npreset = 1 att, 2 fin, 30 over\n"
-        "[paths]\nground_truth = gt.jsonl\nresults = out.jsonl\nframes = frames\n"
-        "timing = t.csv\n"
+        "[paths]\nground_truth = gt.jsonl\nframes = frames\n"
         "[frame]\nwidth = 16\nheight = 8\n"
         "[cluster]\nfinal_workers = 127.0.0.1:7601\n"
         "attention_workers = 127.0.0.1:7600\nrequest_timeout_s = 5\n"
     )
 
     def test_every_key_is_read(self, tmp_path):
+        """[frame] and frames both size the frames, so no one file holds
+        every key: one file reads all but frames, another all but [frame]."""
         write_sequence(tmp_path / "frames", [0])
         config = self.oracle_config(
             tmp_path,
             settings=PipelineSettings.from_preset("1 att, 2 fin, 30 over"),
-            results_path=tmp_path / "out.jsonl",
             cluster=ClusterConfig(
                 final_workers=("127.0.0.1:7601",),
                 attention_workers=("127.0.0.1:7600",),
                 request_timeout_s=5.0,
             ),
-            frames_dir=tmp_path / "frames",
-            timing_path=tmp_path / "t.csv",
             frame_width=16,
             frame_height=8,
         )
         path = tmp_path / "run.cfg"
-        path.write_text(self.EVERY_KEY)
+        path.write_text(self.EVERY_KEY.replace("frames = frames\n", ""))
         assert read_run_config(path) == config
+        path.write_text(self.EVERY_KEY.replace("[frame]\nwidth = 16\nheight = 8\n", ""))
+        assert read_run_config(path) == dataclasses.replace(
+            config, frames_dir=tmp_path / "frames", frame_width=None, frame_height=None
+        )
 
     def test_docstring_lists_every_key(self):
         parser = configparser.ConfigParser()
@@ -652,7 +683,7 @@ class TestRunConfig:
         path = tmp_path / "run.cfg"
         text = (
             "[frame]\nwidth = 1280\nheight = 720\n"
-            "[paths]\nground_truth = gt.jsonl\nresults = results.jsonl\n"
+            "[paths]\nground_truth = gt.jsonl\n"
             "[pipeline]\npreset = 1 att, 3 fin, 20 over\n"
         )
         path.write_text(text + extra)  # extra lines without a header are [pipeline]'s
@@ -661,12 +692,29 @@ class TestRunConfig:
         assert str(err.value).startswith(f"{path}: ")
         assert named in str(err.value)
 
+    @pytest.mark.parametrize(
+        "size", ["width = 16\nheight = 8", "width = 16"], ids=["both-sides", "width"]
+    )
+    def test_frame_section_beside_frames_is_refused(self, tmp_path, size):
+        """The frames size a run that has them, so [frame] may not, even
+        when it agrees with them."""
+        write_minimal_gt(tmp_path / "gt.jsonl")
+        write_sequence(tmp_path / "frames", [0])
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            "[pipeline]\npreset = 1 att, 3 fin, 20 over\n"
+            "[paths]\nground_truth = gt.jsonl\nframes = frames\n"
+            f"[frame]\n{size}\n"
+        )
+        with pytest.raises(ValueError, match=r"run\.cfg: \[frame\]: "):
+            read_run_config(path)
+
     def test_preset_is_required(self, tmp_path):
         write_minimal_gt(tmp_path / "gt.jsonl")
         (tmp_path / "run.cfg").write_text(
             "[pipeline]\n"
             "[frame]\nwidth = 1280\nheight = 720\n"
-            "[paths]\nground_truth = gt.jsonl\nresults = results.jsonl\n"
+            "[paths]\nground_truth = gt.jsonl\n"
         )
         with pytest.raises(ValueError, match=r"\[pipeline\] needs preset"):
             read_run_config(tmp_path / "run.cfg")
@@ -675,7 +723,7 @@ class TestRunConfig:
         (tmp_path / "run.cfg").write_text(
             "[pipeline]\npreset = 1 att, 3 fin, 20 over\n"
             "[frame]\nwidth = 1280\nheight = 720\n"
-            "[paths]\nground_truth = nope.jsonl\nresults = results.jsonl\n"
+            "[paths]\nground_truth = nope.jsonl\n"
         )
         with pytest.raises(FileNotFoundError):
             read_run_config(tmp_path / "run.cfg")
@@ -685,7 +733,6 @@ class TestRunConfig:
         (tmp_path / "run.cfg").write_text(
             "[pipeline]\npreset = 1 att, 3 fin, 20 over\n"
             "[paths]\nframes = missing/\nground_truth = gt.jsonl\n"
-            "results = results.jsonl\n"
         )
         with pytest.raises(FileNotFoundError):
             read_run_config(tmp_path / "run.cfg")
@@ -702,7 +749,7 @@ class TestRunConfig:
             "[pipeline]\npreset = 1 att, 3 fin, 20 over\npreset = 1 att, 2 fin, 20 over\n",
             "[pipeline]\npreset = 1 att, 3 fin, 20 over\n"
             "[frame]\nwidth = 1280\nheight = 720\n"
-            "[paths]\nground_truth = gt.jsonl\nresults = 100%.jsonl\n",
+            "[paths]\nground_truth = 100%.jsonl\n",
         ],
         ids=["no-section-header", "duplicate-key", "lone-percent"],
     )
